@@ -653,11 +653,17 @@ fn run_stepped(
     let gate = JobGate::new(jobs);
     let mut dir_txs: Vec<mpsc::Sender<RackDirective>> = Vec::with_capacity(n);
     let mut msg_rxs: Vec<mpsc::Receiver<RackMsg>> = Vec::with_capacity(n);
+    // One arena per rack, lent to its strategy thread and then to its
+    // baseline replay, which re-measures the points the strategy pass
+    // already solved (the analytic cache carries over between them).
+    let mut scratches: Vec<EngineScratch> = (0..n).map(|_| EngineScratch::new()).collect();
 
     let mains: Result<Vec<(BurstOutcome, crate::monitor::Monitor, Option<String>)>, String> =
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
+            let handles: Vec<_> = scratches
+                .iter_mut()
+                .enumerate()
+                .map(|(i, scratch)| {
                     let cfg_i = rack_cfgs[i].clone();
                     let (dtx, drx) = mpsc::channel();
                     let (mtx, mrx) = mpsc::channel();
@@ -671,7 +677,6 @@ fn run_stepped(
                     let gate = &gate;
                     scope.spawn(move || {
                         let profiles = ProfileTable::cached(cfg_i.app);
-                        let mut scratch = EngineScratch::new();
                         let mut hooks = RackHooks {
                             dir_rx: drx,
                             msg_tx: mtx,
@@ -685,7 +690,7 @@ fn run_stepped(
                             resume_i,
                             snapshot_every,
                             &mut |_| {},
-                            &mut scratch,
+                            scratch,
                             &mut hooks,
                         )
                     })
@@ -903,8 +908,10 @@ fn run_stepped(
         .collect();
     let gate = JobGate::new(jobs);
     let baselines: Result<Vec<Option<BurstOutcome>>, String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|r| {
+        let handles: Vec<_> = scratches
+            .iter_mut()
+            .enumerate()
+            .map(|(r, scratch)| {
                 let cfg_r = &rack_cfgs[r];
                 let factors = &applied_cols[r];
                 let gate = &gate;
@@ -914,7 +921,6 @@ fn run_stepped(
                     }
                     gate.acquire();
                     let profiles = ProfileTable::cached(cfg_r.app);
-                    let mut scratch = EngineScratch::new();
                     let mut hooks = ReplayHooks { factors };
                     let (outcome, _, _) = run_once_resumable(
                         cfg_r,
@@ -923,7 +929,7 @@ fn run_stepped(
                         None,
                         0,
                         &mut |_| {},
-                        &mut scratch,
+                        scratch,
                         &mut hooks,
                     );
                     gate.release();

@@ -936,10 +936,16 @@ pub(crate) fn run_window_resumable(
 ) -> (BurstOutcome, Monitor, Option<String>) {
     let app = cfg.app.profile();
     let n = cfg.green.green_servers;
-    scratch.begin_run(n);
+    // Analytic measurements are pure in (app, setting, rps) on a cached
+    // table, so such runs may share the scratch's cache across runs.
+    scratch.begin_run(
+        n,
+        ProfileTable::cached_app(profiles).filter(|&a| a == cfg.app),
+    );
     let EngineScratch {
         fleet,
         analytic_cache,
+        ..
     } = scratch;
     let pv: PvArray = cfg.green.pv_array();
     let trace = window.trace;
@@ -2261,17 +2267,17 @@ pub(crate) fn measure_analytic(
     let e = profiles.get(setting);
     let admitted = offered_rps.min(e.slo_capacity);
     let station = app.station(setting);
-    let grid = station.service_grid();
-    let tail = station.sojourn_tail_with(&grid, admitted, app.slo_deadline_s);
+    let grids = profiles.quad_grids(app.app, setting, station);
+    let tail = station.sojourn_tail_with(&grids.full, admitted, app.slo_deadline_s);
     let goodput = admitted * (1.0 - tail);
     // The percentile latency only grades the Hybrid reward's magnitude, so
     // a decimated quadrature grid and a short bisection are plenty.
-    let coarse: Vec<f64> = grid.iter().step_by(8).copied().collect();
+    let coarse = &grids.coarse;
     let latency = {
         let target = 1.0 - app.slo_percentile;
         let mut hi = station.mean_service_s * 4.0;
         for _ in 0..40 {
-            if station.sojourn_tail_with(&coarse, admitted, hi) <= target {
+            if station.sojourn_tail_with(coarse, admitted, hi) <= target {
                 break;
             }
             hi *= 2.0;
@@ -2279,7 +2285,7 @@ pub(crate) fn measure_analytic(
         let mut lo = 0.0;
         for _ in 0..25 {
             let mid = 0.5 * (lo + hi);
-            if station.sojourn_tail_with(&coarse, admitted, mid) <= target {
+            if station.sojourn_tail_with(coarse, admitted, mid) <= target {
                 hi = mid;
             } else {
                 lo = mid;
@@ -2726,6 +2732,91 @@ mod tests {
         let fresh = ProfileTable::build(&Application::SpecJbb.profile());
         for s in ServerSetting::all() {
             assert_eq!(a.get(s).slo_capacity, fresh.get(s).slo_capacity);
+        }
+    }
+
+    /// `measure_analytic` as written before the shared grids: both
+    /// quadrature grids rebuilt from the station on every call.
+    fn measure_analytic_from_scratch(
+        app: &AppProfile,
+        profiles: &ProfileTable,
+        setting: ServerSetting,
+        offered_rps: f64,
+    ) -> EpochPerf {
+        let e = profiles.get(setting);
+        let admitted = offered_rps.min(e.slo_capacity);
+        let station = app.station(setting);
+        let grid = station.service_grid();
+        let tail = station.sojourn_tail_with(&grid, admitted, app.slo_deadline_s);
+        let coarse: Vec<f64> = grid.iter().step_by(8).copied().collect();
+        let target = 1.0 - app.slo_percentile;
+        let mut hi = station.mean_service_s * 4.0;
+        for _ in 0..40 {
+            if station.sojourn_tail_with(&coarse, admitted, hi) <= target {
+                break;
+            }
+            hi *= 2.0;
+        }
+        let mut lo = 0.0;
+        for _ in 0..25 {
+            let mid = 0.5 * (lo + hi);
+            if station.sojourn_tail_with(&coarse, admitted, mid) <= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        EpochPerf {
+            offered_rps,
+            admitted_rps: admitted,
+            completed_rps: admitted,
+            goodput_rps: admitted * (1.0 - tail),
+            shed_rps: offered_rps - admitted,
+            mean_latency_s: station.mean_service_s,
+            slo_percentile_latency_s: hi,
+            utilization: (admitted / e.raw_capacity).clamp(0.0, 1.0),
+        }
+    }
+
+    fn perf_bits(p: &EpochPerf) -> [u64; 8] {
+        [
+            p.offered_rps,
+            p.admitted_rps,
+            p.completed_rps,
+            p.goodput_rps,
+            p.shed_rps,
+            p.mean_latency_s,
+            p.slo_percentile_latency_s,
+            p.utilization,
+        ]
+        .map(f64::to_bits)
+    }
+
+    #[test]
+    fn shared_grids_measure_bit_identically_to_a_from_scratch_solve() {
+        for app_id in Application::ALL {
+            let app = app_id.profile();
+            let cached = ProfileTable::cached(app_id);
+            // An uncached table builds its grids per call.
+            let uncached = (app_id == Application::SpecJbb).then(|| ProfileTable::build(&app));
+            for setting in ServerSetting::all() {
+                let e = cached.get(setting);
+                for rps in [
+                    0.0,
+                    0.5 * e.slo_capacity,
+                    e.slo_capacity,
+                    1.2 * e.raw_capacity,
+                ] {
+                    let want =
+                        perf_bits(&measure_analytic_from_scratch(&app, cached, setting, rps));
+                    let got = perf_bits(&measure_analytic(&app, cached, setting, rps));
+                    assert_eq!(got, want, "{app_id:?} {setting:?} at {rps} req/s");
+                    if let Some(t) = &uncached {
+                        let got = perf_bits(&measure_analytic(&app, t, setting, rps));
+                        assert_eq!(got, want, "uncached {setting:?} at {rps} req/s");
+                    }
+                }
+            }
         }
     }
 

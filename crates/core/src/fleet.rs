@@ -9,12 +9,17 @@
 //! overwritten in place each epoch, plus the per-epoch memo tables the
 //! hot loop uses to avoid recomputing pure functions.
 //!
-//! [`EngineScratch`] wraps the fleet arrays together with the run-scoped
+//! [`EngineScratch`] wraps the fleet arrays together with the
 //! analytic-measurement cache into the arena a caller can thread through
-//! many runs (the sweep worker pool keeps one per worker; campaigns reuse
-//! one across the strategy and baseline passes). Every run begins with
-//! `EngineScratch::begin_run`, which clears all cross-run state, so
-//! reuse is unobservable in the output: the determinism contract
+//! many runs (the sweep worker pool keeps one per worker; campaigns and
+//! the datacenter broker reuse one across a rack's strategy and baseline
+//! passes). Every run begins with `EngineScratch::begin_run`, which
+//! resets the fleet arrays and memo tables. The analytic cache survives
+//! into the next run only when both runs measure the same application
+//! against its process-wide cached profile table: its entries are then
+//! the same pure function of `(setting, rps)` in both runs, so a hit
+//! returns exactly the bits a fresh measurement would. Either way reuse
+//! is unobservable in the output: the determinism contract
 //! (byte-identical outcomes, snapshot/resume, jobs-invariance) is pinned
 //! by `tests/golden_outputs.rs`.
 //!
@@ -25,6 +30,7 @@
 //! in/out of it at the capture/resume boundary.
 
 use gs_cluster::ServerSetting;
+use gs_workload::apps::Application;
 use gs_workload::metrics::EpochPerf;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -147,11 +153,19 @@ impl FleetState {
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     pub(crate) fleet: FleetState,
-    /// Run-scoped memo of analytic epoch measurements, keyed by
-    /// `(setting, offered_rps.to_bits())`. Pure: cleared at run start
-    /// because profiles and app differ between runs.
+    /// Memo of analytic epoch measurements, keyed by
+    /// `(setting, offered_rps.to_bits())`. Pure in the application and
+    /// its profile table, so it is kept across runs that share both (see
+    /// [`EngineScratch::begin_run`]).
     pub(crate) analytic_cache: HashMap<(ServerSetting, u64), EpochPerf, FxBuildHasher>,
+    /// The application whose process-wide cached profile table filled
+    /// `analytic_cache`; `None` for any other table.
+    cache_app: Option<Application>,
 }
+
+/// Past this many entries the analytic cache is dropped at the next run
+/// start, bounding what a long-lived scratch (a sweep worker's) holds.
+pub(crate) const ANALYTIC_CACHE_CAP: usize = 65_536;
 
 impl EngineScratch {
     /// A fresh, empty arena.
@@ -159,11 +173,21 @@ impl EngineScratch {
         Self::default()
     }
 
-    /// Reset for an `n`-server run: sizes the fleet arrays and clears
-    /// every cross-run cache (capacity is retained).
-    pub(crate) fn begin_run(&mut self, n: usize) {
+    /// Reset for an `n`-server run measuring against `cached_app`'s
+    /// process-wide cached profile table (`None` for any other table):
+    /// sizes the fleet arrays and clears the memo tables (capacity is
+    /// retained). The analytic cache is kept only when the previous run
+    /// used the same cached table and it holds at most
+    /// [`ANALYTIC_CACHE_CAP`] entries.
+    pub(crate) fn begin_run(&mut self, n: usize, cached_app: Option<Application>) {
         self.fleet.begin_run(n);
-        self.analytic_cache.clear();
+        if cached_app.is_none()
+            || cached_app != self.cache_app
+            || self.analytic_cache.len() > ANALYTIC_CACHE_CAP
+        {
+            self.analytic_cache.clear();
+        }
+        self.cache_app = cached_app;
     }
 }
 
@@ -293,7 +317,7 @@ mod tests {
     #[test]
     fn begin_run_sizes_every_array() {
         let mut s = EngineScratch::new();
-        s.begin_run(7);
+        s.begin_run(7, None);
         assert_eq!(s.fleet.prev_settings.len(), 7);
         assert_eq!(s.fleet.perfs.len(), 7);
         assert_eq!(s.fleet.instant_w.len(), 7);
@@ -304,11 +328,53 @@ mod tests {
         );
         s.analytic_cache
             .insert((ServerSetting::normal(), 0), EpochPerf::default());
-        // A new run clears per-epoch lists and every cross-run cache.
-        s.begin_run(3);
+        // A new run clears per-epoch lists and, off a cached table, the
+        // analytic cache.
+        s.begin_run(3, None);
         assert_eq!(s.fleet.prev_settings.len(), 3);
         assert!(s.fleet.sprinting.is_empty());
         assert!(s.fleet.decision_memo.is_empty());
+        assert!(s.analytic_cache.is_empty());
+    }
+
+    fn fill(s: &mut EngineScratch, entries: usize) {
+        for rps in 0..entries as u64 {
+            s.analytic_cache
+                .insert((ServerSetting::normal(), rps), EpochPerf::default());
+        }
+    }
+
+    #[test]
+    fn analytic_cache_is_kept_only_for_the_same_cached_app() {
+        let jbb = Some(Application::SpecJbb);
+        let mut s = EngineScratch::new();
+        s.begin_run(3, jbb);
+        fill(&mut s, 5);
+        // Same cached table: the strategy pass's entries serve the next run.
+        s.begin_run(3, jbb);
+        assert_eq!(s.analytic_cache.len(), 5);
+        // A different application's table: cleared.
+        s.begin_run(3, Some(Application::Memcached));
+        assert!(s.analytic_cache.is_empty());
+        // An uncached table, then back to a cached one: cleared both times.
+        fill(&mut s, 5);
+        s.begin_run(3, None);
+        assert!(s.analytic_cache.is_empty());
+        fill(&mut s, 5);
+        s.begin_run(3, jbb);
+        assert!(s.analytic_cache.is_empty());
+    }
+
+    #[test]
+    fn analytic_cache_is_dropped_past_its_cap() {
+        let jbb = Some(Application::SpecJbb);
+        let mut s = EngineScratch::new();
+        s.begin_run(3, jbb);
+        fill(&mut s, ANALYTIC_CACHE_CAP);
+        s.begin_run(3, jbb);
+        assert_eq!(s.analytic_cache.len(), ANALYTIC_CACHE_CAP);
+        fill(&mut s, ANALYTIC_CACHE_CAP + 1);
+        s.begin_run(3, jbb);
         assert!(s.analytic_cache.is_empty());
     }
 

@@ -10,17 +10,66 @@
 //! `gs-workload`; the exhaustive sweep enumerates all 63 sprint settings
 //! once and caches SLO capacity, raw capacity, and full-load power.
 
-use gs_cluster::ServerSetting;
+use gs_cluster::{ServerSetting, MAX_CORES, NORMAL_CORES, NUM_FREQ_LEVELS};
 use gs_workload::apps::{AppProfile, Application};
+use gs_workload::queueing::Station;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
-/// The process-wide table cache, one slot per paper application. The
-/// tables depend only on the application's calibrated model — the
-/// measurement mode (DES vs analytic) never enters a profile, so keying
-/// by application alone is exact, not an approximation.
-static CACHED_TABLES: [OnceLock<ProfileTable>; 3] =
-    [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+/// Size of the sprint-setting space `S` (7 core counts × 9 frequencies).
+const SETTINGS: usize = (MAX_CORES - NORMAL_CORES + 1) as usize * NUM_FREQ_LEVELS;
+
+/// The process-wide cache, one slot per paper application: the profile
+/// table plus, per setting, the analytic plane's quadrature grids. Both
+/// depend only on the application's calibrated model — the measurement
+/// mode (DES vs analytic) never enters them, so keying by application
+/// alone is exact, not an approximation.
+static CACHED: [AppCache; 3] = [const { AppCache::new() }; 3];
+
+/// One application's cached table and its lazily-built per-setting grids.
+/// The grids are built on first use rather than with the table: most runs
+/// touch a handful of the 63 settings, and all of them would cost ~1 MB
+/// per application.
+struct AppCache {
+    table: OnceLock<ProfileTable>,
+    grids: [OnceLock<QuadGrids>; SETTINGS],
+}
+
+impl AppCache {
+    const fn new() -> Self {
+        AppCache {
+            table: OnceLock::new(),
+            grids: [const { OnceLock::new() }; SETTINGS],
+        }
+    }
+}
+
+/// The quadrature grids the analytic measurement integrates over for one
+/// station: the full service-quantile grid (goodput tail) and its
+/// every-8th-point decimation (percentile-latency bisection).
+#[derive(Debug, Clone)]
+pub(crate) struct QuadGrids {
+    /// The station the grids were built from.
+    station: Station,
+    /// [`Station::service_grid`].
+    pub full: Vec<f64>,
+    /// Every 8th point of `full`.
+    pub coarse: Vec<f64>,
+}
+
+impl QuadGrids {
+    /// Build both grids for `station`.
+    fn build(station: Station) -> Self {
+        let full = station.service_grid();
+        let coarse = full.iter().step_by(8).copied().collect();
+        QuadGrids {
+            station,
+            full,
+            coarse,
+        }
+    }
+}
 
 /// Cache slot for an application.
 pub(crate) fn app_cache_index(app: Application) -> usize {
@@ -83,7 +132,9 @@ impl ProfileTable {
     /// The shared, lazily-built table for a paper application. The sweep
     /// is deterministic, so all engines can share one copy per process.
     pub fn cached(app: Application) -> &'static ProfileTable {
-        CACHED_TABLES[app_cache_index(app)].get_or_init(|| ProfileTable::build(&app.profile()))
+        CACHED[app_cache_index(app)]
+            .table
+            .get_or_init(|| ProfileTable::build(&app.profile()))
     }
 
     /// If `table` is one of the process-wide cached tables, the
@@ -91,17 +142,37 @@ impl ProfileTable {
     /// Hybrid learner's bootstrap) key themselves by application without
     /// forcing any table to build.
     pub fn cached_app(table: &ProfileTable) -> Option<Application> {
-        [
-            Application::SpecJbb,
-            Application::WebSearch,
-            Application::Memcached,
-        ]
-        .into_iter()
-        .find(|&app| {
-            CACHED_TABLES[app_cache_index(app)]
-                .get()
-                .is_some_and(|t| std::ptr::eq(t, table))
-        })
+        Application::ALL
+            .into_iter()
+            .find(|&app| table.is_cached_for(app))
+    }
+
+    /// True when `self` is `app`'s process-wide cached table.
+    fn is_cached_for(&self, app: Application) -> bool {
+        CACHED[app_cache_index(app)]
+            .table
+            .get()
+            .is_some_and(|t| std::ptr::eq(t, self))
+    }
+
+    /// The quadrature grids of `station`, which runs `setting` under
+    /// `app`: the process-wide copy (built on first use from the
+    /// calibrated model) when `self` is `app`'s cached table and the
+    /// copy was built for this very station, else freshly built ones.
+    pub(crate) fn quad_grids(
+        &self,
+        app: Application,
+        setting: ServerSetting,
+        station: Station,
+    ) -> Cow<'static, QuadGrids> {
+        if self.is_cached_for(app) {
+            let shared = CACHED[app_cache_index(app)].grids[setting.action_index()]
+                .get_or_init(|| QuadGrids::build(app.profile().station(setting)));
+            if shared.station == station {
+                return Cow::Borrowed(shared);
+            }
+        }
+        Cow::Owned(QuadGrids::build(station))
     }
 
     /// Profile of one setting.

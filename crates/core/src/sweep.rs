@@ -161,9 +161,10 @@ pub fn run_sweep_streaming(
             let tx = tx.clone();
             s.spawn(move || {
                 // One scratch arena per worker, reused across every task
-                // it claims: each engine run resets it, so reuse cannot
-                // leak state between points (pinned by the jobs-invariance
-                // golden test).
+                // it claims: each engine run resets it, keeping only
+                // analytic-cache entries that are exact for the next
+                // point, so reuse cannot leak state between points
+                // (pinned by the jobs-invariance golden test).
                 let mut arena = EngineScratch::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);

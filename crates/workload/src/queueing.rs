@@ -98,7 +98,7 @@ pub fn erlang_c(c: u32, a: f64) -> f64 {
 }
 
 /// Parameters of the per-server queueing station.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Station {
     /// Parallel service slots (active cores).
     pub cores: u32,
@@ -203,10 +203,11 @@ impl Station {
             return None;
         }
         let target = 1.0 - q;
+        let grid = self.service_grid();
         // Upper bracket: grow until the tail falls below target.
         let mut hi = self.mean_service_s * 4.0;
         for _ in 0..60 {
-            if self.sojourn_tail(lambda, hi) <= target {
+            if self.sojourn_tail_with(&grid, lambda, hi) <= target {
                 break;
             }
             hi *= 2.0;
@@ -214,7 +215,7 @@ impl Station {
         let mut lo = 0.0;
         for _ in 0..50 {
             let mid = 0.5 * (lo + hi);
-            if self.sojourn_tail(lambda, mid) <= target {
+            if self.sojourn_tail_with(&grid, lambda, mid) <= target {
                 hi = mid;
             } else {
                 lo = mid;
@@ -338,6 +339,39 @@ mod tests {
         let p99_light = st.sojourn_percentile(slo * 0.3, 0.99).unwrap();
         assert!(p99_light < p99);
         assert_eq!(st.sojourn_percentile(st.raw_capacity() * 1.01, 0.99), None);
+    }
+
+    #[test]
+    fn sojourn_percentile_matches_per_step_grid_rebuild() {
+        // The bisection builds the quadrature grid once; rebuilding it on
+        // every step (as `sojourn_tail` does) must give the same bits.
+        let reference = |st: &Station, lambda: f64, q: f64| {
+            let target = 1.0 - q;
+            let mut hi = st.mean_service_s * 4.0;
+            for _ in 0..60 {
+                if st.sojourn_tail(lambda, hi) <= target {
+                    break;
+                }
+                hi *= 2.0;
+            }
+            let mut lo = 0.0;
+            for _ in 0..50 {
+                let mid = 0.5 * (lo + hi);
+                if st.sojourn_tail(lambda, mid) <= target {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            hi
+        };
+        for st in [station(6, 50.0), station(12, 110.0)] {
+            let slo = st.slo_capacity(0.5, 0.99);
+            for lambda in [0.0, slo * 0.5, slo] {
+                let got = st.sojourn_percentile(lambda, 0.99).unwrap();
+                assert_eq!(got.to_bits(), reference(&st, lambda, 0.99).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   `jobs = 1` and `jobs = 4` (jobs-invariance against golden bytes);
 //! * chaos JSON-lines (fault-plan points through the same executor, the
 //!   `greensprint chaos` output format);
+//! * a routed datacenter site under a seeded site fault plan, one JSON
+//!   line per rack plus the site line, at `jobs = 1` and `jobs = 4`;
 //! * a snapshot/resume cycle of each burst family: the outcome resumed from
 //!   a mid-run snapshot must reproduce the same golden bytes.
 //!
@@ -280,6 +282,75 @@ fn golden_serve_metrics_are_byte_identical_with_and_without_networking() {
     let noisy_text = std::fs::read_to_string(&noisy).expect("metrics written");
     check("serve_metrics.jsonl", &noisy_text);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small routed site: 6 ten-server racks cycling the three apps and
+/// the learner-free strategies over 30 one-minute epochs, under a seeded
+/// site fault plan. Every epoch's routed load factor is new, so this pins
+/// the broker's routed analytic path and its Normal-baseline replay.
+fn datacenter_site_cfg() -> DatacenterConfig {
+    const RACKS: usize = 6;
+    let template = EngineConfig {
+        availability: AvailabilityLevel::Medium,
+        burst_duration: SimDuration::from_mins(30),
+        measurement: MeasurementMode::Analytic,
+        thermal: ThermalModel::Disabled,
+        seed: SEEDS[1],
+        ..EngineConfig::default()
+    };
+    let start = SimTime::from_secs_f64(template.burst_start_hour * 3_600.0);
+    let strategies = [Strategy::Pacing, Strategy::Parallel, Strategy::Greedy];
+    DatacenterConfig {
+        racks: (0..RACKS)
+            .map(|i| RackSpec {
+                app: Application::ALL[i % Application::ALL.len()],
+                green: GreenConfig {
+                    name: "rack10".into(),
+                    green_servers: 10,
+                    panels: 10,
+                    battery_ah: 10.0,
+                },
+                strategy: strategies[i % strategies.len()],
+            })
+            .collect(),
+        site_fault_plan: Some(FaultPlan::generate_site(
+            SEEDS[1],
+            start,
+            template.burst_duration,
+            RACKS as u8,
+        )),
+        template,
+    }
+}
+
+/// One JSON line per rack outcome, then the site line (the rack list
+/// emptied so each rack is serialized once).
+fn datacenter_jsonl(out: &DatacenterOutcome) -> String {
+    let mut s = String::new();
+    for rack in &out.racks {
+        s.push_str(&serde_json::to_string(rack).expect("rack outcome serializes"));
+        s.push('\n');
+    }
+    let site = DatacenterOutcome {
+        racks: Vec::new(),
+        ..out.clone()
+    };
+    s.push_str(&serde_json::to_string(&site).expect("site outcome serializes"));
+    s.push('\n');
+    s
+}
+
+#[test]
+fn golden_datacenter_site_is_byte_identical_at_any_jobs() {
+    let cfg = datacenter_site_cfg();
+    for jobs in [1, 4] {
+        let out = try_run_datacenter(&cfg, jobs).expect("routed site runs");
+        assert!(
+            out.factors.iter().flatten().any(|&f| f != 1.0),
+            "the site must route load"
+        );
+        check("datacenter_site.jsonl", &datacenter_jsonl(&out));
+    }
 }
 
 #[test]
