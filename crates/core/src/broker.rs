@@ -482,7 +482,8 @@ impl EpochHooks for RackHooks<'_> {
 
 /// The baseline driver: replay the applied factors of the strategy run so
 /// the Normal floor is judged like-for-like through blackouts and
-/// partitions. Shared with [`crate::serve`]'s multi-rack floor judgment.
+/// partitions. (Serve's floor judgment replays whole directive rows —
+/// supply overrides and stale flags too — through its own hooks.)
 pub(crate) struct ReplayHooks<'a> {
     pub(crate) factors: &'a [f64],
 }
@@ -506,7 +507,7 @@ fn compute_factors(st: &BrokerState, cfg: &DatacenterConfig) -> Vec<f64> {
 }
 
 /// The conserved-allocation core shared by the batch broker and
-/// [`crate::serve`]'s multi-rack orchestrator: given per-rack beliefs
+/// [`crate::serve`]'s orchestrator: given per-rack beliefs
 /// and rack sizes, produce factors summing to exactly the rack count,
 /// with dark racks at zero and survivors blending an even split with
 /// their renewable-surplus share.

@@ -131,7 +131,7 @@ pub fn datacenter_summary(out: &DatacenterOutcome) -> String {
     s
 }
 
-/// Render the multi-rack serve supervision counters: one fleet line,
+/// Render serve's rack supervision counters: one fleet line,
 /// one health line per rack, and the tail of the supervision event log.
 pub fn rack_fleet_summary(s: &ServeSummary) -> String {
     let mut out = String::new();

@@ -3,7 +3,9 @@
 //!
 //! The batch engine answers "what would the controller have done"; serve
 //! answers "do it, now, and survive the real world doing it". The same
-//! [`crate::engine`] loop runs tick-by-tick against a clock, with:
+//! [`crate::engine`] loop runs tick-by-tick against a clock — one
+//! supervised worker thread per rack, `--racks 1` included, under one
+//! orchestrator that owns the site tick — with:
 //!
 //! * **Live telemetry** — trace replay at a configurable real-time rate,
 //!   plus an optional line-delimited supply feed (file or stdin) whose
@@ -57,7 +59,7 @@ use crate::audit::{InvariantAuditor, SiteFlows};
 use crate::broker::{conserved_factors, RackBelief, REROUTE_EPS};
 use crate::checkpoint::{config_fingerprint, LoopState};
 use crate::engine::{
-    judge, run_once, run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord,
+    judge, run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord,
     MeasurementMode, TickDirective,
 };
 use crate::fleet::EngineScratch;
@@ -68,13 +70,10 @@ use crate::pmk::Strategy;
 use crate::profiler::ProfileTable;
 use crate::supervisor::{panic_message, RackHealth, RackSupervisor};
 
-/// Schema tag of a single-rack [`ServeSnapshot`] file.
-pub const SERVE_SCHEMA: &str = "gs-serve-1";
-
-/// Schema tag of a multi-rack [`ServeSnapshot`]: the whole-daemon
-/// checkpoint embedding every rack's [`LoopState`] plus the
-/// orchestrator's [`ServeDcSideState`], so SIGKILL + `--resume` is
-/// byte-identical even mid-rack-outage.
+/// Schema tag of a [`ServeSnapshot`]: the whole-daemon checkpoint
+/// embedding every rack's [`LoopState`] plus the orchestrator's
+/// [`ServeDcSideState`], so SIGKILL + `--resume` is byte-identical even
+/// mid-rack-outage.
 pub const SERVE_SCHEMA_V2: &str = "gs-serve-2";
 
 /// Serve-level watchdog: consecutive actuation failures on one server
@@ -114,7 +113,7 @@ pub struct DisturbancePlan {
     /// server on that epoch.
     pub actuation: Vec<(u64, u32)>,
     /// `(epoch, rack)`: panic that rack's worker thread at the top of
-    /// that epoch (multi-rack serve only; ignored single-rack).
+    /// that epoch.
     pub rack_panics: Vec<(u64, u32)>,
     /// `(epoch, rack)`: wedge that rack's worker thread at the top of
     /// that epoch. Serve cannot un-wedge a thread, so a stall is
@@ -219,7 +218,9 @@ pub struct ServeOptions {
     pub disturbances: Option<DisturbancePlan>,
     /// Metrics buffer capacity in lines (drop-oldest beyond it).
     pub metrics_buffer: usize,
-    /// Snapshot every N epochs (0 = only the drain snapshot).
+    /// Snapshot every N epochs (0 = only the drain snapshot). Per-rack
+    /// [`LoopState`] captures and whole-daemon snapshots share this
+    /// cadence so every checkpoint is mutually consistent.
     pub snapshot_every: u64,
     /// Bounded retries per actuation failure.
     pub control_retries: u32,
@@ -227,17 +228,13 @@ pub struct ServeOptions {
     /// count as malformed (the network plane enforces its own copy of
     /// this cap at the socket layer).
     pub max_line_len: usize,
-    /// Racks served by this daemon. `1` is the classic single-rack path;
-    /// `>= 2` runs each rack's epoch loop on a supervised worker thread
-    /// with the conserved-routing broker math between them.
+    /// Racks served by this daemon (at least 1). Each rack's epoch loop
+    /// runs on a supervised worker thread, with the conserved-routing
+    /// broker math between them.
     pub racks: u32,
     /// Restarts allowed per rack worker before it is quarantined and its
     /// load rerouted to the survivors.
     pub rack_restarts: u32,
-    /// Per-rack [`LoopState`] capture cadence in epochs (0 = use
-    /// `snapshot_every`). Rack captures and whole-daemon v2 snapshots
-    /// share this cadence so every checkpoint is mutually consistent.
-    pub rack_snapshot_every: u64,
 }
 
 impl Default for ServeOptions {
@@ -252,7 +249,6 @@ impl Default for ServeOptions {
             max_line_len: DEFAULT_MAX_LINE_LEN,
             racks: 1,
             rack_restarts: 2,
-            rack_snapshot_every: 0,
         }
     }
 }
@@ -307,9 +303,9 @@ pub struct DirectiveRow {
     pub factors: Vec<f64>,
 }
 
-/// The multi-rack orchestrator's snapshot-persisted state: everything
-/// beyond the per-rack [`LoopState`]s that shapes the deterministic
-/// stream or the restart ladder.
+/// The orchestrator's snapshot-persisted state: everything beyond the
+/// per-rack [`LoopState`]s that shapes the deterministic stream or the
+/// restart ladder.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 #[serde(default)]
 pub struct ServeDcSideState {
@@ -345,11 +341,12 @@ pub struct ServeDcSideState {
     pub events: Vec<String>,
 }
 
-/// A serve checkpoint: engine state plus serve state plus enough
-/// configuration to restart with no flags beyond `--resume`.
+/// A serve checkpoint: every rack's engine state plus the orchestrator's
+/// and serve's own state plus enough configuration to restart with no
+/// flags beyond `--resume`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServeSnapshot {
-    /// [`SERVE_SCHEMA`] (single-rack) or [`SERVE_SCHEMA_V2`] (multi-rack).
+    /// Always [`SERVE_SCHEMA_V2`].
     pub schema: String,
     /// Build/config fingerprint of `cfg` (recomputed and checked on load).
     pub fingerprint: String,
@@ -357,17 +354,11 @@ pub struct ServeSnapshot {
     pub cfg: EngineConfig,
     /// The deterministic serve options.
     pub options: ServeOptions,
-    /// The engine's captured loop state (single-rack schema; `None` in
-    /// v2 snapshots, which carry `racks` instead).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub state: Option<LoopState>,
-    /// Per-rack captured loop states (v2; `None` for a rack quarantined
+    /// Per-rack captured loop states (`None` for a rack quarantined
     /// before its first capture).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub racks: Vec<Option<LoopState>>,
-    /// Orchestrator state (v2 only).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub dc: Option<ServeDcSideState>,
+    /// Orchestrator state.
+    pub dc: ServeDcSideState,
     /// Serve's own captured state.
     pub serve: ServeSideState,
 }
@@ -377,29 +368,16 @@ impl ServeSnapshot {
     /// fingerprint must equal the one recomputed from the embedded
     /// config under *this* build.
     pub fn from_json(text: &str) -> Result<Self, ServeError> {
-        let snap: ServeSnapshot = serde_json::from_str(text)
-            .map_err(|e| ServeError::Snapshot(format!("unparseable serve snapshot: {e}")))?;
-        match snap.schema.as_str() {
-            s if s == SERVE_SCHEMA => {
-                if snap.state.is_none() {
-                    return Err(ServeError::Snapshot(
-                        "single-rack snapshot is missing its engine state".to_string(),
-                    ));
-                }
-            }
-            s if s == SERVE_SCHEMA_V2 => {
-                if snap.racks.is_empty() || snap.dc.is_none() {
-                    return Err(ServeError::Snapshot(
-                        "multi-rack snapshot is missing its rack states or orchestrator state"
-                            .to_string(),
-                    ));
-                }
-            }
-            other => {
-                return Err(ServeError::Snapshot(format!(
-                    "snapshot schema {other:?} is neither {SERVE_SCHEMA:?} nor {SERVE_SCHEMA_V2:?}"
-                )));
-            }
+        let snap: ServeSnapshot = serde_json::from_str(text).map_err(|e| {
+            ServeError::Snapshot(format!(
+                "unparseable serve snapshot (this build reads {SERVE_SCHEMA_V2:?}): {e}"
+            ))
+        })?;
+        if snap.schema != SERVE_SCHEMA_V2 {
+            return Err(ServeError::Snapshot(format!(
+                "snapshot schema {:?} is not {SERVE_SCHEMA_V2:?}",
+                snap.schema
+            )));
         }
         let expect = serve_fingerprint(&snap.cfg);
         if snap.fingerprint != expect {
@@ -773,7 +751,9 @@ struct NetHandle {
     rx: mpsc::Receiver<f64>,
 }
 
-/// The serve driver: implements [`EpochHooks`] over the engine loop.
+/// The site tick the orchestrator runs once per epoch for the whole
+/// site: telemetry, deadline accounting, actuation, metrics, heartbeat
+/// and snapshot files.
 struct ServeDriver {
     opts: ServeOptions,
     cfg_fingerprint: String,
@@ -782,7 +762,11 @@ struct ServeDriver {
     rate: f64,
     throttle: Duration,
     tick_budget: Option<Duration>,
+    /// Wall-clock start of the tick in flight (real time only).
     tick_started: Option<Instant>,
+    /// Demotion owed by the last tick's measured overrun or stall: its
+    /// epoch had already executed when the clock caught it.
+    late_demote: Option<String>,
     feed: Option<FeedSource>,
     net: Option<NetHandle>,
     metrics: MetricsSink,
@@ -793,17 +777,10 @@ struct ServeDriver {
     /// Suppress metrics emission for epochs below this (already durable
     /// from the interrupted run).
     emit_from: u64,
-    /// Stop after this many epochs executed *this process*.
-    drain_after: Option<u64>,
-    executed_this_run: u64,
-    epochs_executed: u64,
-    drained: bool,
-    /// Stale/overrun annotation for the epoch in flight (before_epoch
-    /// decides, after_epoch records).
+    /// Stale/overrun annotation for the epoch in flight (the tick
+    /// decides, the metrics line records).
     cur_stale: bool,
     cur_overrun: bool,
-    /// One epoch of sim time in seconds (cached from the config).
-    epoch_secs: f64,
 }
 
 impl ServeDriver {
@@ -974,61 +951,73 @@ impl ServeDriver {
         }
     }
 
-    fn pace(&mut self, epoch: Duration) {
+    fn pace(&self) {
         if !self.throttle.is_zero() {
             std::thread::sleep(self.throttle);
         }
-        if self.sim_time {
+        // Real-time replay: one epoch of sim time per (epoch / rate) of
+        // wall time, measured from the tick's start.
+        if let Some(started) = self.tick_started {
+            let target =
+                Duration::from_secs_f64(self.cfg.epoch.as_secs_f64()).div_f64(self.rate.max(1e-9));
+            if let Some(rest) = target.checked_sub(started.elapsed()) {
+                std::thread::sleep(rest);
+            }
+        }
+    }
+
+    /// Real-time deadline check on the tick's own work — boundary
+    /// snapshot, telemetry, the racks' epoch and actuation — taken before
+    /// its metrics line is built and before any throttle or rate sleep, so
+    /// the late tick's own line carries the flag. The epoch has already
+    /// executed, so the demotion lands on the next tick. A tick the
+    /// disturbance plan already flagged keeps the plan's verdict.
+    fn check_tick_budget(&mut self) {
+        let (Some(budget), Some(started)) = (self.tick_budget, self.tick_started) else {
+            return;
+        };
+        let work = started.elapsed();
+        if self.cur_overrun || work <= budget {
             return;
         }
-        // Real-time replay: one epoch of sim time per (epoch / rate) of
-        // wall time, measured from the previous tick's start.
-        let target = epoch.div_f64(self.rate.max(1e-9));
-        if let Some(started) = self.tick_started {
-            let elapsed = started.elapsed();
-            if elapsed < target {
-                std::thread::sleep(target - elapsed);
-            }
+        self.cur_overrun = true;
+        self.side.overrun_ticks += 1;
+        let stalled = work > budget.saturating_mul(WATCHDOG_FACTOR);
+        if stalled {
+            self.side.watchdog_stalls += 1;
         }
-        self.tick_started = Some(Instant::now());
+        self.late_demote = self.demotion(stalled, true);
     }
-}
 
-impl ServeDriver {
-    /// One site tick: deadline/watchdog accounting, telemetry sampling,
-    /// staleness, heartbeat. The single-rack path calls this through
-    /// [`EpochHooks::before_epoch`]; the multi-rack orchestrator calls
-    /// it directly, once per epoch for the whole site.
+    /// The ladder demotion a slow tick earns. A stall demotes even under
+    /// `--overrun skip`: a tick that sat at WATCHDOG_FACTOR× its budget is
+    /// evidence the control path itself is unhealthy, not just late. With
+    /// the guardrail off the engine ignores the demotion (the counters
+    /// still record it).
+    fn demotion(&self, stalled: bool, overrun: bool) -> Option<String> {
+        if stalled {
+            Some(format!(
+                "watchdog stall: tick exceeded {WATCHDOG_FACTOR}x its deadline budget"
+            ))
+        } else if overrun && self.opts.overrun == OverrunPolicy::Degrade {
+            Some("tick deadline overrun".to_string())
+        } else {
+            None
+        }
+    }
+
+    /// One site tick: plan-driven deadline/watchdog accounting, telemetry
+    /// sampling, staleness, heartbeat — once per epoch for the whole site.
     fn tick_directive(&mut self, k: u64, t: SimTime) -> TickDirective {
         self.side.ticks += 1;
-        // Deadline check for the *previous* tick in real time; plan-driven
-        // in sim time so the stream stays deterministic.
-        let mut overrun = self
-            .opts
-            .disturbances
-            .as_ref()
-            .is_some_and(|p| p.is_overrun(k));
-        // Watchdog: a tick that blew far past its budget (or a
-        // plan-scheduled wedge in sim time) is a stall, not a mere
+        // Plan-driven overruns stand in for a slow tick so the sim-time
+        // stream stays deterministic; real time also measures the tick's
+        // own work in `check_tick_budget`. A wedge is a stall, not a mere
         // overrun — counted separately and always worth a ladder rung.
-        let mut wedged = self
-            .opts
-            .disturbances
-            .as_ref()
-            .is_some_and(|p| p.is_wedged(k));
-        if let (false, Some(budget), Some(started)) =
-            (self.sim_time, self.tick_budget, self.tick_started)
-        {
-            let elapsed = started.elapsed();
-            if elapsed > budget {
-                overrun = true;
-            }
-            if elapsed > budget.saturating_mul(WATCHDOG_FACTOR) {
-                wedged = true;
-            }
-        }
+        let plan = self.opts.disturbances.as_ref();
+        let wedged = plan.is_some_and(|p| p.is_wedged(k));
+        let overrun = wedged || plan.is_some_and(|p| p.is_overrun(k));
         if wedged {
-            overrun = true;
             self.side.watchdog_stalls += 1;
         }
         self.cur_overrun = overrun;
@@ -1050,19 +1039,9 @@ impl ServeDriver {
 
         self.write_heartbeat(k, t);
 
-        // A wedge demotes even under `--overrun skip`: a tick that sat
-        // at WATCHDOG_FACTOR× its budget is evidence the control path
-        // itself is unhealthy, not just late. With the guardrail off the
-        // engine ignores the demotion (the counter still records it).
-        let demote = if wedged {
-            Some(format!(
-                "watchdog stall: tick exceeded {WATCHDOG_FACTOR}x its deadline budget"
-            ))
-        } else if overrun && self.opts.overrun == OverrunPolicy::Degrade {
-            Some("tick deadline overrun".to_string())
-        } else {
-            None
-        };
+        let demote = self
+            .demotion(wedged, overrun)
+            .or_else(|| self.late_demote.take());
         TickDirective {
             supply_w: if stale { None } else { supply_w },
             telemetry_stale: stale,
@@ -1071,10 +1050,9 @@ impl ServeDriver {
         }
     }
 
-    /// Serialize and emit one epoch's metrics line — TCP fan-out plus
-    /// the durable sink — honoring the resume emission gate and
-    /// plan-scheduled sink stalls. Shared by the single-rack hook path
-    /// and the multi-rack orchestrator (which emits the aggregate).
+    /// Serialize and emit one epoch's aggregate metrics line — TCP
+    /// fan-out plus the durable sink — honoring the resume emission gate
+    /// and plan-scheduled sink stalls.
     fn emit_record(
         &mut self,
         k: u64,
@@ -1119,70 +1097,6 @@ impl ServeDriver {
     }
 }
 
-impl EpochHooks for ServeDriver {
-    fn before_epoch(&mut self, k: u64, t: SimTime) -> TickDirective {
-        self.tick_directive(k, t)
-    }
-
-    fn after_epoch(&mut self, k: u64, rec: &EpochRecord, settings: &[ServerSetting]) -> bool {
-        let retries_before = self.side.actuation_retries;
-        let failures_before = self.side.actuation_failures;
-        let clamped_before = self.side.control_clamped;
-        self.actuate(k, settings);
-        self.emit_record(
-            k,
-            rec,
-            self.side.actuation_retries - retries_before,
-            self.side.actuation_failures - failures_before,
-            self.side.control_clamped - clamped_before,
-        );
-
-        self.executed_this_run += 1;
-        self.epochs_executed += 1;
-        let drain = TERM_REQUESTED.load(Ordering::SeqCst)
-            || self
-                .drain_after
-                .is_some_and(|d| self.executed_this_run >= d)
-            || self
-                .net
-                .as_ref()
-                .is_some_and(|n| n.shared.drain_requested());
-        if drain {
-            self.drained = true;
-            return false;
-        }
-        self.pace(Duration::from_secs_f64(self.epoch_secs));
-        true
-    }
-
-    fn on_snapshot(&mut self, state: &LoopState) {
-        // Flush-before-snapshot: every epoch the snapshot believes
-        // executed must already be durable in the metrics file, or a
-        // crash right after this write would leave a gap no resume can
-        // fill. A stalled sink therefore skips the snapshot too.
-        if !self.metrics.drain() {
-            return;
-        }
-        let Some(path) = &self.snapshot_path else {
-            return;
-        };
-        let snap = ServeSnapshot {
-            schema: SERVE_SCHEMA.to_string(),
-            fingerprint: self.cfg_fingerprint.clone(),
-            cfg: self.cfg.clone(),
-            options: self.opts.clone(),
-            state: Some(state.clone()),
-            racks: Vec::new(),
-            dc: None,
-            serve: self.side.clone(),
-        };
-        let Ok(text) = serde_json::to_string(&snap) else {
-            return;
-        };
-        let _ = write_atomic(path, &text);
-    }
-}
-
 /// Trim a metrics file to its last complete line (a SIGKILL can land
 /// mid-write) and return the last durable epoch index, if any.
 fn prepare_metrics_for_resume(path: &Path) -> Result<Option<u64>, ServeError> {
@@ -1209,9 +1123,9 @@ fn prepare_metrics_for_resume(path: &Path) -> Result<Option<u64>, ServeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-rack serving: one supervised worker thread per rack, the
+// Rack serving: one supervised worker thread per rack, the
 // conserved-routing broker math between them, deterministic
-// restart-from-snapshot, and a whole-daemon v2 checkpoint.
+// restart-from-snapshot, and a whole-daemon checkpoint.
 // ---------------------------------------------------------------------------
 
 /// One epoch's command from the orchestrator to a rack worker.
@@ -1410,7 +1324,7 @@ enum DeathPhase {
     DrainCapture,
 }
 
-/// The orchestrator's mutable multi-rack state, bundled so the restart
+/// The orchestrator's mutable rack state, bundled so the restart
 /// protocol can be a method instead of a 9-argument function.
 struct DcRun {
     rack_cfgs: Vec<EngineConfig>,
@@ -1634,11 +1548,11 @@ impl DcRun {
     }
 }
 
-/// Write the whole-daemon v2 snapshot. Shares the single-rack
-/// flush-before-snapshot invariant: every epoch the snapshot believes
-/// executed is already durable in the metrics file, so a stalled sink
-/// skips the snapshot too.
-fn write_dc_snapshot(driver: &mut ServeDriver, run: &DcRun) {
+/// Write the whole-daemon snapshot. Flush-before-snapshot: every epoch
+/// the snapshot believes executed must already be durable in the metrics
+/// file, or a crash right after this write would leave a gap no resume
+/// can fill. A stalled sink therefore skips the snapshot too.
+fn write_snapshot(driver: &mut ServeDriver, run: &DcRun) {
     if !driver.metrics.drain() {
         return;
     }
@@ -1650,9 +1564,8 @@ fn write_dc_snapshot(driver: &mut ServeDriver, run: &DcRun) {
         fingerprint: driver.cfg_fingerprint.clone(),
         cfg: driver.cfg.clone(),
         options: driver.opts.clone(),
-        state: None,
         racks: run.rack_states.clone(),
-        dc: Some(run.dc.clone()),
+        dc: run.dc.clone(),
         serve: driver.side.clone(),
     };
     let Ok(text) = serde_json::to_string(&snap) else {
@@ -1688,28 +1601,26 @@ fn aggregate_reports(reports: &[Option<(EpochRecord, Vec<ServerSetting>)>]) -> O
     Some(agg)
 }
 
-/// The multi-rack serve loop: drives the site tick once per epoch, the
-/// conserved routing factors between the rack workers, the supervision
-/// ladder over their deaths, and the aggregate + per-rack metrics
-/// fan-out. See DESIGN.md §8b for the thread/ownership picture.
-fn run_multi_rack(
+/// The serve loop, for any rack count: drives the site tick once per
+/// epoch, the conserved routing factors between the rack workers, the
+/// supervision ladder over their deaths, and the aggregate + per-rack
+/// metrics fan-out. `resume` carries a snapshot's orchestrator state and
+/// rack states; `drain_after` stops the run after that many epochs of
+/// this process. See DESIGN.md §8b for the thread/ownership picture.
+fn run_racks(
     mut driver: ServeDriver,
-    resume_dc: Option<ServeDcSideState>,
-    resume_racks: Vec<Option<LoopState>>,
-    resumed_from: Option<u64>,
+    resume: Option<(ServeDcSideState, Vec<Option<LoopState>>)>,
     n_epochs: u64,
+    drain_after: Option<u64>,
     net_plane: Option<NetPlane>,
 ) -> Result<ServeSummary, ServeError> {
     let n_racks = driver.opts.racks as usize;
     let n_servers = driver.cfg.green.green_servers;
     let rack_servers = vec![n_servers; n_racks];
-    let every = if driver.opts.rack_snapshot_every > 0 {
-        driver.opts.rack_snapshot_every
-    } else {
-        driver.opts.snapshot_every
-    };
+    let every = driver.opts.snapshot_every;
     // A homogeneous fleet of the served config with the broker's
-    // decorrelated-but-reproducible per-rack seed derivation.
+    // decorrelated-but-reproducible per-rack seed derivation (rack 0
+    // keeps the served seed).
     let rack_cfgs: Vec<EngineConfig> = (0..n_racks)
         .map(|i| EngineConfig {
             seed: driver.cfg.seed.wrapping_add(i as u64 * 0x9E37_79B9),
@@ -1717,8 +1628,9 @@ fn run_multi_rack(
         })
         .collect();
 
-    let (mut dc, rack_states) = match resume_dc {
-        Some(dc) => {
+    let resumed = resume.is_some();
+    let (mut dc, rack_states) = match resume {
+        Some((dc, resume_racks)) => {
             if resume_racks.len() != n_racks
                 || dc.health.len() != n_racks
                 || dc.beliefs.len() != n_racks
@@ -1780,10 +1692,17 @@ fn run_multi_rack(
 
     let start_t = SimTime::from_secs_f64(driver.cfg.burst_start_hour * 3_600.0);
     let epoch_d = driver.cfg.epoch;
+    let mut drained = false;
 
     for k in start_k..n_epochs {
+        // The tick's wall clock (real time only) covers its boundary
+        // snapshot, site tick, racks and actuation.
+        if !driver.sim_time {
+            driver.tick_started = Some(Instant::now());
+        }
+
         // Boundary: collect every live rack's capture, then write the
-        // whole-daemon v2 snapshot — same cadence, mutually consistent.
+        // whole-daemon snapshot — same cadence, mutually consistent.
         if run.every > 0 && k > start_k && k % run.every == 0 {
             for r in 0..n_racks {
                 if run.sup.quarantined(r) {
@@ -1814,7 +1733,7 @@ fn run_multi_rack(
             }
             run.dc.next_epoch = k;
             run.sync_supervisor();
-            write_dc_snapshot(&mut driver, &run);
+            write_snapshot(&mut driver, &run);
         }
 
         // One site tick for the whole fleet: deadline/watchdog, feed
@@ -1861,9 +1780,7 @@ fn run_multi_rack(
                 .net
                 .as_ref()
                 .is_some_and(|n| n.shared.drain_requested())
-            || driver
-                .drain_after
-                .is_some_and(|d| driver.executed_this_run + 1 >= d);
+            || drain_after.is_some_and(|d| k - start_k + 1 >= d);
 
         // Conserved routing factors from the last settled beliefs, and
         // the directive row every restart replay will reproduce.
@@ -1956,6 +1873,7 @@ fn run_multi_rack(
         let failures_before = driver.side.actuation_failures;
         let clamped_before = driver.side.control_clamped;
         driver.actuate(k, &all_settings);
+        driver.check_tick_budget();
         if let Some(agg) = aggregate_reports(&reports) {
             driver.emit_record(
                 k,
@@ -1976,8 +1894,6 @@ fn run_multi_rack(
                 }
             }
         }
-        driver.executed_this_run += 1;
-        driver.epochs_executed += 1;
 
         // Site conservation audit: the factor row must route exactly the
         // fleet's load, and a dark rack must draw nothing.
@@ -2017,12 +1933,12 @@ fn run_multi_rack(
                     run.await_drain_capture(r, k);
                 }
             }
-            driver.drained = true;
+            drained = true;
             run.sync_supervisor();
-            write_dc_snapshot(&mut driver, &run);
+            write_snapshot(&mut driver, &run);
             break;
         }
-        driver.pace(Duration::from_secs_f64(driver.epoch_secs));
+        driver.pace();
     }
 
     // Join the fleet for its outcomes (quarantined racks have none).
@@ -2036,22 +1952,23 @@ fn run_multi_rack(
         }
     }
 
+    // Whatever the loop left buffered goes out now; then stop the plane,
+    // so subscribers get every emitted line flushed before the FIN.
     driver.metrics.drain();
     let net_summary = net_plane.map(NetPlane::stop);
-    let drained = driver.drained;
 
     // Floor judgment: replay each surviving rack's directive history
     // under Strategy::Normal for a like-for-like baseline. A drained
-    // run's truncated window has none, exactly as single-rack — and a
-    // resumed run's outcomes cover only the tail window, so they have
-    // no comparable full-window baseline either.
+    // run's truncated window has none. A resumed run is judged like an
+    // uninterrupted one: each rack's LoopState and the directive log
+    // both cover the window from epoch 0.
     let mut per_rack: Vec<(usize, BurstOutcome)> = Vec::new();
     let mut floor_all = true;
     let mut floor_any = false;
     let mut scratch = EngineScratch::new();
     for (r, out) in rack_outs.into_iter().enumerate() {
         let Some(main) = out else { continue };
-        if drained || start_k > 0 {
+        if drained {
             per_rack.push((r, main));
             continue;
         }
@@ -2097,8 +2014,8 @@ fn run_multi_rack(
     };
 
     Ok(ServeSummary {
-        epochs_executed: driver.epochs_executed,
-        resumed_from_epoch: resumed_from,
+        epochs_executed: run.dc.next_epoch,
+        resumed_from_epoch: resumed.then_some(start_k),
         drained,
         ticks: driver.side.ticks,
         overrun_ticks: driver.side.overrun_ticks,
@@ -2147,14 +2064,10 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         .validate()
         .map_err(|e| ServeError::Config(e.to_string()))?;
 
-    // Resume: the snapshot's embedded config and options win wholesale.
-    // A v1 snapshot carries one engine state; a v2 snapshot carries the
-    // per-rack states plus the datacenter-side orchestrator state.
-    let mut resume_state: Option<LoopState> = None;
-    let mut resume_racks: Vec<Option<LoopState>> = Vec::new();
-    let mut resume_dc: Option<ServeDcSideState> = None;
+    // Resume: the snapshot's embedded config and options win wholesale;
+    // it carries the per-rack states plus the orchestrator state.
+    let mut resume = None;
     let mut side = ServeSideState::default();
-    let mut resumed_from = None;
     if let Some(path) = &args.resume_path {
         let text = fs::read_to_string(path)
             .map_err(|e| ServeError::Snapshot(format!("cannot read {}: {e}", path.display())))?;
@@ -2163,24 +2076,10 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         cfg.measurement = MeasurementMode::Analytic;
         args.cfg = cfg;
         args.options = snap.options;
-        match snap.dc {
-            Some(dc) => {
-                resumed_from = Some(dc.next_epoch);
-                resume_racks = snap.racks;
-                resume_dc = Some(dc);
-            }
-            None => {
-                let state = snap.state.ok_or_else(|| {
-                    ServeError::Snapshot(
-                        "single-rack snapshot is missing its engine state".to_string(),
-                    )
-                })?;
-                resumed_from = Some(state.next_epoch);
-                resume_state = Some(state);
-            }
-        }
+        resume = Some((snap.dc, snap.racks));
         side = snap.serve;
     }
+    let resumed_from = resume.as_ref().map(|(dc, _)| dc.next_epoch);
     if args.options.overrun == OverrunPolicy::Degrade && !args.cfg.guardrail.enabled {
         return Err(ServeError::Config(
             "--overrun degrade needs the failover ladder: pass --guardrail on".to_string(),
@@ -2190,18 +2089,13 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         return Err(ServeError::Config("--racks must be at least 1".to_string()));
     }
     let n_racks = args.options.racks as usize;
-    if resumed_from.is_some() && (n_racks >= 2) != resume_dc.is_some() {
-        return Err(ServeError::Snapshot(
-            "snapshot schema does not match the rack count it was taken with".to_string(),
-        ));
-    }
     if n_racks >= 2 && matches!(args.control, ControlBackend::Sysfs(_)) {
         return Err(ServeError::Config(
             "--control sysfs drives one physical rack; it cannot serve --racks >= 2".to_string(),
         ));
     }
 
-    // Multi-rack runs actuate the site's concatenated settings.
+    // Actuation covers the site's concatenated settings.
     let n = args.cfg.green.green_servers * n_racks;
     let n_epochs = args
         .cfg
@@ -2292,8 +2186,7 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
     install_sigterm_handler();
     TERM_REQUESTED.store(false, Ordering::SeqCst);
 
-    let epoch_secs = args.cfg.epoch.as_secs_f64();
-    let mut driver = ServeDriver {
+    let driver = ServeDriver {
         cfg_fingerprint: serve_fingerprint(&args.cfg),
         cfg: args.cfg.clone(),
         sim_time: args.sim_time,
@@ -2301,6 +2194,7 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         throttle: Duration::from_millis(args.throttle_ms),
         tick_budget: args.tick_budget_ms.map(Duration::from_millis),
         tick_started: None,
+        late_demote: None,
         feed,
         net: net_handle,
         metrics: MetricsSink::new(args.metrics_path.clone(), args.options.metrics_buffer),
@@ -2308,91 +2202,12 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         snapshot_path: args.snapshot_path.clone(),
         controls,
         emit_from,
-        drain_after: args.drain_after_epochs,
-        executed_this_run: 0,
-        epochs_executed: resumed_from.unwrap_or(0),
-        drained: false,
         cur_stale: false,
         cur_overrun: false,
-        epoch_secs,
         opts: args.options.clone(),
         side,
     };
-
-    if n_racks >= 2 {
-        return run_multi_rack(
-            driver,
-            resume_dc,
-            resume_racks,
-            resumed_from,
-            n_epochs,
-            net_plane,
-        );
-    }
-
-    let profiles = ProfileTable::cached(args.cfg.app);
-    let mut scratch = EngineScratch::new();
-    let (outcome, _monitor, _policy) = run_once_resumable(
-        &args.cfg,
-        args.cfg.strategy,
-        profiles,
-        resume_state,
-        args.options.snapshot_every,
-        &mut |_| {},
-        &mut scratch,
-        &mut driver,
-    );
-
-    // Whatever the loop left buffered goes out now; a run that ends
-    // cleanly (or drains) leaves no line hostage to the buffer.
-    driver.metrics.drain();
-
-    // Stop the plane after the final drain: subscribers get every
-    // emitted line flushed before the FIN, reader connections are
-    // slammed, every thread joins (bounded by the connection timeouts).
-    let net_summary = net_plane.map(NetPlane::stop);
-
-    let drained = driver.drained || outcome.epochs.len() < n_epochs as usize;
-    // Floor judgment needs a like-for-like Normal baseline; a drained
-    // run's truncated window has none, so the field stays None there.
-    let judged = if drained {
-        None
-    } else {
-        let baseline = run_once(&args.cfg, Strategy::Normal, profiles, &mut scratch).0;
-        Some(judge(&args.cfg, outcome.clone(), Some(baseline)))
-    };
-    let floor_held = judged.as_ref().map(|j| j.floor_held);
-    let report = judged.unwrap_or(outcome);
-
-    Ok(ServeSummary {
-        epochs_executed: driver.epochs_executed,
-        resumed_from_epoch: resumed_from,
-        drained,
-        ticks: driver.side.ticks,
-        overrun_ticks: driver.side.overrun_ticks,
-        stale_epochs: driver.side.stale_epochs,
-        safe_mode_epochs: report.safe_mode_epochs,
-        dropped_metrics_lines: driver.side.dropped_metrics_lines,
-        actuation_retries: driver.side.actuation_retries,
-        actuation_failures: driver.side.actuation_failures,
-        control_clamped: driver.side.control_clamped,
-        feed_malformed: driver.side.feed_malformed,
-        audit_violations: report.audit_violations.len(),
-        ladder_level: report.ladder_level,
-        guardrail_events: report.guardrail_events.clone(),
-        floor_held,
-        mean_goodput_rps: report.mean_goodput_rps,
-        watchdog_stalls: driver.side.watchdog_stalls,
-        racks: 1,
-        rack_restarts: 0,
-        rack_panics: 0,
-        rack_stalls: 0,
-        racks_quarantined: 0,
-        rerouted_epochs: 0,
-        rack_health: Vec::new(),
-        rack_events: Vec::new(),
-        net: net_summary,
-    })
+    run_racks(driver, resume, n_epochs, args.drain_after_epochs, net_plane)
 }
 
 #[cfg(test)]
@@ -2522,13 +2337,22 @@ mod tests {
         assert!(summary.drained);
         let json = fs::read_to_string(&snap_path).unwrap();
         let snap = ServeSnapshot::from_json(&json).expect("a real snapshot verifies");
-        assert_eq!(snap.state.as_ref().expect("v1 state").next_epoch, 1);
+        assert_eq!(snap.schema, SERVE_SCHEMA_V2);
+        assert_eq!(snap.dc.next_epoch, 1);
+        assert_eq!(snap.racks.len(), 1);
+        assert_eq!(snap.racks[0].as_ref().expect("rack 0 state").next_epoch, 1);
 
-        let bad_schema = json.replacen(SERVE_SCHEMA, "gs-serve-0", 1);
-        assert!(matches!(
-            ServeSnapshot::from_json(&bad_schema),
-            Err(ServeError::Snapshot(_))
-        ));
+        // The retired single-rack schema is rejected like any other.
+        for schema in ["gs-serve-0", "gs-serve-1"] {
+            let bad_schema = json.replacen(SERVE_SCHEMA_V2, schema, 1);
+            assert!(
+                matches!(
+                    ServeSnapshot::from_json(&bad_schema),
+                    Err(ServeError::Snapshot(_))
+                ),
+                "{schema} accepted"
+            );
+        }
 
         let mut tampered: ServeSnapshot = serde_json::from_str(&json).unwrap();
         tampered.fingerprint = "0000000000000000".to_string();

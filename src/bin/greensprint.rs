@@ -1465,7 +1465,6 @@ fn serve_cmd(flags: &HashMap<String, String>) {
         ),
         racks: get(flags, "racks", 1_u32),
         rack_restarts: get(flags, "rack-restarts", 2_u32),
-        rack_snapshot_every: get(flags, "rack-snapshot-every", 0_u64),
     };
     if options.metrics_buffer == 0 {
         usage("--metrics-buffer must be at least 1");
@@ -1543,9 +1542,7 @@ fn serve_cmd(flags: &HashMap<String, String>) {
     let text = serde_json::to_string_pretty(&summary)
         .unwrap_or_else(|e| fatal(&format!("cannot serialize serve summary: {e}")));
     println!("{text}");
-    if summary.racks >= 2 {
-        eprint!("{}", greensprint::report::rack_fleet_summary(&summary));
-    }
+    eprint!("{}", greensprint::report::rack_fleet_summary(&summary));
     if let Some(n) = &summary.net {
         eprint!("{}", greensprint::report::net_plane_summary(n));
     }
@@ -1607,26 +1604,26 @@ usage:
                        [--metrics FILE] [--heartbeat FILE] [--snapshot FILE] [--snapshot-every N]
                        [--feed FILE|-] [--control none|sim|sysfs] [--sysfs-root DIR] [--retries N]
                        [--resume FILE] [--drain-after N] [--metrics-buffer N]
-                       [--racks N] [--rack-restarts N] [--rack-snapshot-every N]
+                       [--racks N] [--rack-restarts N]
                        [--listen ADDR] [--metrics-listen ADDR] [--admin-token SECRET]
                        [--max-conns N] [--conn-timeout-ms N] [engine flags]
                        run the controller as a crash-tolerant daemon: trace replay at
                        --rate sim-seconds per wall-second (or --sim-time at full speed),
                        an optional line-delimited supply feed whose silence routes into
                        PSS safe mode after --stale-after epochs, per-tick deadline
-                       budgets with an explicit overrun policy (a tick wedged past 4x
-                       its budget also trips the watchdog: counted, guardrail-logged,
-                       one ladder demotion), bounded deterministic actuation retries, a
-                       drop-oldest metrics buffer, a heartbeat file, SIGTERM drain, and
-                       --resume restart from the last snapshot with a byte-identical
-                       --sim-time metrics stream. --racks N drives N racks as
-                       supervised worker threads: a crashed or admin-killed worker
-                       restarts from its last rack snapshot within --rack-restarts
-                       attempts (deterministic replay — the aggregate stream stays
-                       byte-identical), then is quarantined with its load rerouted to
-                       the survivors; rack snapshots ride --rack-snapshot-every (0 =
-                       follow --snapshot-every) and the whole fleet checkpoints into
-                       one v2 --snapshot for mid-outage --resume. --listen opens the
+                       budgets on each tick's own work with an explicit overrun policy
+                       (a tick past 4x its budget also trips the watchdog: counted,
+                       guardrail-logged, one ladder demotion), bounded deterministic
+                       actuation retries, a drop-oldest metrics buffer, a heartbeat
+                       file, SIGTERM drain, and --resume restart from the last snapshot
+                       with a byte-identical --sim-time metrics stream. Each of the
+                       --racks N racks (1) runs as a supervised worker thread: a
+                       crashed or admin-killed worker restarts from its last rack
+                       snapshot within --rack-restarts attempts (deterministic replay
+                       — the aggregate stream stays byte-identical), then is
+                       quarantined with its load rerouted to the survivors; rack
+                       snapshots ride --snapshot-every and the whole fleet checkpoints
+                       into one --snapshot for mid-outage --resume. --listen opens the
                        TCP network plane (JSON-lines telemetry ingest in the --feed
                        formats, SUB [?from_epoch=N][&rack=R] metrics fan-out with
                        gap-free catch-up replay, STATUS/DRAIN/KILL-RACK/RESTART-RACK

@@ -114,47 +114,50 @@ fn multi_rack_clean_run_reports_rack_counters() {
 /// The tentpole determinism contract: a worker panic *and* a worker
 /// stall, each recovered by a restart-from-snapshot that replays the
 /// directive history, leave the aggregate `--sim-time` stream
-/// byte-identical to an unfaulted run.
+/// byte-identical to an unfaulted run — for a lone rack as for a fleet.
 #[test]
 fn injected_rack_faults_recover_byte_identical() {
-    let dir = tmp_dir("faults");
-    let clean = dir.join("clean.jsonl");
-    let faulted = dir.join("faulted.jsonl");
+    // (racks, panicked rack, stalled rack)
+    for (racks, panicked, stalled) in [(1, 0, 0), (3, 1, 2)] {
+        let dir = tmp_dir(&format!("faults-{racks}"));
+        let clean = dir.join("clean.jsonl");
+        let faulted = dir.join("faulted.jsonl");
 
-    let mut want = dc_args(serve_cfg(16), 3, DisturbancePlan::default());
-    want.metrics_path = Some(clean.clone());
-    let want = serve(want).expect("unfaulted multi-rack serve");
-    assert_eq!(want.epochs_executed, 16);
+        let mut want = dc_args(serve_cfg(16), racks, DisturbancePlan::default());
+        want.metrics_path = Some(clean.clone());
+        let want = serve(want).expect("unfaulted serve");
+        assert_eq!(want.epochs_executed, 16);
 
-    let plan = DisturbancePlan {
-        rack_panics: vec![(3, 1)],
-        rack_stalls: vec![(7, 2)],
-        ..DisturbancePlan::default()
-    };
-    let mut got = dc_args(serve_cfg(16), 3, plan);
-    got.metrics_path = Some(faulted.clone());
-    let got = serve(got).expect("faulted multi-rack serve");
+        let plan = DisturbancePlan {
+            rack_panics: vec![(3, panicked)],
+            rack_stalls: vec![(7, stalled)],
+            ..DisturbancePlan::default()
+        };
+        let mut got = dc_args(serve_cfg(16), racks, plan);
+        got.metrics_path = Some(faulted.clone());
+        let got = serve(got).expect("faulted serve");
 
-    assert_eq!(got.rack_panics, 1, "{got:?}");
-    assert_eq!(got.rack_stalls, 1, "{got:?}");
-    assert_eq!(got.rack_restarts, 2, "one restart per injected death");
-    assert_eq!(got.racks_quarantined, 0);
-    assert_eq!(got.rerouted_epochs, 0, "recovered racks never reroute");
-    assert_eq!(got.audit_violations, 0);
-    assert!(
-        got.rack_events.iter().any(|e| e.contains("restart")),
-        "supervision log records the restarts: {:?}",
-        got.rack_events
-    );
+        assert_eq!(got.rack_panics, 1, "{racks} racks: {got:?}");
+        assert_eq!(got.rack_stalls, 1, "{racks} racks: {got:?}");
+        assert_eq!(got.rack_restarts, 2, "one restart per injected death");
+        assert_eq!(got.racks_quarantined, 0);
+        assert_eq!(got.rerouted_epochs, 0, "recovered racks never reroute");
+        assert_eq!(got.audit_violations, 0);
+        assert!(
+            got.rack_events.iter().any(|e| e.contains("restart")),
+            "supervision log records the restarts: {:?}",
+            got.rack_events
+        );
 
-    let want_bytes = std::fs::read(&clean).unwrap();
-    let got_bytes = std::fs::read(&faulted).unwrap();
-    assert!(!want_bytes.is_empty());
-    assert_eq!(
-        want_bytes, got_bytes,
-        "a recovered rack restart changed the aggregate stream bytes"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let want_bytes = std::fs::read(&clean).unwrap();
+        let got_bytes = std::fs::read(&faulted).unwrap();
+        assert!(!want_bytes.is_empty());
+        assert_eq!(
+            want_bytes, got_bytes,
+            "{racks} racks: a recovered rack restart changed the aggregate stream bytes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Restart-budget exhaustion quarantines the rack and the broker's
@@ -191,13 +194,13 @@ fn exhausted_restarts_quarantine_and_reroute_within_two_epochs() {
         summary.rack_events
     );
 
-    // The drained v2 snapshot's directive log shows the failover
-    // landing within two epochs of the death: the dead rack's factor
-    // collapses to zero and the survivors absorb its load.
+    // The drained snapshot's directive log shows the failover landing
+    // within two epochs of the death: the dead rack's factor collapses to
+    // zero and the survivors absorb its load.
     let snap = ServeSnapshot::from_json(&std::fs::read_to_string(&snap).unwrap())
-        .expect("v2 snapshot parses");
+        .expect("snapshot parses");
     assert_eq!(snap.schema, SERVE_SCHEMA_V2);
-    let dc = snap.dc.expect("v2 snapshot carries orchestrator state");
+    let dc = snap.dc;
     assert_eq!(dc.rows.len(), 8, "one directive row per executed epoch");
     assert!(
         dc.rows[3].factors[1] > 0.5,
@@ -256,6 +259,10 @@ fn drain_resume_mid_quarantine_is_byte_identical() {
     .expect("resumed serve");
     assert_eq!(resumed.resumed_from_epoch, Some(6));
     assert_eq!(resumed.epochs_executed, 20);
+    assert_eq!(
+        resumed.floor_held, want.floor_held,
+        "a resumed run is judged over the full window"
+    );
     assert_eq!(resumed.racks, 3, "rack count rides the snapshot");
     assert_eq!(
         resumed.rack_health[1],
@@ -330,7 +337,7 @@ fn multi_rack_sigkilled_then_resumed_stream_is_byte_identical() {
     let text = std::fs::read_to_string(&snap).unwrap();
     assert!(
         text.contains(SERVE_SCHEMA_V2),
-        "multi-rack daemon wrote a v1 snapshot"
+        "daemon snapshot lacks the {SERVE_SCHEMA_V2} schema"
     );
 
     let status = Command::new(env!("CARGO_BIN_EXE_greensprint"))

@@ -114,6 +114,11 @@ fn drained_then_resumed_stream_is_byte_identical() {
     .expect("resumed serve");
     assert_eq!(resumed.resumed_from_epoch, Some(7));
     assert_eq!(resumed.epochs_executed, 20);
+    assert!(!resumed.drained);
+    assert_eq!(
+        resumed.floor_held, want.floor_held,
+        "a resumed run is judged over the full window"
+    );
 
     let want_bytes = std::fs::read(&full).unwrap();
     let got_bytes = std::fs::read(&part).unwrap();
@@ -214,6 +219,55 @@ fn sigkilled_then_resumed_stream_is_byte_identical() {
     assert!(
         epoch_of(&hb_after) > epoch_of(&hb_before),
         "heartbeat did not advance: {hb_before} -> {hb_after}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// In real time the deadline budget measures each tick's own work. One
+/// injected actuation failure per server makes epoch 3 back off for real
+/// (50 ms per server) — far past a 20 ms budget and its 4x watchdog — so
+/// that tick's own metrics line is flagged, the stall is counted, and its
+/// demotion reaches the guardrail on the next tick. The plan schedules no
+/// overruns of its own.
+#[test]
+fn real_time_tick_budget_flags_the_slow_tick() {
+    let dir = tmp_dir("tick-budget");
+    let metrics = dir.join("m.jsonl");
+    let mut cfg = serve_cfg(6);
+    cfg.guardrail.enabled = true;
+    let summary = serve(ServeArgs {
+        cfg,
+        options: ServeOptions {
+            disturbances: Some(DisturbancePlan {
+                actuation: vec![(3, 1)],
+                ..DisturbancePlan::default()
+            }),
+            ..ServeOptions::default()
+        },
+        sim_time: false,
+        rate: 1e6,
+        tick_budget_ms: Some(20),
+        metrics_path: Some(metrics.clone()),
+        control: ControlBackend::Sim,
+        ..ServeArgs::default()
+    })
+    .expect("real-time serve");
+
+    assert_eq!(summary.epochs_executed, 6);
+    assert!(summary.watchdog_stalls >= 1, "{summary:?}");
+    assert!(
+        summary
+            .guardrail_events
+            .iter()
+            .any(|e| e.contains("watchdog")),
+        "the measured stall never demoted: {:?}",
+        summary.guardrail_events
+    );
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    let slow = text.lines().nth(3).expect("epoch 3 line");
+    assert!(
+        slow.starts_with("{\"epoch\":3,\"overrun\":true,"),
+        "the slow tick's own line is not flagged: {slow}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
