@@ -74,7 +74,8 @@ pub struct SiteFlows {
     /// (stale applied factors under link delay are counted separately,
     /// not treated as conservation violations).
     pub factors: Vec<f64>,
-    /// True for racks the broker believes fully dark (zero live servers).
+    /// True for racks that must draw nothing: inside an active rack
+    /// blackout, with a fresh (not partition-held) belief.
     pub dark: Vec<bool>,
     /// Each rack's settled power demand this epoch (W).
     pub rack_demand_w: Vec<f64>,

@@ -1,36 +1,43 @@
-//! The datacenter broker: deterministic cross-rack load balancing with
-//! site-level fault domains.
+//! The rack driver: N racks stepped in lockstep under one broker, with
+//! conserved cross-rack routing, site-level fault domains, and supervised
+//! rack workers. `greensprint datacenter` and `greensprint serve` both run
+//! on it.
 //!
 //! The paper provisions renewables "on the PDU level … in a data center on
-//! a per-rack basis" (§II). [`crate::datacenter`] runs those racks as
-//! independent experiments; this module makes them a *fleet*: a broker
-//! steps every rack through the scheduling-epoch loop in lockstep and
-//! routes the datacenter's offered load toward the racks with renewable
-//! surplus, while tolerating the site-level failures a real control plane
-//! sees — rack blackouts, inverter derates, broker↔rack partitions, lossy
-//! and laggy links ([`crate::faults::FaultKind::RackBlackout`] and
-//! friends).
+//! a per-rack basis" (§II). [`crate::datacenter`] describes such a fleet;
+//! this module runs it: every rack steps through the scheduling-epoch loop
+//! in lockstep while the broker routes the datacenter's offered load toward
+//! the racks with renewable surplus, tolerating the site-level failures a
+//! real control plane sees — rack blackouts, inverter derates, broker↔rack
+//! partitions, lossy and laggy links ([`crate::faults::FaultKind::RackBlackout`]
+//! and friends) — and rack workers that crash.
 //!
 //! # Architecture
 //!
-//! Each rack runs the unmodified engine epoch loop on its own OS thread,
-//! driven through the engine's `EpochHooks` seam: at the top of
-//! every epoch the rack blocks on a broker *directive* (its routed load
-//! factor for the epoch), and after the epoch settles it reports
-//! telemetry (believed supply, battery state of charge, live servers,
-//! demand) back to the broker. The broker:
+//! Each rack runs the unmodified engine epoch loop on its own OS thread
+//! behind `catch_unwind`, driven through the engine's `EpochHooks` seam:
+//! at the top of every epoch the worker blocks on a directive (the
+//! epoch's applied load factor plus the site tick's supply override,
+//! staleness verdict and demotion), and after the epoch settles it
+//! reports its record back. Once per epoch the broker:
 //!
-//! 1. computes a *conserved* allocation — per-rack load factors summing
-//!    exactly to the rack count — from last epoch's telemetry, favouring
+//! 1. runs the site tick through its site hooks (serve's telemetry,
+//!    deadlines and heartbeat; a no-op for a batch `datacenter` run);
+//! 2. computes a *conserved* allocation — per-rack load factors summing
+//!    exactly to the rack count — from last epoch's beliefs, favouring
 //!    racks with renewable surplus;
-//! 2. pushes each directive through a simulated control link (partition,
-//!    loss with seeded retries and [`crate::supervisor::backoff_ms`]
-//!    virtual latency, delay serving stale factors);
-//! 3. collects telemetry in rack-index order and audits the settled epoch
-//!    with [`crate::audit::InvariantAuditor::check_site_epoch`].
+//! 3. pushes each factor through a simulated control link: a partitioned
+//!    rack holds the factor it applied last epoch (local autonomy); a lossy
+//!    link retries with [`crate::supervisor::backoff_ms`] virtual latency
+//!    and falls back to the held factor; a laggy link serves a stale one.
+//!    The resulting *applied* factor rides the directive, and both factors
+//!    land in the directive log;
+//! 4. collects the reports in rack-index order, restarting a dead worker
+//!    from its last captured [`LoopState`] (or ending the run, for a batch
+//!    datacenter), and audits the settled epoch with
+//!    [`crate::audit::InvariantAuditor::check_site_epoch`].
 //!
-//! A partitioned rack receives nothing and degrades to *local autonomy*:
-//! it holds its last-good factor, which by construction keeps it at or
+//! A partitioned rack keeps running its held factor, which keeps it at or
 //! above the Normal floor (the Normal baseline replays the identical
 //! applied factors). After the link heals the rack stays pinned for
 //! [`crate::engine::REJOIN_EPOCHS`] probationary epochs — mirroring the
@@ -41,26 +48,31 @@
 //! Results are byte-identical at any `jobs` level: concurrency only bounds
 //! how many racks compute an epoch simultaneously (a counting gate), while
 //! every RNG draw and every aggregation happens on the broker thread in
-//! rack-index order. Mid-run [`DatacenterSnapshot`]s capture the broker
-//! state plus every rack's [`LoopState`] at the same epoch boundary, so a
-//! run killed mid-partition resumes to a byte-identical outcome.
+//! rack-index order. A [`SiteSnapshot`] captures the [`SiteState`] plus
+//! every rack's [`LoopState`] at the same epoch boundary, so a run killed
+//! mid-partition or mid-rack-outage resumes to a byte-identical result.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+
+use gs_cluster::ServerSetting;
+use gs_sim::{SimDuration, SimRng, SimTime};
+use serde::{Deserialize, Serialize};
 
 use crate::audit::{InvariantAuditor, SiteFlows};
-use crate::checkpoint::{fingerprint, LoopState, DC_CHECKPOINT_SCHEMA};
+use crate::checkpoint::{fingerprint, LoopState, SITE_SCHEMA};
 use crate::datacenter::{DatacenterConfig, DatacenterOutcome};
 use crate::engine::{
-    run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord, MeasurementMode,
-    TickDirective, REJOIN_EPOCHS,
+    judge, run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord,
+    MeasurementMode, TickDirective, REJOIN_EPOCHS,
 };
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::fleet::EngineScratch;
 use crate::pmk::Strategy;
 use crate::profiler::ProfileTable;
-use crate::supervisor::{backoff_ms, panic_message};
-use gs_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, PoisonError};
+use crate::serve::{ServeOptions, ServeSideState};
+use crate::supervisor::{backoff_ms, panic_message, RackHealth, RackSupervisor};
 
 /// EWMA-style smoothing weight on the surplus-driven share: a factor is
 /// `(1 − β)` of an even split plus `β` of the rack's surplus share, so
@@ -77,9 +89,8 @@ const LINK_RETRIES: u32 = 3;
 /// decorrelated from every engine and generator stream.
 const LINK_SALT: u64 = 0x006c_696e_6b21;
 /// A computed factor at or below this is treated as "drained" when
-/// counting re-routed epochs. Shared with [`crate::serve`]'s multi-rack
-/// orchestrator so both planes count reroutes identically.
-pub(crate) const REROUTE_EPS: f64 = 0.01;
+/// counting re-routed epochs.
+const REROUTE_EPS: f64 = 0.01;
 
 /// The broker's belief about one rack, refreshed from telemetry each
 /// epoch (or held stale across a partition).
@@ -101,7 +112,7 @@ pub struct RackBelief {
 
 impl RackBelief {
     /// The pre-telemetry belief for a healthy rack of `n` servers.
-    pub(crate) fn initial(n: usize) -> Self {
+    fn initial(n: usize) -> Self {
         RackBelief {
             re_supply_w: 0.0,
             battery_soc: 1.0,
@@ -109,6 +120,18 @@ impl RackBelief {
             demand_w: 0.0,
             goodput_rps: 0.0,
             stale: true,
+        }
+    }
+
+    /// The belief a settled epoch's record supports.
+    fn from_record(rec: &EpochRecord) -> Self {
+        RackBelief {
+            re_supply_w: rec.re_supply_w,
+            battery_soc: rec.battery_soc,
+            live_servers: usize::from(rec.live_servers),
+            demand_w: rec.demand_w,
+            goodput_rps: rec.goodput_rps,
+            stale: false,
         }
     }
 }
@@ -130,32 +153,56 @@ pub struct RackRouteStats {
     pub degraded_epochs: usize,
 }
 
+/// One epoch's broker directive, logged so a restarted (or resumed) rack
+/// worker can deterministically replay the epochs it missed, and so the
+/// Normal baseline replays exactly what each rack ran.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DirectiveRow {
+    /// Live supply override handed to every rack (None = trace).
+    pub supply_w: Option<f64>,
+    /// Telemetry declared stale this epoch.
+    pub stale: bool,
+    /// Forced ladder demotion, if any.
+    pub demote: Option<String>,
+    /// Per-rack conserved load factors the broker computed.
+    pub factors: Vec<f64>,
+    /// Per-rack factors each rack actually ran, after the control link
+    /// (held through a partition or a lost directive, stale under delay).
+    pub applied: Vec<f64>,
+}
+
 /// Every piece of mutable state the broker carries across epochs.
 /// Snapshotting it alongside each rack's [`LoopState`] and restoring both
-/// later continues the datacenter run byte-identically.
+/// later continues the run byte-identically.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BrokerState {
-    /// The next epoch index to execute.
+pub struct SiteState {
+    /// The next epoch index to execute. Explicit rather than derived from
+    /// a rack state: every rack could be quarantined.
     pub next_epoch: u64,
     /// The link-loss RNG stream position.
     pub link_rng: SimRng,
-    /// Per-rack beliefs from the latest telemetry.
+    /// Per-rack beliefs from the latest telemetry (drive the routing).
     pub beliefs: Vec<RackBelief>,
-    /// True once the first epoch's telemetry has been ingested.
+    /// False until the first epoch settles (epoch 0 routes evenly).
     pub has_telemetry: bool,
     /// Per-rack pinned factor while partitioned or on rejoin probation.
     pub pinned: Vec<Option<f64>>,
-    /// Per-rack probationary epochs left before rejoining routing.
+    /// Per-rack probationary epochs left before a healed link rejoins
+    /// routing.
+    pub link_probation: Vec<u32>,
+    /// Per-rack supervision ladder position.
+    pub health: Vec<RackHealth>,
+    /// Per-rack worker restarts consumed.
+    pub restarts_used: Vec<u32>,
+    /// Per-rack clean epochs left before a restarted worker is live again.
     pub probation_left: Vec<u32>,
-    /// Computed (conserved) factors, one row per epoch.
-    pub computed: Vec<Vec<f64>>,
-    /// Applied factors — what each rack actually ran — one row per epoch.
-    pub applied: Vec<Vec<f64>>,
+    /// The directive log from epoch 0, one row per executed epoch.
+    pub rows: Vec<DirectiveRow>,
     /// Per-rack epochs spent partitioned.
-    pub per_rack_partition: Vec<usize>,
+    pub partition_epochs: Vec<usize>,
     /// Per-rack epochs spent degraded (partition + probation + lost
     /// directives).
-    pub per_rack_degraded: Vec<usize>,
+    pub degraded_epochs: Vec<usize>,
     /// Rack-epochs spent inside an active blackout event.
     pub blackout_epochs: usize,
     /// Rack-epochs that applied a stale (link-delayed) factor.
@@ -167,80 +214,272 @@ pub struct BrokerState {
     /// Virtual retransmission latency accumulated from
     /// [`backoff_ms`] (bookkeeping only — never part of results timing).
     pub link_latency_ms: u64,
-    /// Racks re-admitted to routing after probation.
+    /// Racks re-admitted to routing after link probation.
     pub rejoins: usize,
-    /// Human-readable partition/degrade/rejoin log.
-    pub site_events: Vec<String>,
+    /// Worker restarts performed.
+    pub rack_restarts: u64,
+    /// Worker deaths classified as panics.
+    pub rack_panics: u64,
+    /// Worker deaths classified as stalls.
+    pub rack_stalls: u64,
+    /// Racks pushed to quarantine (restart budget exhausted).
+    pub racks_quarantined: u64,
+    /// Human-readable partition/rejoin/restart/quarantine log.
+    pub events: Vec<String>,
     /// Site-level audit violations so far.
     pub site_audit_violations: Vec<String>,
 }
 
-impl BrokerState {
-    /// A fresh broker for `n` racks under `master_seed`.
-    fn fresh(n: usize, master_seed: u64) -> Self {
-        BrokerState {
+impl SiteState {
+    /// The state before epoch 0 of `cfg`.
+    fn fresh(cfg: &DatacenterConfig) -> Self {
+        let n = cfg.racks.len();
+        SiteState {
             next_epoch: 0,
-            link_rng: SimRng::seed_from_u64(master_seed ^ LINK_SALT),
-            beliefs: Vec::new(),
+            link_rng: SimRng::seed_from_u64(cfg.template.seed ^ LINK_SALT),
+            beliefs: cfg
+                .racks
+                .iter()
+                .map(|r| RackBelief::initial(r.green.green_servers))
+                .collect(),
             has_telemetry: false,
             pinned: vec![None; n],
+            link_probation: vec![0; n],
+            health: vec![RackHealth::Live; n],
+            restarts_used: vec![0; n],
             probation_left: vec![0; n],
-            computed: Vec::new(),
-            applied: Vec::new(),
-            per_rack_partition: vec![0; n],
-            per_rack_degraded: vec![0; n],
+            rows: Vec::new(),
+            partition_epochs: vec![0; n],
+            degraded_epochs: vec![0; n],
             blackout_epochs: 0,
             stale_factor_epochs: 0,
             rerouted_epochs: 0,
             link_retries: 0,
             link_latency_ms: 0,
             rejoins: 0,
-            site_events: Vec::new(),
+            rack_restarts: 0,
+            rack_panics: 0,
+            rack_stalls: 0,
+            racks_quarantined: 0,
+            events: Vec::new(),
             site_audit_violations: Vec::new(),
         }
     }
+
+    /// Push epoch `k`'s computed factors through each rack's control link
+    /// and return the factors the racks apply. Link-loss draws happen here,
+    /// in rack-index order.
+    fn route(&mut self, k: u64, computed: &[f64], site: &SiteWindow<'_>) -> Vec<f64> {
+        (0..computed.len())
+            .map(|r| {
+                // What the rack ran last epoch — the factor local autonomy
+                // holds when nothing fresh arrives.
+                let held = self.rows.last().map_or(1.0, |row| row.applied[r]);
+                if site.blackout_active(k, r) {
+                    self.blackout_epochs += 1;
+                }
+                if site.partitioned(k, r) {
+                    if self.pinned[r].is_none() {
+                        self.pinned[r] = Some(held);
+                        self.events.push(format!(
+                            "epoch {k}: rack {r} partitioned from broker; local autonomy \
+                             holds factor {held:.3}"
+                        ));
+                    }
+                    self.link_probation[r] = REJOIN_EPOCHS;
+                    self.partition_epochs[r] += 1;
+                    self.degraded_epochs[r] += 1;
+                    held
+                } else if let Some(pin) = self.pinned[r] {
+                    if self.link_probation[r] == REJOIN_EPOCHS {
+                        self.events.push(format!(
+                            "epoch {k}: rack {r} link healed; {REJOIN_EPOCHS} probationary \
+                             epoch(s) at held factor {pin:.3}"
+                        ));
+                    }
+                    self.link_probation[r] = self.link_probation[r].saturating_sub(1);
+                    self.degraded_epochs[r] += 1;
+                    if self.link_probation[r] == 0 {
+                        self.pinned[r] = None;
+                        self.rejoins += 1;
+                        self.events
+                            .push(format!("epoch {k}: rack {r} rejoined routing"));
+                    }
+                    pin
+                } else if let Some(p) = site.link_loss_p(k, r) {
+                    let mut lost_all = true;
+                    for attempt in 0..=LINK_RETRIES {
+                        if !self.link_rng.chance(p) {
+                            lost_all = false;
+                            break;
+                        }
+                        if attempt < LINK_RETRIES {
+                            self.link_retries += 1;
+                            self.link_latency_ms += backoff_ms(attempt);
+                        }
+                    }
+                    if lost_all {
+                        self.degraded_epochs[r] += 1;
+                        self.events.push(format!(
+                            "epoch {k}: rack {r} directive lost after {LINK_RETRIES} \
+                             retries; local autonomy holds factor {held:.3}"
+                        ));
+                        held
+                    } else {
+                        computed[r]
+                    }
+                } else if let Some(d) = site.link_delay(k, r) {
+                    self.stale_factor_epochs += 1;
+                    if k >= u64::from(d) {
+                        let row = (k - u64::from(d)) as usize;
+                        self.rows.get(row).map_or(1.0, |c| c.factors[r])
+                    } else {
+                        1.0
+                    }
+                } else {
+                    computed[r]
+                }
+            })
+            .collect()
+    }
 }
 
-/// A resumable mid-run checkpoint of a datacenter run: the broker state
-/// plus every rack's engine [`LoopState`], captured at the same epoch
-/// boundary.
+/// A resumable checkpoint of a site run — `datacenter` or `serve` —
+/// captured at an epoch boundary: the configuration, the broker's
+/// [`SiteState`], and every rack's engine [`LoopState`]. Serve snapshots
+/// also carry the daemon's options and its own counters, so `--resume`
+/// needs no other flag.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DatacenterSnapshot {
-    /// [`datacenter_fingerprint`] of the embedded configuration at
-    /// capture time; resume recomputes and compares.
+pub struct SiteSnapshot {
+    /// Always [`SITE_SCHEMA`].
+    pub schema: String,
+    /// Build/config fingerprint of `cfg` (recomputed and checked on load).
     pub fingerprint: String,
-    /// The full datacenter configuration, embedded so resume is
-    /// self-contained.
+    /// The full site configuration, embedded so resume is self-contained.
     pub cfg: DatacenterConfig,
     /// The broker's state as of the snapshot epoch.
-    pub broker: BrokerState,
-    /// Each rack's engine loop state, in rack order.
-    pub racks: Vec<LoopState>,
+    pub site: SiteState,
+    /// Each rack's engine loop state, in rack order (`None` for a rack
+    /// quarantined before its first capture).
+    pub racks: Vec<Option<LoopState>>,
+    /// The serve daemon's deterministic options (`None` for `datacenter`).
+    pub options: Option<ServeOptions>,
+    /// The serve daemon's own counters and feed cursor (`None` for
+    /// `datacenter`).
+    pub serve: Option<ServeSideState>,
 }
 
-impl DatacenterSnapshot {
+/// The fingerprint a [`SiteSnapshot`] of `cfg` carries: schema tag, crate
+/// version and the configuration JSON. A resume across a code or config
+/// change fails fast instead of continuing a run whose physics changed
+/// underneath it.
+fn site_fingerprint(cfg: &DatacenterConfig) -> String {
+    // A config that cannot serialize fingerprints as "" on both the write
+    // and the resume side, so the comparison still behaves.
+    let json = serde_json::to_string(cfg).unwrap_or_default();
+    fingerprint(&[SITE_SCHEMA, env!("CARGO_PKG_VERSION"), &json])
+}
+
+impl SiteSnapshot {
     /// Serialize to JSON. Serialization of a plain data snapshot only
     /// fails on allocator-level trouble; the error is surfaced (not
     /// panicked) so a checkpoint writer can log and continue the run.
     pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string(self).map_err(|e| format!("datacenter snapshot serialize: {e}"))
+        serde_json::to_string(self).map_err(|e| format!("site snapshot serialize: {e}"))
     }
 
-    /// Parse a snapshot from JSON.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+    /// Parse a snapshot and [`validate`](Self::validate) it.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let value: serde_json::Value = serde_json::from_str(text)
+            .map_err(|e| format!("unparseable snapshot (this build reads {SITE_SCHEMA:?}): {e}"))?;
+        let schema = value.get("schema").and_then(|s| s.as_str()).unwrap_or("");
+        if schema != SITE_SCHEMA {
+            return Err(format!(
+                "snapshot schema {schema:?} is not {SITE_SCHEMA:?}; this build cannot resume it"
+            ));
+        }
+        let snap: SiteSnapshot = serde_json::from_value(value)
+            .map_err(|e| format!("malformed {SITE_SCHEMA:?} snapshot: {e}"))?;
+        snap.validate()?;
+        Ok(snap)
     }
-}
 
-/// The compatibility fingerprint a datacenter checkpoint is stamped with:
-/// schema tag, crate version, and the configuration JSON. A resume across
-/// a code or config change fails fast instead of continuing a run whose
-/// physics changed underneath it.
-pub fn datacenter_fingerprint(cfg: &DatacenterConfig) -> String {
-    // A config that cannot serialize fingerprints as "" on both the
-    // write and the resume side, so the comparison still behaves.
-    let json = serde_json::to_string(cfg).unwrap_or_default();
-    fingerprint(&[DC_CHECKPOINT_SCHEMA, env!("CARGO_PKG_VERSION"), &json])
+    /// The resume validator: schema and fingerprint match this build, the
+    /// configuration is valid, every per-rack vector has one entry per
+    /// configured rack, the directive log covers exactly the executed
+    /// epochs, and every live rack's state sits at the resume epoch. A
+    /// snapshot that passes cannot index out of bounds on resume.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.schema != SITE_SCHEMA {
+            return Err(format!(
+                "snapshot schema {:?} is not {SITE_SCHEMA:?}",
+                self.schema
+            ));
+        }
+        let expected = site_fingerprint(&self.cfg);
+        if self.fingerprint != expected {
+            return Err(format!(
+                "snapshot fingerprint {} does not match this build/config ({expected}); \
+                 the code or configuration changed since the snapshot was written",
+                self.fingerprint
+            ));
+        }
+        self.cfg.validate()?;
+        let n = self.cfg.racks.len();
+        let st = &self.site;
+        for (name, len) in [
+            ("racks", self.racks.len()),
+            ("beliefs", st.beliefs.len()),
+            ("pinned", st.pinned.len()),
+            ("link_probation", st.link_probation.len()),
+            ("health", st.health.len()),
+            ("restarts_used", st.restarts_used.len()),
+            ("probation_left", st.probation_left.len()),
+            ("partition_epochs", st.partition_epochs.len()),
+            ("degraded_epochs", st.degraded_epochs.len()),
+        ] {
+            if len != n {
+                return Err(format!(
+                    "snapshot {name} has {len} entries for a {n}-rack configuration"
+                ));
+            }
+        }
+        if st.rows.len() as u64 != st.next_epoch {
+            return Err(format!(
+                "snapshot directive log has {} rows but resumes at epoch {}",
+                st.rows.len(),
+                st.next_epoch
+            ));
+        }
+        if let Some(k) = st
+            .rows
+            .iter()
+            .position(|row| row.factors.len() != n || row.applied.len() != n)
+        {
+            return Err(format!(
+                "snapshot directive row {k} does not hold one factor per rack"
+            ));
+        }
+        for (r, s) in self.racks.iter().enumerate() {
+            if st.health[r] != RackHealth::Quarantined
+                && s.as_ref().map(|s| s.next_epoch) != Some(st.next_epoch)
+            {
+                return Err(format!(
+                    "rack {r} state is not aligned with the snapshot epoch {}",
+                    st.next_epoch
+                ));
+            }
+        }
+        match (&self.options, &self.serve) {
+            (None, None) => Ok(()),
+            (Some(o), Some(_)) if o.racks as usize == n => Ok(()),
+            (Some(o), Some(_)) => Err(format!(
+                "snapshot serves {} rack(s) but its configuration has {n}",
+                o.racks
+            )),
+            _ => Err("snapshot carries only half of the serve daemon's state".to_string()),
+        }
+    }
 }
 
 /// The engine configuration rack `i` of `cfg` runs: the rack's
@@ -308,78 +547,76 @@ fn translate_plan(cfg: &DatacenterConfig, rack: usize) -> Option<FaultPlan> {
     (!events.is_empty()).then_some(FaultPlan { seed, events })
 }
 
-/// The epoch index containing `at` (clamped to the window start).
-fn epoch_of(at: SimTime, start: SimTime, epoch: SimDuration) -> u64 {
-    at.since(start).div_duration(epoch).unwrap_or(0)
-}
-
-/// True if a [`FaultKind::BrokerPartition`] on `rack` covers epoch `k`.
-/// Epoch-counted faults start at the epoch containing the event start.
-fn partitioned(site: &FaultPlan, k: u64, rack: usize, start: SimTime, epoch: SimDuration) -> bool {
-    site.events.iter().any(|e| match e.kind {
-        FaultKind::BrokerPartition { rack: r, epochs } if usize::from(r) == rack => {
-            let e0 = epoch_of(e.at, start, epoch);
-            k >= e0 && k < e0.saturating_add(u64::from(epochs))
-        }
-        _ => false,
-    })
-}
-
-/// True if a [`FaultKind::RackBlackout`] on `rack` covers epoch `k`.
-fn blackout_active(
-    site: &FaultPlan,
-    k: u64,
-    rack: usize,
+/// The site fault plan over the run's epoch grid: which broker-side and
+/// site-level faults cover each epoch.
+struct SiteWindow<'a> {
+    plan: &'a FaultPlan,
     start: SimTime,
     epoch: SimDuration,
-) -> bool {
-    site.events.iter().any(|e| match e.kind {
-        FaultKind::RackBlackout { rack: r, epochs } if usize::from(r) == rack => {
-            let e0 = epoch_of(e.at, start, epoch);
-            k >= e0 && k < e0.saturating_add(u64::from(epochs))
-        }
-        _ => false,
-    })
 }
 
-/// The loss probability of the first [`FaultKind::LinkLoss`] event on
-/// `rack` overlapping epoch `k`'s window, if any.
-fn link_loss_p(
-    site: &FaultPlan,
-    k: u64,
-    rack: usize,
-    start: SimTime,
-    epoch: SimDuration,
-) -> Option<f64> {
-    let from = start + SimDuration::from_micros(epoch.as_micros() * k);
-    let to = from + epoch;
-    site.events.iter().find_map(|e| match e.kind {
-        FaultKind::LinkLoss { rack: r, p } if usize::from(r) == rack && e.overlaps(from, to) => {
-            Some(p)
-        }
-        _ => None,
-    })
-}
+impl SiteWindow<'_> {
+    /// The epoch index containing `at` (clamped to the window start).
+    fn epoch_of(&self, at: SimTime) -> u64 {
+        at.since(self.start).div_duration(self.epoch).unwrap_or(0)
+    }
 
-/// The delivery lag of the first [`FaultKind::LinkDelay`] event on `rack`
-/// overlapping epoch `k`'s window, if any.
-fn link_delay(
-    site: &FaultPlan,
-    k: u64,
-    rack: usize,
-    start: SimTime,
-    epoch: SimDuration,
-) -> Option<u32> {
-    let from = start + SimDuration::from_micros(epoch.as_micros() * k);
-    let to = from + epoch;
-    site.events.iter().find_map(|e| match e.kind {
-        FaultKind::LinkDelay { rack: r, epochs }
-            if usize::from(r) == rack && e.overlaps(from, to) =>
-        {
-            Some(epochs)
-        }
-        _ => None,
-    })
+    /// True if an epoch-counted event starting at `at` and lasting
+    /// `epochs` covers epoch `k` (it starts at the epoch containing `at`).
+    fn covers(&self, at: SimTime, epochs: u32, k: u64) -> bool {
+        let e0 = self.epoch_of(at);
+        k >= e0 && k < e0.saturating_add(u64::from(epochs))
+    }
+
+    /// True if a [`FaultKind::BrokerPartition`] on `rack` covers epoch `k`.
+    fn partitioned(&self, k: u64, rack: usize) -> bool {
+        self.plan.events.iter().any(|e| {
+            matches!(e.kind, FaultKind::BrokerPartition { rack: r, epochs }
+                if usize::from(r) == rack && self.covers(e.at, epochs, k))
+        })
+    }
+
+    /// True if a [`FaultKind::RackBlackout`] on `rack` covers epoch `k`.
+    fn blackout_active(&self, k: u64, rack: usize) -> bool {
+        self.plan.events.iter().any(|e| {
+            matches!(e.kind, FaultKind::RackBlackout { rack: r, epochs }
+                if usize::from(r) == rack && self.covers(e.at, epochs, k))
+        })
+    }
+
+    /// Epoch `k`'s wall-clock window.
+    fn window(&self, k: u64) -> (SimTime, SimTime) {
+        let from = self.start + SimDuration::from_micros(self.epoch.as_micros() * k);
+        (from, from + self.epoch)
+    }
+
+    /// The loss probability of the first [`FaultKind::LinkLoss`] event on
+    /// `rack` overlapping epoch `k`'s window, if any.
+    fn link_loss_p(&self, k: u64, rack: usize) -> Option<f64> {
+        let (from, to) = self.window(k);
+        self.plan.events.iter().find_map(|e| match e.kind {
+            FaultKind::LinkLoss { rack: r, p }
+                if usize::from(r) == rack && e.overlaps(from, to) =>
+            {
+                Some(p)
+            }
+            _ => None,
+        })
+    }
+
+    /// The delivery lag of the first [`FaultKind::LinkDelay`] event on
+    /// `rack` overlapping epoch `k`'s window, if any.
+    fn link_delay(&self, k: u64, rack: usize) -> Option<u32> {
+        let (from, to) = self.window(k);
+        self.plan.events.iter().find_map(|e| match e.kind {
+            FaultKind::LinkDelay { rack: r, epochs }
+                if usize::from(r) == rack && e.overlaps(from, to) =>
+            {
+                Some(epochs)
+            }
+            _ => None,
+        })
+    }
 }
 
 /// A counting gate bounding how many racks compute an epoch
@@ -390,128 +627,850 @@ struct JobGate {
     cv: Condvar,
 }
 
+/// One held slot of a [`JobGate`], returned on drop — including the drop
+/// an unwinding panic performs, so a rack that dies mid-epoch never
+/// starves its siblings.
+struct Permit(Arc<JobGate>);
+
 impl JobGate {
-    fn new(n: usize) -> Self {
-        JobGate {
+    fn new(n: usize) -> Arc<Self> {
+        Arc::new(JobGate {
             permits: Mutex::new(n.max(1)),
             cv: Condvar::new(),
-        }
+        })
     }
 
-    // The gate only ever holds a counter, so a poisoned lock (some rack
-    // panicked while holding it) still carries a usable value: ride the
-    // poison rather than cascading the panic into every sibling rack.
-    fn acquire(&self) {
+    // The gate only ever holds a counter, so a poisoned lock still carries
+    // a usable value: ride the poison rather than cascading a panic into
+    // every sibling rack.
+    fn acquire(self: &Arc<Self>) -> Permit {
         let mut p = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
         while *p == 0 {
             p = self.cv.wait(p).unwrap_or_else(PoisonError::into_inner);
         }
         *p -= 1;
-    }
-
-    fn release(&self) {
-        *self.permits.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-        self.cv.notify_one();
+        Permit(Arc::clone(self))
     }
 }
 
-/// What the broker delivers to a rack for one epoch.
-enum RackDirective {
-    /// The routed load factor arrived.
-    Deliver(f64),
-    /// Nothing arrived (partition, or retries exhausted on a lossy
-    /// link): the rack degrades to local autonomy.
-    Lost,
+impl Drop for Permit {
+    fn drop(&mut self) {
+        *self
+            .0
+            .permits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.cv.notify_one();
+    }
 }
 
-/// What a rack sends back to the broker.
-enum RackMsg {
-    /// A captured loop state at a snapshot boundary.
+/// One epoch's command from the broker to a rack worker.
+struct WorkerDirective {
+    load_factor: f64,
+    supply_w: Option<f64>,
+    telemetry_stale: bool,
+    demote: Option<String>,
+    /// Drain at this epoch: capture a final state and exit cleanly.
+    last: bool,
+    /// Fault injection: panic the worker with this payload *before*
+    /// executing the epoch (the deterministic stand-in for a worker
+    /// crash — the epoch itself is never half-executed).
+    panic_with: Option<String>,
+}
+
+/// What a rack worker sends back on its message channel.
+enum WorkerMsg {
+    /// A boundary (or drain) [`LoopState`] capture.
     Snapshot(Box<LoopState>),
-    /// One settled epoch's telemetry.
-    Report(EpochRecord),
+    /// The epoch settled: its record plus the applied settings.
+    Report(Box<EpochRecord>, Vec<ServerSetting>),
+    /// The worker is dying with this panic payload.
+    Died(String),
 }
 
-/// The rack-side epoch driver: block for the directive, apply it (or
-/// hold the last-good factor on a lost link), and report telemetry.
-struct RackHooks<'a> {
-    dir_rx: mpsc::Receiver<RackDirective>,
-    msg_tx: mpsc::Sender<RackMsg>,
-    gate: &'a JobGate,
-    /// Last factor actually applied — the rack's local autonomy when a
-    /// directive is lost.
-    last_factor: f64,
+/// A settled epoch's record and applied per-server settings for one rack.
+pub(crate) type RackReport = (EpochRecord, Vec<ServerSetting>);
+
+/// The worker-side hooks: every epoch blocks on a directive, takes a
+/// gate permit, applies the directive, and reports the settled record
+/// back. Snapshots ride the same channel so the broker sees them in
+/// stream order.
+struct WorkerHooks {
+    dir_rx: mpsc::Receiver<WorkerDirective>,
+    msg_tx: mpsc::Sender<WorkerMsg>,
+    gate: Arc<JobGate>,
+    permit: Option<Permit>,
+    last: bool,
 }
 
-impl EpochHooks for RackHooks<'_> {
+impl EpochHooks for WorkerHooks {
     fn before_epoch(&mut self, _k: u64, _t: SimTime) -> TickDirective {
-        // A closed directive channel means the broker died mid-run. The
-        // rack degrades to local autonomy (exactly as for a lost link)
-        // and runs its window out, so the broker's error path can still
-        // join every rack and report one coherent failure.
-        let dir = self.dir_rx.recv().unwrap_or(RackDirective::Lost);
-        self.gate.acquire();
-        let f = match dir {
-            RackDirective::Deliver(f) => {
-                self.last_factor = f;
-                f
-            }
-            RackDirective::Lost => self.last_factor,
+        // A vanished broker (its run ended in error) leaves the worker
+        // nothing to do: unwind quietly, without the panic hook's report.
+        let Ok(d) = self.dir_rx.recv() else {
+            resume_unwind(Box::new("broker disconnected"));
         };
+        self.permit = Some(self.gate.acquire());
+        if let Some(msg) = d.panic_with {
+            panic!("{msg}");
+        }
+        self.last = d.last;
         TickDirective {
-            load_factor: Some(f),
-            ..TickDirective::default()
+            supply_w: d.supply_w,
+            telemetry_stale: d.telemetry_stale,
+            demote: d.demote,
+            load_factor: Some(d.load_factor),
         }
     }
 
-    fn after_epoch(
-        &mut self,
-        _k: u64,
-        rec: &EpochRecord,
-        _s: &[gs_cluster::ServerSetting],
-    ) -> bool {
-        self.gate.release();
-        let _ = self.msg_tx.send(RackMsg::Report(*rec));
-        true
+    fn after_epoch(&mut self, _k: u64, rec: &EpochRecord, settings: &[ServerSetting]) -> bool {
+        self.permit = None;
+        let _ = self
+            .msg_tx
+            .send(WorkerMsg::Report(Box::new(*rec), settings.to_vec()));
+        !self.last
     }
 
     fn on_snapshot(&mut self, state: &LoopState) {
-        let _ = self.msg_tx.send(RackMsg::Snapshot(Box::new(state.clone())));
+        let _ = self
+            .msg_tx
+            .send(WorkerMsg::Snapshot(Box::new(state.clone())));
     }
 }
 
-/// The baseline driver: replay the applied factors of the strategy run so
-/// the Normal floor is judged like-for-like through blackouts and
-/// partitions. (Serve's floor judgment replays whole directive rows —
-/// supply overrides and stale flags too — through its own hooks.)
-pub(crate) struct ReplayHooks<'a> {
-    pub(crate) factors: &'a [f64],
+/// A finished rack worker: its strategy-run outcome and the scratch arena
+/// its baseline replay reuses.
+type WorkerResult = Option<(BurstOutcome, EngineScratch)>;
+
+/// The broker's handle on one rack worker thread.
+struct RackWorker {
+    dir_tx: mpsc::Sender<WorkerDirective>,
+    msg_rx: mpsc::Receiver<WorkerMsg>,
+    handle: std::thread::JoinHandle<WorkerResult>,
 }
 
-impl EpochHooks for ReplayHooks<'_> {
+/// Spawn a rack worker: the rack's engine loop on its own thread behind
+/// `catch_unwind`, resuming from `resume` when given. A panic anywhere
+/// inside becomes a [`WorkerMsg::Died`] on the message channel — the
+/// broker's recv loop is the only place deaths surface.
+fn spawn_worker(
+    cfg: &EngineConfig,
+    resume: Option<LoopState>,
+    snapshot_every: u64,
+    gate: &Arc<JobGate>,
+) -> RackWorker {
+    let (dir_tx, dir_rx) = mpsc::channel();
+    let (msg_tx, msg_rx) = mpsc::channel();
+    let cfg = cfg.clone();
+    let death_tx = msg_tx.clone();
+    let gate = Arc::clone(gate);
+    let handle = std::thread::spawn(move || {
+        let mut scratch = EngineScratch::new();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let mut hooks = WorkerHooks {
+                dir_rx,
+                msg_tx,
+                gate,
+                permit: None,
+                last: false,
+            };
+            run_once_resumable(
+                &cfg,
+                cfg.strategy,
+                ProfileTable::cached(cfg.app),
+                resume,
+                snapshot_every,
+                &mut |_| {},
+                &mut scratch,
+                &mut hooks,
+            )
+            .0
+        }));
+        match result {
+            Ok(outcome) => Some((outcome, scratch)),
+            Err(p) => {
+                let _ = death_tx.send(WorkerMsg::Died(panic_message(p.as_ref())));
+                None
+            }
+        }
+    });
+    RackWorker {
+        dir_tx,
+        msg_rx,
+        handle,
+    }
+}
+
+/// Build rack `r`'s directive from a logged row.
+fn directive_from_row(
+    row: &DirectiveRow,
+    rack: usize,
+    last: bool,
+    panic_with: Option<String>,
+) -> WorkerDirective {
+    WorkerDirective {
+        load_factor: row.applied[rack],
+        supply_w: row.supply_w,
+        telemetry_stale: row.stale,
+        demote: row.demote.clone(),
+        last,
+        panic_with,
+    }
+}
+
+/// Baseline-replay hooks: feed a finished run's directive log back
+/// through a `Strategy::Normal` run of one rack, so the floor judgment
+/// compares like-for-like — same applied load factors, supply overrides,
+/// and staleness verdicts (ladder demotions don't apply at the floor).
+struct RowReplayHooks<'a> {
+    rows: &'a [DirectiveRow],
+    rack: usize,
+}
+
+impl EpochHooks for RowReplayHooks<'_> {
     fn before_epoch(&mut self, k: u64, _t: SimTime) -> TickDirective {
-        TickDirective {
-            load_factor: Some(self.factors.get(k as usize).copied().unwrap_or(1.0)),
-            ..TickDirective::default()
+        match self.rows.get(k as usize) {
+            Some(row) => TickDirective {
+                supply_w: row.supply_w,
+                telemetry_stale: row.stale,
+                demote: None,
+                load_factor: Some(row.applied[self.rack]),
+            },
+            None => TickDirective::default(),
         }
     }
 }
 
-/// Compute the conserved allocation for the next epoch from the current
-/// beliefs: factors sum to exactly the rack count, dark racks get zero
-/// (their load re-routes to survivors), and each survivor's share blends
-/// an even split with its renewable-surplus share.
-fn compute_factors(st: &BrokerState, cfg: &DatacenterConfig) -> Vec<f64> {
-    let rack_servers: Vec<usize> = cfg.racks.iter().map(|r| r.green.green_servers).collect();
-    conserved_factors(&st.beliefs, &rack_servers, st.has_telemetry)
+/// The per-epoch site work around the rack driver. Every method defaults
+/// to a no-op, which is a batch `datacenter` run: no site tick, a sim
+/// clock, no admin plane, and a rack death that ends the run. `serve`
+/// overrides them with its live telemetry, actuation, metrics, snapshot
+/// file and pacing.
+pub(crate) trait SiteHooks {
+    /// Restarts each rack worker may consume before it is quarantined and
+    /// its load rerouted. `None` (batch): any rack death ends the run with
+    /// an error naming the rack.
+    fn restart_budget(&self) -> Option<u32> {
+        None
+    }
+    /// Top of an epoch's tick, before its boundary snapshot.
+    fn begin_tick(&mut self) {}
+    /// The site tick for epoch `k` at sim time `t`: the supply override,
+    /// staleness verdict and demotion every rack receives (its
+    /// `load_factor` is ignored — routing decides that).
+    fn tick(&mut self, _k: u64, _t: SimTime) -> TickDirective {
+        TickDirective::default()
+    }
+    /// Admin requests queued since the last tick: `(kills, readmits)`.
+    fn admin_requests(&mut self) -> (Vec<u32>, Vec<u32>) {
+        (Vec::new(), Vec::new())
+    }
+    /// A fault to inject into rack `rack`'s worker at epoch `k`.
+    fn inject(&self, _k: u64, _rack: usize) -> Option<String> {
+        None
+    }
+    /// Whether epoch `k` is the last before a graceful drain.
+    fn drain_at(&mut self, _k: u64) -> bool {
+        false
+    }
+    /// Epoch `k` settled and audited: actuate, emit metrics, mirror status.
+    fn settled(
+        &mut self,
+        _k: u64,
+        _reports: &[Option<RackReport>],
+        _sup: &RackSupervisor,
+        _row: &DirectiveRow,
+    ) {
+    }
+    /// Whether to build the snapshot due at this boundary.
+    fn snapshot_due(&mut self) -> bool {
+        true
+    }
+    /// Persist a boundary (or drain) snapshot.
+    fn on_snapshot(&mut self, _snap: SiteSnapshot) {}
+    /// Pace the tick before the next one starts.
+    fn pace(&mut self) {}
+    /// The epoch loop is over and every worker joined (the floor replays
+    /// have not run yet).
+    fn finish(&mut self) {}
 }
 
-/// The conserved-allocation core shared by the batch broker and
-/// [`crate::serve`]'s orchestrator: given per-rack beliefs
-/// and rack sizes, produce factors summing to exactly the rack count,
-/// with dark racks at zero and survivors blending an even split with
-/// their renewable-surplus share.
-pub(crate) fn conserved_factors(
+/// A batch run's hooks: the default no-ops plus a snapshot sink.
+struct SnapshotSink<'a>(&'a mut dyn FnMut(&SiteSnapshot));
+
+impl SiteHooks for SnapshotSink<'_> {
+    fn on_snapshot(&mut self, snap: SiteSnapshot) {
+        (self.0)(&snap);
+    }
+}
+
+/// Where in the epoch protocol a rack worker died — decides how the
+/// restarted worker is re-synchronized with the fleet.
+#[derive(Clone, Copy)]
+enum DeathPhase {
+    /// Before sending its epoch-`k` boundary capture: the replay re-hits
+    /// the boundary and the replacement's capture stands in.
+    Boundary,
+    /// Before the epoch-`k` directive was sent (admin re-admission
+    /// catch-up): the replacement just waits for the directive.
+    PreTick,
+    /// Holding or executing the epoch-`k` directive: the directive is
+    /// re-sent (without injection) and the epoch re-executes.
+    Tick {
+        /// Whether the re-sent directive is the drain epoch.
+        last: bool,
+    },
+    /// During the drain capture after epoch `k` settled: the epoch
+    /// re-executes (its report is discarded — the aggregate already
+    /// includes it) and the drain capture is re-taken.
+    DrainCapture,
+}
+
+/// The broker's mutable rack state, bundled so the restart protocol can
+/// be a method instead of a 9-argument function.
+struct Fleet {
+    rack_cfgs: Vec<EngineConfig>,
+    every: u64,
+    gate: Arc<JobGate>,
+    workers: Vec<Option<RackWorker>>,
+    rack_states: Vec<Option<LoopState>>,
+    sup: RackSupervisor,
+    st: SiteState,
+    /// False for a batch run: exhausting the restart budget ends the run
+    /// instead of quarantining the rack.
+    quarantine: bool,
+    /// The death that ended a batch run.
+    fatal: Option<String>,
+}
+
+/// Wait for `w`'s next boundary or drain capture (`what` names it in
+/// errors) and store it in `slot`. `Err` carries the death message.
+fn recv_capture(
+    w: &RackWorker,
+    slot: &mut Option<LoopState>,
+    r: usize,
+    what: &str,
+) -> Result<(), String> {
+    match w.msg_rx.recv() {
+        Ok(WorkerMsg::Snapshot(s)) => {
+            *slot = Some(*s);
+            Ok(())
+        }
+        Ok(WorkerMsg::Report(..)) => Err(format!(
+            "protocol error: rack {r} sent telemetry in place of its {what}"
+        )),
+        Ok(WorkerMsg::Died(m)) => Err(m),
+        Err(_) => Err(format!("rack {r} worker exited before its {what}")),
+    }
+}
+
+/// Wait for `w`'s report of `epoch`, storing any capture that arrives
+/// first in `slot`. `Err` carries the death message.
+fn recv_report(
+    w: &RackWorker,
+    slot: &mut Option<LoopState>,
+    r: usize,
+    epoch: u64,
+) -> Result<RackReport, String> {
+    loop {
+        match w.msg_rx.recv() {
+            Ok(WorkerMsg::Snapshot(s)) => *slot = Some(*s),
+            Ok(WorkerMsg::Report(rec, settings)) => return Ok((*rec, settings)),
+            Ok(WorkerMsg::Died(m)) => return Err(m),
+            Err(_) => return Err(format!("rack {r} worker exited during epoch {epoch}")),
+        }
+    }
+}
+
+impl Fleet {
+    /// Mirror the supervisor's ladder into the snapshot-persisted state.
+    fn sync_supervisor(&mut self) {
+        self.st.health = self.sup.health.clone();
+        self.st.restarts_used = self.sup.restarts_used.clone();
+        self.st.probation_left = self.sup.probation_left.clone();
+    }
+
+    /// Spawn a fresh worker for rack `r` from its last captured state
+    /// and deterministically replay the logged directives up to (not
+    /// including) epoch `k`. Replayed reports are discarded — those
+    /// epochs already settled into the aggregate stream. Returns the
+    /// caught-up worker, or the death message if it died again.
+    fn catch_up(&mut self, r: usize, k: u64) -> Result<RackWorker, String> {
+        let w = spawn_worker(
+            &self.rack_cfgs[r],
+            self.rack_states[r].clone(),
+            self.every,
+            &self.gate,
+        );
+        let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
+        for j in from..k {
+            let d = directive_from_row(&self.st.rows[j as usize], r, false, None);
+            w.dir_tx
+                .send(d)
+                .map_err(|_| format!("rack {r} worker exited during its epoch {j} replay"))?;
+            recv_report(&w, &mut self.rack_states[r], r, j)?;
+        }
+        Ok(w)
+    }
+
+    /// Re-synchronize a caught-up replacement worker with the fleet and
+    /// install it. On `Err` the replacement died too.
+    fn finish_restart(
+        &mut self,
+        w: RackWorker,
+        r: usize,
+        k: u64,
+        phase: DeathPhase,
+    ) -> Result<(), String> {
+        let slot = &mut self.rack_states[r];
+        match phase {
+            DeathPhase::Boundary => {
+                recv_capture(&w, slot, r, &format!("epoch {k} boundary capture"))?;
+            }
+            DeathPhase::PreTick => {}
+            DeathPhase::Tick { last } => {
+                let d = directive_from_row(&self.st.rows[k as usize], r, last, None);
+                w.dir_tx.send(d).map_err(|_| {
+                    format!("rack {r} worker exited before its re-sent epoch {k} directive")
+                })?;
+            }
+            DeathPhase::DrainCapture => {
+                let d = directive_from_row(&self.st.rows[k as usize], r, true, None);
+                w.dir_tx.send(d).map_err(|_| {
+                    format!("rack {r} worker exited before its re-sent drain directive")
+                })?;
+                // The re-executed epoch's report is already aggregated.
+                recv_report(&w, slot, r, k)?;
+                recv_capture(&w, slot, r, "drain capture")?;
+            }
+        }
+        self.workers[r] = Some(w);
+        Ok(())
+    }
+
+    /// A worker for rack `r` died at epoch `k`: classify the death,
+    /// restart from the rack's last captured [`LoopState`] within the
+    /// budget (deterministically replaying every epoch it missed), or
+    /// quarantine it and zero its belief so the next factor computation
+    /// reroutes its share to the survivors. A batch run has no budget and
+    /// no quarantine: the death becomes the run's error. Returns true if
+    /// the rack is alive again.
+    fn handle_death(&mut self, r: usize, k: u64, mut msg: String, phase: DeathPhase) -> bool {
+        loop {
+            if msg.contains("injected rack stall") {
+                self.st.rack_stalls += 1;
+            } else {
+                self.st.rack_panics += 1;
+            }
+            // Reap the dead thread before spawning its replacement.
+            if let Some(w) = self.workers[r].take() {
+                drop(w.dir_tx);
+                let _ = w.handle.join();
+            }
+            if !self.sup.record_death(r, msg.clone()) {
+                if !self.quarantine {
+                    self.fatal
+                        .get_or_insert_with(|| format!("rack {r} panicked: {msg}"));
+                    return false;
+                }
+                self.st.racks_quarantined += 1;
+                self.st.events.push(format!(
+                    "epoch {k}: rack {r} quarantined after exhausting {} restarts: {msg}",
+                    self.sup.max_restarts
+                ));
+                self.st.beliefs[r] = RackBelief {
+                    battery_soc: 0.0,
+                    stale: false,
+                    ..RackBelief::initial(0)
+                };
+                if self.sup.live_count() == 0 {
+                    self.st.events.push(format!(
+                        "epoch {k}: all racks quarantined; aggregate stream suspended"
+                    ));
+                }
+                return false;
+            }
+            self.st.rack_restarts += 1;
+            let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
+            self.st.events.push(format!(
+                "epoch {k}: rack {r} worker died ({msg}); restart {}/{} from snapshot epoch {from}",
+                self.sup.restarts_used[r], self.sup.max_restarts
+            ));
+            match self
+                .catch_up(r, k)
+                .and_then(|w| self.finish_restart(w, r, k, phase))
+            {
+                Ok(()) => return true,
+                Err(m) => msg = m,
+            }
+        }
+    }
+
+    /// Collect every live rack's epoch-`k` boundary capture — or, at a
+    /// drain, its final capture after epoch `k` — restarting a dead
+    /// worker (whose replay re-takes the capture) or quarantining it.
+    fn collect_captures(&mut self, k: u64, phase: DeathPhase) {
+        let what = match phase {
+            DeathPhase::DrainCapture => "drain capture".to_string(),
+            _ => format!("epoch {k} boundary capture"),
+        };
+        for r in 0..self.workers.len() {
+            let Some(w) = self.workers[r].as_ref() else {
+                continue;
+            };
+            if let Err(m) = recv_capture(w, &mut self.rack_states[r], r, &what) {
+                let _ = self.handle_death(r, k, m, phase);
+            }
+        }
+    }
+
+    /// Collect rack `r`'s epoch-`k` report, restarting through deaths.
+    /// `None` means the rack is gone (quarantined, or the run failed).
+    fn collect_report(&mut self, r: usize, k: u64, last: bool) -> Option<RackReport> {
+        loop {
+            let w = self.workers[r].as_ref()?;
+            match recv_report(w, &mut self.rack_states[r], r, k) {
+                Ok(rep) => return Some(rep),
+                Err(m) => {
+                    if !self.handle_death(r, k, m, DeathPhase::Tick { last }) {
+                        return None;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Admin re-admissions: a lifted rack catches up from its last
+    /// snapshot and takes this epoch's directive.
+    fn readmit(&mut self, k: u64, racks: Vec<u32>) {
+        for r in racks {
+            let r = r as usize;
+            if r < self.workers.len() && self.sup.quarantined(r) {
+                self.sup.lift_quarantine(r);
+                self.st.events.push(format!(
+                    "epoch {k}: admin re-admitted rack {r}; replaying from its last snapshot"
+                ));
+                match self.catch_up(r, k) {
+                    Ok(w) => self.workers[r] = Some(w),
+                    Err(m) => {
+                        let _ = self.handle_death(r, k, m, DeathPhase::PreTick);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Settle epoch `k`'s reports into the beliefs (a partitioned rack's
+    /// belief is held, marked stale; a quarantined rack's stays dark) and
+    /// walk the restart probation ladder on clean epochs.
+    fn settle_beliefs(&mut self, k: u64, reports: &[Option<RackReport>], site: &SiteWindow<'_>) {
+        for (r, rep) in reports.iter().enumerate() {
+            let Some((rec, _)) = rep else { continue };
+            if site.partitioned(k, r) {
+                // The partition blocks both directions.
+                self.st.beliefs[r].stale = true;
+            } else {
+                self.st.beliefs[r] = RackBelief::from_record(rec);
+            }
+            if self.sup.record_clean_epoch(r) {
+                self.st
+                    .events
+                    .push(format!("epoch {k}: rack {r} finished probation; live"));
+            }
+        }
+        self.st.has_telemetry = true;
+    }
+
+    /// The site audit of settled epoch `k`: the computed row must route
+    /// exactly the fleet's load, and a rack inside an active blackout must
+    /// draw nothing. After the outage, servers on rejoin probation draw
+    /// power without carrying load, which is correct behaviour, not a
+    /// violation; a stale (partition-held) belief cannot attest either
+    /// way, so it is skipped.
+    fn audit(&mut self, k: u64, site: &SiteWindow<'_>) {
+        let st = &mut self.st;
+        let mut aud =
+            InvariantAuditor::with_violations(std::mem::take(&mut st.site_audit_violations));
+        aud.check_site_epoch(&SiteFlows {
+            epoch_index: k as usize,
+            factors: st.rows[k as usize].factors.clone(),
+            dark: (0..st.beliefs.len())
+                .map(|r| site.blackout_active(k, r) && !st.beliefs[r].stale)
+                .collect(),
+            rack_demand_w: st.beliefs.iter().map(|b| b.demand_w).collect(),
+        });
+        st.site_audit_violations = aud.into_violations();
+    }
+}
+
+/// A finished run of the rack driver.
+pub(crate) struct SiteRun {
+    /// The final broker state (supervision ladder synced).
+    pub(crate) st: SiteState,
+    /// Per-rack outcomes in rack order — judged against their Normal
+    /// replay unless the run drained; `None` for a quarantined rack.
+    pub(crate) racks: Vec<Option<BurstOutcome>>,
+    /// True if the run stopped at a drain boundary instead of finishing.
+    pub(crate) drained: bool,
+}
+
+/// The rack driver: step every rack of `cfg` in lockstep from epoch 0 (or
+/// from `resume`'s state and rack captures) to the end of the window or
+/// a drain, then judge each rack against a Normal replay of its directive
+/// log. `jobs` bounds how many racks compute at once; `snapshot_every`
+/// (0 = never) is the boundary-capture cadence, which requires analytic
+/// measurement. `hooks` supply the per-epoch site work. See DESIGN.md
+/// §6e/§8b for the thread and ownership picture.
+pub(crate) fn run_site(
+    cfg: &DatacenterConfig,
+    jobs: usize,
+    snapshot_every: u64,
+    resume: Option<(SiteState, Vec<Option<LoopState>>)>,
+    hooks: &mut dyn SiteHooks,
+) -> Result<SiteRun, String> {
+    if snapshot_every > 0 && cfg.template.measurement != MeasurementMode::Analytic {
+        return Err(
+            "site snapshots capture full controller state and require analytic \
+             measurement mode"
+                .to_string(),
+        );
+    }
+    let n = cfg.racks.len();
+    let epoch = cfg.template.epoch;
+    let start = SimTime::from_secs_f64(cfg.template.burst_start_hour * 3_600.0);
+    let n_epochs = cfg.template.burst_duration.div_duration(epoch).unwrap_or(0);
+    let empty_plan = FaultPlan::default();
+    let site = SiteWindow {
+        plan: cfg.site_fault_plan.as_ref().unwrap_or(&empty_plan),
+        start,
+        epoch,
+    };
+    let rack_servers: Vec<usize> = cfg.racks.iter().map(|r| r.green.green_servers).collect();
+    let fp = site_fingerprint(cfg);
+
+    let (mut st, rack_states) = resume.unwrap_or_else(|| (SiteState::fresh(cfg), vec![None; n]));
+    let start_k = st.next_epoch;
+    let budget = hooks.restart_budget();
+    let sup = RackSupervisor::restore(
+        budget.unwrap_or(0),
+        std::mem::take(&mut st.health),
+        std::mem::take(&mut st.restarts_used),
+        std::mem::take(&mut st.probation_left),
+    );
+    let gate = JobGate::new(jobs);
+    let rack_cfgs: Vec<EngineConfig> = (0..n).map(|i| rack_engine_config(cfg, i)).collect();
+    let workers = (0..n)
+        .map(|r| {
+            (!sup.quarantined(r))
+                .then(|| spawn_worker(&rack_cfgs[r], rack_states[r].clone(), snapshot_every, &gate))
+        })
+        .collect();
+    let mut fleet = Fleet {
+        rack_cfgs,
+        every: snapshot_every,
+        gate,
+        workers,
+        rack_states,
+        sup,
+        st,
+        quarantine: budget.is_some(),
+        fatal: None,
+    };
+    let snapshot = |fleet: &Fleet| SiteSnapshot {
+        schema: SITE_SCHEMA.to_string(),
+        fingerprint: fp.clone(),
+        cfg: cfg.clone(),
+        site: fleet.st.clone(),
+        racks: fleet.rack_states.clone(),
+        options: None,
+        serve: None,
+    };
+
+    let mut drained = false;
+    for k in start_k..n_epochs {
+        hooks.begin_tick();
+        // Boundary: every live rack captured its LoopState at the top of
+        // epoch k; pair those captures with the broker's pre-epoch-k state.
+        if snapshot_every > 0 && k > start_k && k % snapshot_every == 0 {
+            fleet.collect_captures(k, DeathPhase::Boundary);
+            if fleet.fatal.is_some() {
+                break;
+            }
+            fleet.sync_supervisor();
+            if hooks.snapshot_due() {
+                hooks.on_snapshot(snapshot(&fleet));
+            }
+        }
+
+        let t = start + SimDuration::from_micros(epoch.as_micros() * k);
+        let tick = hooks.tick(k, t);
+
+        // Admin plane: re-admissions first (a lifted rack catches up and
+        // takes this epoch's directive), then kill marks.
+        let (kills, readmits) = hooks.admin_requests();
+        fleet.readmit(k, readmits);
+        let mut inject: Vec<Option<String>> = (0..n).map(|r| hooks.inject(k, r)).collect();
+        for r in kills {
+            let r = r as usize;
+            if r < n && !fleet.sup.quarantined(r) {
+                fleet
+                    .st
+                    .events
+                    .push(format!("epoch {k}: admin kill for rack {r}"));
+                inject[r].get_or_insert_with(|| format!("admin kill at epoch {k}"));
+            }
+        }
+        // Drain decision at the top of the tick so the directives can
+        // carry it (a directive already dispatched cannot be recalled).
+        let last = hooks.drain_at(k);
+
+        // Conserved routing from the last settled beliefs, through the
+        // control links, into the directive row every restart replay and
+        // the baseline replays reproduce.
+        let factors = conserved_factors(&fleet.st.beliefs, &rack_servers, fleet.st.has_telemetry);
+        if factors.iter().any(|&f| f <= REROUTE_EPS)
+            && factors.iter().any(|&f| f > 1.0 + REROUTE_EPS)
+        {
+            fleet.st.rerouted_epochs += 1;
+        }
+        let applied = fleet.st.route(k, &factors, &site);
+        fleet.st.rows.push(DirectiveRow {
+            supply_w: tick.supply_w,
+            stale: tick.telemetry_stale,
+            demote: tick.demote,
+            factors,
+            applied,
+        });
+
+        // Dispatch, then collect in rack order. Injected faults ride the
+        // directive so the worker dies *before* executing the epoch —
+        // the restart replays it identically and the stream never forks.
+        for (r, inject) in inject.into_iter().enumerate() {
+            if let Some(w) = fleet.workers[r].as_ref() {
+                let d = directive_from_row(&fleet.st.rows[k as usize], r, last, inject);
+                // A send to a just-died worker surfaces at collection.
+                let _ = w.dir_tx.send(d);
+            }
+        }
+        let reports: Vec<Option<RackReport>> =
+            (0..n).map(|r| fleet.collect_report(r, k, last)).collect();
+        if fleet.fatal.is_some() {
+            break;
+        }
+
+        fleet.settle_beliefs(k, &reports, &site);
+        fleet.audit(k, &site);
+        hooks.settled(k, &reports, &fleet.sup, &fleet.st.rows[k as usize]);
+        fleet.st.next_epoch = k + 1;
+        if last {
+            fleet.collect_captures(k, DeathPhase::DrainCapture);
+            drained = true;
+            fleet.sync_supervisor();
+            if hooks.snapshot_due() {
+                hooks.on_snapshot(snapshot(&fleet));
+            }
+            break;
+        }
+        hooks.pace();
+    }
+
+    // Join the fleet for its outcomes (quarantined racks have none). A
+    // failed run drops the directive senders first, releasing every
+    // worker still waiting for its next epoch.
+    let outs: Vec<WorkerResult> = fleet
+        .workers
+        .iter_mut()
+        .map(|w| {
+            w.take().and_then(|w| {
+                drop(w.dir_tx);
+                w.handle.join().ok().flatten()
+            })
+        })
+        .collect();
+    hooks.finish();
+    if let Some(e) = fleet.fatal {
+        return Err(e);
+    }
+    fleet.sync_supervisor();
+    let racks = if drained {
+        // A drained run's truncated window has no comparable baseline.
+        outs.into_iter().map(|o| o.map(|(main, _)| main)).collect()
+    } else {
+        judge_racks(&fleet.rack_cfgs, &fleet.st.rows, outs, jobs)?
+    };
+    Ok(SiteRun {
+        st: fleet.st,
+        racks,
+        drained,
+    })
+}
+
+/// The floor judgment: replay each rack's directive log under
+/// `Strategy::Normal` — in parallel, bounded by `jobs`, each replay
+/// reusing its rack's strategy-pass scratch (and so its analytic cache) —
+/// and judge the strategy run against it. A Normal rack is its own
+/// baseline. A resumed run is judged like an uninterrupted one: each
+/// rack's [`LoopState`] and the directive log both cover the window from
+/// epoch 0.
+fn judge_racks(
+    rack_cfgs: &[EngineConfig],
+    rows: &[DirectiveRow],
+    outs: Vec<WorkerResult>,
+    jobs: usize,
+) -> Result<Vec<Option<BurstOutcome>>, String> {
+    let gate = JobGate::new(jobs);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = outs
+            .into_iter()
+            .enumerate()
+            .map(|(r, out)| {
+                let cfg = &rack_cfgs[r];
+                let gate = &gate;
+                scope.spawn(move || {
+                    let (main, mut scratch) = out?;
+                    if cfg.strategy == Strategy::Normal {
+                        return Some(judge(cfg, main, None));
+                    }
+                    let _permit = gate.acquire();
+                    let (baseline, _, _) = run_once_resumable(
+                        cfg,
+                        Strategy::Normal,
+                        ProfileTable::cached(cfg.app),
+                        None,
+                        0,
+                        &mut |_| {},
+                        &mut scratch,
+                        &mut RowReplayHooks { rows, rack: r },
+                    );
+                    Some(judge(cfg, main, Some(baseline)))
+                })
+            })
+            .collect();
+        let mut outs = Vec::with_capacity(handles.len());
+        let mut panics: Vec<String> = Vec::new();
+        for (r, h) in handles.into_iter().enumerate() {
+            match h.join() {
+                Ok(out) => outs.push(out),
+                Err(p) => panics.push(format!(
+                    "rack {r} baseline panicked: {}",
+                    panic_message(p.as_ref())
+                )),
+            }
+        }
+        if panics.is_empty() {
+            Ok(outs)
+        } else {
+            Err(panics.join("; "))
+        }
+    })
+}
+
+/// The conserved allocation for the next epoch from the current beliefs:
+/// factors sum to exactly the rack count, dark racks (no live servers)
+/// get zero — their load re-routes to survivors — and each survivor's
+/// share blends an even split with its share of the fleet's score, where
+/// a rack scores `(max(re_supply, 0) + 50·SoC·servers) × live fraction`.
+fn conserved_factors(
     beliefs: &[RackBelief],
     rack_servers: &[usize],
     has_telemetry: bool,
@@ -554,419 +1513,14 @@ pub(crate) fn conserved_factors(
     factors
 }
 
-/// Run the datacenter through the stepped broker without snapshots.
-pub fn try_run_datacenter(
-    cfg: &DatacenterConfig,
-    jobs: usize,
-) -> Result<DatacenterOutcome, String> {
-    run_datacenter_with_snapshots(cfg, jobs, 0, &mut |_| {})
-}
-
-/// Run the datacenter through the stepped broker, emitting a resumable
-/// [`DatacenterSnapshot`] at every `snapshot_every`-th epoch boundary
-/// (0 = never). Snapshots capture the full controller state, which the
-/// DES measurement plane cannot serialize — `snapshot_every > 0` requires
-/// [`MeasurementMode::Analytic`].
-pub fn run_datacenter_with_snapshots(
-    cfg: &DatacenterConfig,
-    jobs: usize,
-    snapshot_every: u64,
-    sink: &mut dyn FnMut(&DatacenterSnapshot),
-) -> Result<DatacenterOutcome, String> {
-    cfg.validate()?;
-    run_stepped(cfg, jobs, snapshot_every, None, sink)
-}
-
-/// Resume a checkpointed datacenter run from its snapshot, finishing with
-/// output byte-identical to the uninterrupted run. Continues emitting
-/// snapshots at the same cadence through `sink`.
-pub fn resume_datacenter_snapshot(
-    snap: DatacenterSnapshot,
-    jobs: usize,
-    snapshot_every: u64,
-    sink: &mut dyn FnMut(&DatacenterSnapshot),
-) -> Result<DatacenterOutcome, String> {
-    let expected = datacenter_fingerprint(&snap.cfg);
-    if snap.fingerprint != expected {
-        return Err(format!(
-            "checkpoint fingerprint {} does not match this build/config ({expected}); \
-             the code or configuration changed since the checkpoint was written",
-            snap.fingerprint
-        ));
-    }
-    let cfg = snap.cfg.clone();
-    cfg.validate()?;
-    if snap.racks.len() != cfg.racks.len() || snap.broker.pinned.len() != cfg.racks.len() {
-        return Err("checkpoint rack count does not match its configuration".to_string());
-    }
-    run_stepped(
-        &cfg,
-        jobs,
-        snapshot_every,
-        Some((snap.broker, snap.racks)),
-        sink,
-    )
-}
-
-/// The broker loop plus the per-rack baseline replays. `resume` restarts
-/// from a snapshot's broker state and rack loop states.
-fn run_stepped(
-    cfg: &DatacenterConfig,
-    jobs: usize,
-    snapshot_every: u64,
-    resume: Option<(BrokerState, Vec<LoopState>)>,
-    sink: &mut dyn FnMut(&DatacenterSnapshot),
-) -> Result<DatacenterOutcome, String> {
-    if snapshot_every > 0 && cfg.template.measurement != MeasurementMode::Analytic {
-        return Err(
-            "datacenter snapshots capture full controller state and require analytic \
-             measurement mode"
-                .to_string(),
-        );
-    }
-    let n = cfg.racks.len();
-    let jobs = jobs.max(1);
-    let start = SimTime::from_secs_f64(cfg.template.burst_start_hour * 3_600.0);
-    let epoch = cfg.template.epoch;
-    let n_epochs = cfg.template.burst_duration.div_duration(epoch).unwrap_or(0);
-    let rack_cfgs: Vec<EngineConfig> = (0..n).map(|i| rack_engine_config(cfg, i)).collect();
-    let empty_site = FaultPlan::default();
-    let site = cfg.site_fault_plan.as_ref().unwrap_or(&empty_site);
-    let fp = datacenter_fingerprint(cfg);
-
-    let (mut st, rack_resume) = match resume {
-        Some((broker, racks)) => (broker, Some(racks)),
-        None => {
-            let mut s = BrokerState::fresh(n, cfg.template.seed);
-            s.beliefs = (0..n)
-                .map(|r| RackBelief::initial(cfg.racks[r].green.green_servers))
-                .collect();
-            (s, None)
-        }
-    };
-    let start_k = st.next_epoch;
-    if let Some(states) = &rack_resume {
-        if states.iter().any(|s| s.next_epoch != start_k) {
-            return Err("checkpoint rack states are not aligned with the broker epoch".to_string());
-        }
-    }
-
-    let gate = JobGate::new(jobs);
-    let mut dir_txs: Vec<mpsc::Sender<RackDirective>> = Vec::with_capacity(n);
-    let mut msg_rxs: Vec<mpsc::Receiver<RackMsg>> = Vec::with_capacity(n);
-    // One arena per rack, lent to its strategy thread and then to its
-    // baseline replay, which re-measures the points the strategy pass
-    // already solved (the analytic cache carries over between them).
-    let mut scratches: Vec<EngineScratch> = (0..n).map(|_| EngineScratch::new()).collect();
-
-    let mains: Result<Vec<(BurstOutcome, crate::monitor::Monitor, Option<String>)>, String> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = scratches
-                .iter_mut()
-                .enumerate()
-                .map(|(i, scratch)| {
-                    let cfg_i = rack_cfgs[i].clone();
-                    let (dtx, drx) = mpsc::channel();
-                    let (mtx, mrx) = mpsc::channel();
-                    dir_txs.push(dtx);
-                    msg_rxs.push(mrx);
-                    let resume_i = rack_resume.as_ref().map(|v| v[i].clone());
-                    // On resume the rack's local-autonomy factor is the
-                    // last applied one, exactly what the uninterrupted
-                    // rack thread would be holding.
-                    let last_factor = st.applied.last().map_or(1.0, |row| row[i]);
-                    let gate = &gate;
-                    scope.spawn(move || {
-                        let profiles = ProfileTable::cached(cfg_i.app);
-                        let mut hooks = RackHooks {
-                            dir_rx: drx,
-                            msg_tx: mtx,
-                            gate,
-                            last_factor,
-                        };
-                        run_once_resumable(
-                            &cfg_i,
-                            cfg_i.strategy,
-                            profiles,
-                            resume_i,
-                            snapshot_every,
-                            &mut |_| {},
-                            scratch,
-                            &mut hooks,
-                        )
-                    })
-                })
-                .collect();
-
-            // A rack death (panicked worker, closed channel, protocol
-            // slip) aborts the epoch loop with a typed failure; the
-            // joined panic messages are appended below so the caller
-            // sees one coherent error instead of a broker panic.
-            let mut failure: Option<String> = None;
-            'epochs: for k in start_k..n_epochs {
-                // Snapshot boundary: every rack captures its LoopState at
-                // the top of epoch k (before receiving the directive), so
-                // the broker pairs those captures with its own
-                // pre-epoch-k state.
-                if snapshot_every > 0 && k > start_k && k % snapshot_every == 0 {
-                    let mut rack_states = Vec::with_capacity(n);
-                    for (r, rx) in msg_rxs.iter().enumerate() {
-                        match rx.recv() {
-                            Ok(RackMsg::Snapshot(s)) => rack_states.push(*s),
-                            Ok(RackMsg::Report(_)) => {
-                                failure = Some(format!(
-                                    "protocol error: rack {r} sent telemetry in place of its \
-                                     epoch {k} boundary snapshot"
-                                ));
-                                break 'epochs;
-                            }
-                            Err(_) => {
-                                failure = Some(format!(
-                                    "rack {r} disconnected at the epoch {k} snapshot boundary"
-                                ));
-                                break 'epochs;
-                            }
-                        }
-                    }
-                    sink(&DatacenterSnapshot {
-                        fingerprint: fp.clone(),
-                        cfg: cfg.clone(),
-                        broker: st.clone(),
-                        racks: rack_states,
-                    });
-                }
-
-                let computed_k = compute_factors(&st, cfg);
-                let mut applied_k = vec![0.0; n];
-                for r in 0..n {
-                    let prev_applied = st.applied.last().map_or(1.0, |row| row[r]);
-                    if blackout_active(site, k, r, start, epoch) {
-                        st.blackout_epochs += 1;
-                    }
-                    let (directive, applied) = if partitioned(site, k, r, start, epoch) {
-                        if st.pinned[r].is_none() {
-                            st.pinned[r] = Some(prev_applied);
-                            st.site_events.push(format!(
-                                "epoch {k}: rack {r} partitioned from broker; local autonomy \
-                                 holds factor {prev_applied:.3}"
-                            ));
-                        }
-                        st.probation_left[r] = REJOIN_EPOCHS;
-                        st.per_rack_partition[r] += 1;
-                        st.per_rack_degraded[r] += 1;
-                        (RackDirective::Lost, prev_applied)
-                    } else if let Some(pin) = st.pinned[r] {
-                        if st.probation_left[r] == REJOIN_EPOCHS {
-                            st.site_events.push(format!(
-                                "epoch {k}: rack {r} link healed; {REJOIN_EPOCHS} probationary \
-                                 epoch(s) at held factor {pin:.3}"
-                            ));
-                        }
-                        st.probation_left[r] = st.probation_left[r].saturating_sub(1);
-                        st.per_rack_degraded[r] += 1;
-                        if st.probation_left[r] == 0 {
-                            st.pinned[r] = None;
-                            st.rejoins += 1;
-                            st.site_events
-                                .push(format!("epoch {k}: rack {r} rejoined routing"));
-                        }
-                        (RackDirective::Deliver(pin), pin)
-                    } else if let Some(p) = link_loss_p(site, k, r, start, epoch) {
-                        let mut lost_all = true;
-                        for attempt in 0..=LINK_RETRIES {
-                            if !st.link_rng.chance(p) {
-                                lost_all = false;
-                                break;
-                            }
-                            if attempt < LINK_RETRIES {
-                                st.link_retries += 1;
-                                st.link_latency_ms += backoff_ms(attempt);
-                            }
-                        }
-                        if lost_all {
-                            st.per_rack_degraded[r] += 1;
-                            st.site_events.push(format!(
-                                "epoch {k}: rack {r} directive lost after {LINK_RETRIES} \
-                                 retries; local autonomy holds factor {prev_applied:.3}"
-                            ));
-                            (RackDirective::Lost, prev_applied)
-                        } else {
-                            (RackDirective::Deliver(computed_k[r]), computed_k[r])
-                        }
-                    } else if let Some(d) = link_delay(site, k, r, start, epoch) {
-                        st.stale_factor_epochs += 1;
-                        let f = if k >= u64::from(d) {
-                            let row = (k - u64::from(d)) as usize;
-                            st.computed.get(row).map_or(1.0, |c| c[r])
-                        } else {
-                            1.0
-                        };
-                        (RackDirective::Deliver(f), f)
-                    } else {
-                        (RackDirective::Deliver(computed_k[r]), computed_k[r])
-                    };
-                    applied_k[r] = applied;
-                    if dir_txs[r].send(directive).is_err() {
-                        failure = Some(format!(
-                            "rack {r} disconnected receiving its epoch {k} directive"
-                        ));
-                        break 'epochs;
-                    }
-                }
-                if computed_k.iter().any(|&f| f <= REROUTE_EPS)
-                    && computed_k.iter().any(|&f| f > 1.0 + REROUTE_EPS)
-                {
-                    st.rerouted_epochs += 1;
-                }
-                st.computed.push(computed_k.clone());
-                st.applied.push(applied_k);
-
-                // Telemetry in rack-index order: the aggregation order —
-                // not thread completion order — defines the result.
-                for (r, rx) in msg_rxs.iter().enumerate() {
-                    let rec = match rx.recv() {
-                        Ok(RackMsg::Report(rec)) => rec,
-                        Ok(RackMsg::Snapshot(_)) => {
-                            failure = Some(format!(
-                                "protocol error: rack {r} sent a snapshot in place of its \
-                                 epoch {k} telemetry"
-                            ));
-                            break 'epochs;
-                        }
-                        Err(_) => {
-                            failure = Some(format!("rack {r} disconnected during epoch {k}"));
-                            break 'epochs;
-                        }
-                    };
-                    if partitioned(site, k, r, start, epoch) {
-                        // The partition blocks both directions: hold the
-                        // last-good belief, marked stale.
-                        st.beliefs[r].stale = true;
-                    } else {
-                        st.beliefs[r] = RackBelief {
-                            re_supply_w: rec.re_supply_w,
-                            battery_soc: rec.battery_soc,
-                            live_servers: usize::from(rec.live_servers),
-                            demand_w: rec.demand_w,
-                            goodput_rps: rec.goodput_rps,
-                            stale: false,
-                        };
-                    }
-                }
-                st.has_telemetry = true;
-
-                let mut aud = InvariantAuditor::with_violations(std::mem::take(
-                    &mut st.site_audit_violations,
-                ));
-                // "Dark" for the zero-draw invariant means *inside an
-                // active blackout*: after the outage, servers on rejoin
-                // probation draw power without carrying load, which is
-                // correct behaviour, not a violation. A stale (partition-
-                // held) belief cannot attest either way, so it is skipped.
-                aud.check_site_epoch(&SiteFlows {
-                    epoch_index: k as usize,
-                    factors: st.computed.last().cloned().unwrap_or_default(),
-                    dark: (0..n)
-                        .map(|r| blackout_active(site, k, r, start, epoch) && !st.beliefs[r].stale)
-                        .collect(),
-                    rack_demand_w: st.beliefs.iter().map(|b| b.demand_w).collect(),
-                });
-                st.site_audit_violations = aud.into_violations();
-
-                st.next_epoch = k + 1;
-            }
-
-            // All directives delivered (or the loop aborted); dropping
-            // the senders releases any still-blocked rack into local
-            // autonomy so every thread can be joined.
-            drop(dir_txs);
-            let mut outs = Vec::with_capacity(n);
-            let mut panics: Vec<String> = Vec::new();
-            for (r, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(out) => outs.push(out),
-                    Err(p) => {
-                        panics.push(format!("rack {r} panicked: {}", panic_message(p.as_ref())));
-                    }
-                }
-            }
-            match (failure, panics.is_empty()) {
-                (None, true) => Ok(outs),
-                (Some(msg), true) => Err(msg),
-                (None, false) => Err(panics.join("; ")),
-                (Some(msg), false) => Err(format!("{msg}: {}", panics.join("; "))),
-            }
-        });
-    let mains = mains?;
-
-    // Baseline phase: replay each rack's applied factors under Normal so
-    // the floor judgment is like-for-like through site faults. A Normal
-    // rack is its own baseline. Bounded by the same jobs level; snapshots
-    // cover the strategy phase only — a resume re-runs the (deterministic)
-    // baselines.
-    let applied_cols: Vec<Vec<f64>> = (0..n)
-        .map(|r| st.applied.iter().map(|row| row[r]).collect())
-        .collect();
-    let gate = JobGate::new(jobs);
-    let baselines: Result<Vec<Option<BurstOutcome>>, String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = scratches
-            .iter_mut()
-            .enumerate()
-            .map(|(r, scratch)| {
-                let cfg_r = &rack_cfgs[r];
-                let factors = &applied_cols[r];
-                let gate = &gate;
-                scope.spawn(move || {
-                    if cfg_r.strategy == Strategy::Normal {
-                        return None;
-                    }
-                    gate.acquire();
-                    let profiles = ProfileTable::cached(cfg_r.app);
-                    let mut hooks = ReplayHooks { factors };
-                    let (outcome, _, _) = run_once_resumable(
-                        cfg_r,
-                        Strategy::Normal,
-                        profiles,
-                        None,
-                        0,
-                        &mut |_| {},
-                        scratch,
-                        &mut hooks,
-                    );
-                    gate.release();
-                    Some(outcome)
-                })
-            })
-            .collect();
-        let mut outs = Vec::with_capacity(n);
-        let mut panics: Vec<String> = Vec::new();
-        for (r, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(out) => outs.push(out),
-                Err(p) => panics.push(format!(
-                    "rack {r} baseline panicked: {}",
-                    panic_message(p.as_ref())
-                )),
-            }
-        }
-        if panics.is_empty() {
-            Ok(outs)
-        } else {
-            Err(panics.join("; "))
-        }
-    });
-    let baselines = baselines?;
-
-    let outcomes: Vec<BurstOutcome> = mains
-        .into_iter()
-        .zip(baselines)
-        .enumerate()
-        .map(|(r, ((main, _, _), baseline))| crate::engine::judge(&rack_cfgs[r], main, baseline))
-        .collect();
-
-    let route_stats: Vec<RackRouteStats> = (0..n)
+/// Assemble a completed datacenter run's outcome from the driver's state.
+fn datacenter_outcome(run: SiteRun) -> DatacenterOutcome {
+    let st = run.st;
+    // A batch run never quarantines: every rack has an outcome.
+    let outcomes: Vec<BurstOutcome> = run.racks.into_iter().flatten().collect();
+    let route_stats: Vec<RackRouteStats> = (0..outcomes.len())
         .map(|r| {
-            let col = &applied_cols[r];
+            let col: Vec<f64> = st.rows.iter().map(|row| row.applied[r]).collect();
             let sum: f64 = col.iter().sum();
             RackRouteStats {
                 mean_factor: if col.is_empty() {
@@ -976,34 +1530,86 @@ fn run_stepped(
                 },
                 min_factor: col.iter().copied().fold(f64::INFINITY, f64::min),
                 max_factor: col.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                partition_epochs: st.per_rack_partition[r],
-                degraded_epochs: st.per_rack_degraded[r],
+                partition_epochs: st.partition_epochs[r],
+                degraded_epochs: st.degraded_epochs[r],
             }
         })
         .collect();
-
+    let (factors, applied_factors) = st
+        .rows
+        .into_iter()
+        .map(|row| (row.factors, row.applied))
+        .unzip();
     let mean_speedup =
         outcomes.iter().map(|o| o.speedup_vs_normal).sum::<f64>() / outcomes.len() as f64;
-    Ok(DatacenterOutcome {
+    DatacenterOutcome {
         mean_speedup,
         re_used_wh: outcomes.iter().map(|o| o.re_used_wh).sum(),
         battery_used_wh: outcomes.iter().map(|o| o.battery_used_wh).sum(),
         curtailed_wh: outcomes.iter().map(|o| o.curtailed_wh).sum(),
         racks: outcomes,
-        partition_epochs: st.per_rack_partition.iter().sum(),
-        degraded_epochs: st.per_rack_degraded.iter().sum(),
+        partition_epochs: st.partition_epochs.iter().sum(),
+        degraded_epochs: st.degraded_epochs.iter().sum(),
         blackout_epochs: st.blackout_epochs,
         stale_factor_epochs: st.stale_factor_epochs,
         rerouted_epochs: st.rerouted_epochs,
         link_retries: st.link_retries,
         link_latency_ms: st.link_latency_ms,
         rejoins: st.rejoins,
-        site_events: st.site_events,
+        site_events: st.events,
         site_audit_violations: st.site_audit_violations,
         route_stats,
-        factors: st.computed,
-        applied_factors: st.applied,
-    })
+        factors,
+        applied_factors,
+    }
+}
+
+/// Run the datacenter through the rack driver without snapshots.
+pub fn try_run_datacenter(
+    cfg: &DatacenterConfig,
+    jobs: usize,
+) -> Result<DatacenterOutcome, String> {
+    run_datacenter_with_snapshots(cfg, jobs, 0, &mut |_| {})
+}
+
+/// Run the datacenter through the rack driver, emitting a resumable
+/// [`SiteSnapshot`] at every `snapshot_every`-th epoch boundary
+/// (0 = never). Snapshots capture the full controller state, which the
+/// DES measurement plane cannot serialize — `snapshot_every > 0` requires
+/// [`MeasurementMode::Analytic`].
+pub fn run_datacenter_with_snapshots(
+    cfg: &DatacenterConfig,
+    jobs: usize,
+    snapshot_every: u64,
+    sink: &mut dyn FnMut(&SiteSnapshot),
+) -> Result<DatacenterOutcome, String> {
+    cfg.validate()?;
+    run_site(cfg, jobs, snapshot_every, None, &mut SnapshotSink(sink)).map(datacenter_outcome)
+}
+
+/// Resume a checkpointed datacenter run from its snapshot, finishing with
+/// output byte-identical to the uninterrupted run. Continues emitting
+/// snapshots at the same cadence through `sink`.
+pub fn resume_datacenter_snapshot(
+    snap: SiteSnapshot,
+    jobs: usize,
+    snapshot_every: u64,
+    sink: &mut dyn FnMut(&SiteSnapshot),
+) -> Result<DatacenterOutcome, String> {
+    snap.validate()?;
+    if snap.options.is_some() {
+        return Err(
+            "this is a serve snapshot; resume it with `greensprint serve --resume`".to_string(),
+        );
+    }
+    run_site(
+        &snap.cfg,
+        jobs,
+        snapshot_every,
+        Some((snap.site, snap.racks)),
+        &mut SnapshotSink(sink),
+    )
+    .map(datacenter_outcome)
 }
 
 #[cfg(test)]
@@ -1230,17 +1836,17 @@ mod tests {
             2,
             FaultKind::BrokerPartition { rack: 0, epochs: 3 },
         )]));
-        let mut snaps: Vec<DatacenterSnapshot> = Vec::new();
+        let mut snaps: Vec<SiteSnapshot> = Vec::new();
         let uninterrupted =
             run_datacenter_with_snapshots(&cfg, 2, 2, &mut |s| snaps.push(s.clone())).unwrap();
         // Boundary snapshots at epochs 2, 4, 6, 8 — epoch 4 is
         // mid-partition.
         assert_eq!(snaps.len(), 4);
         let mid = snaps[1].clone();
-        assert_eq!(mid.broker.next_epoch, 4);
-        assert!(mid.broker.pinned[0].is_some(), "not mid-partition");
+        assert_eq!(mid.site.next_epoch, 4);
+        assert!(mid.site.pinned[0].is_some(), "not mid-partition");
         // Round-trip through JSON, as a real crash recovery would.
-        let restored = DatacenterSnapshot::from_json(&mid.to_json().unwrap()).unwrap();
+        let restored = SiteSnapshot::from_json(&mid.to_json().unwrap()).unwrap();
         let resumed = resume_datacenter_snapshot(restored, 3, 2, &mut |_| {}).unwrap();
         assert_eq!(
             serde_json::to_string(&uninterrupted).unwrap(),
@@ -1255,7 +1861,7 @@ mod tests {
             2,
             FaultKind::BrokerPartition { rack: 0, epochs: 2 },
         )]));
-        let mut snaps: Vec<DatacenterSnapshot> = Vec::new();
+        let mut snaps: Vec<SiteSnapshot> = Vec::new();
         let uninterrupted =
             run_datacenter_with_snapshots(&cfg, 2, 5, &mut |s| snaps.push(s.clone())).unwrap();
         // One boundary at epoch 5: the partition (epochs 2..4) has
@@ -1264,14 +1870,14 @@ mod tests {
         // the identical rejoin epoch.
         assert_eq!(snaps.len(), 1);
         let mid = snaps[0].clone();
-        assert_eq!(mid.broker.next_epoch, 5);
-        assert!(mid.broker.pinned[0].is_some(), "not pinned mid-probation");
+        assert_eq!(mid.site.next_epoch, 5);
+        assert!(mid.site.pinned[0].is_some(), "not pinned mid-probation");
         assert!(
-            mid.broker.probation_left[0] > 0 && mid.broker.probation_left[0] < REJOIN_EPOCHS,
+            mid.site.link_probation[0] > 0 && mid.site.link_probation[0] < REJOIN_EPOCHS,
             "snapshot not mid-probation: {} epochs left",
-            mid.broker.probation_left[0]
+            mid.site.link_probation[0]
         );
-        let restored = DatacenterSnapshot::from_json(&mid.to_json().unwrap()).unwrap();
+        let restored = SiteSnapshot::from_json(&mid.to_json().unwrap()).unwrap();
         let resumed = resume_datacenter_snapshot(restored, 2, 5, &mut |_| {}).unwrap();
         assert_eq!(
             serde_json::to_string(&uninterrupted).unwrap(),
@@ -1290,12 +1896,70 @@ mod tests {
     #[test]
     fn resume_rejects_a_tampered_fingerprint() {
         let cfg = fleet(2);
-        let mut snaps: Vec<DatacenterSnapshot> = Vec::new();
+        let mut snaps: Vec<SiteSnapshot> = Vec::new();
         run_datacenter_with_snapshots(&cfg, 2, 3, &mut |s| snaps.push(s.clone())).unwrap();
         let mut snap = snaps[0].clone();
         snap.cfg.template.seed ^= 1;
         let err = resume_datacenter_snapshot(snap, 2, 3, &mut |_| {}).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn resume_rejects_every_truncated_per_rack_vector() {
+        let cfg = fleet(3);
+        let mut snaps: Vec<SiteSnapshot> = Vec::new();
+        run_datacenter_with_snapshots(&cfg, 2, 3, &mut |s| snaps.push(s.clone())).unwrap();
+        let good = snaps[0].clone();
+        good.validate().expect("a real snapshot validates");
+        type Cut = fn(&mut SiteSnapshot);
+        let cuts: [(&str, Cut); 12] = [
+            ("racks", |s| {
+                s.racks.pop();
+            }),
+            ("beliefs", |s| s.site.beliefs.clear()),
+            ("pinned", |s| {
+                s.site.pinned.pop();
+            }),
+            ("link_probation", |s| {
+                s.site.link_probation.pop();
+            }),
+            ("health", |s| {
+                s.site.health.pop();
+            }),
+            ("restarts_used", |s| s.site.restarts_used.clear()),
+            ("probation_left", |s| {
+                s.site.probation_left.pop();
+            }),
+            ("partition_epochs", |s| {
+                s.site.partition_epochs.pop();
+            }),
+            ("degraded_epochs", |s| {
+                s.site.degraded_epochs.pop();
+            }),
+            ("rows", |s| {
+                s.site.rows.pop();
+            }),
+            ("row factors", |s| {
+                s.site.rows[0].factors.pop();
+            }),
+            ("row applied", |s| {
+                s.site.rows[1].applied.pop();
+            }),
+        ];
+        for (name, cut) in cuts {
+            let mut snap = good.clone();
+            cut(&mut snap);
+            assert!(snap.validate().is_err(), "truncated {name} validated");
+            let json = snap.to_json().unwrap();
+            assert!(
+                SiteSnapshot::from_json(&json).is_err(),
+                "truncated {name} parsed"
+            );
+            assert!(
+                resume_datacenter_snapshot(snap, 2, 3, &mut |_| {}).is_err(),
+                "truncated {name} resumed"
+            );
+        }
     }
 
     #[test]
@@ -1306,5 +1970,51 @@ mod tests {
         assert!(err.contains("analytic"), "{err}");
         // Without snapshots DES is fine.
         assert!(try_run_datacenter(&cfg, 2).is_ok());
+    }
+
+    #[test]
+    fn a_permit_returns_to_the_gate_when_its_holder_panics() {
+        let gate = JobGate::new(1);
+        let g = Arc::clone(&gate);
+        let died = std::thread::spawn(move || {
+            let _permit = g.acquire();
+            panic!("dies holding the only permit");
+        })
+        .join();
+        assert!(died.is_err());
+        let (tx, rx) = mpsc::channel();
+        let g = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            let _permit = g.acquire();
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok(),
+            "the permit was lost with its panicking holder"
+        );
+    }
+
+    /// Batch hooks that panic one rack's worker at one epoch.
+    struct Crash(u64, usize);
+
+    impl SiteHooks for Crash {
+        fn inject(&self, k: u64, rack: usize) -> Option<String> {
+            (k == self.0 && rack == self.1).then(|| "injected crash".to_string())
+        }
+    }
+
+    #[test]
+    fn a_rack_death_ends_a_batch_run_with_an_error() {
+        let cfg = fleet(3);
+        // One permit: the dying rack holds the gate when it panics, so a
+        // permit lost to the unwind would starve its siblings forever.
+        for jobs in [1, 3] {
+            let err = match run_site(&cfg, jobs, 0, None, &mut Crash(2, 1)) {
+                Ok(_) => panic!("jobs {jobs}: a dead rack still produced an outcome"),
+                Err(e) => e,
+            };
+            assert!(err.contains("rack 1"), "jobs {jobs}: {err}");
+            assert!(err.contains("injected crash"), "jobs {jobs}: {err}");
+        }
     }
 }

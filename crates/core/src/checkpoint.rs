@@ -18,6 +18,10 @@
 //!   wrapped with enough context ([`EngineSnapshot`]) to resume the run
 //!   and finish with output byte-identical to the uninterrupted run.
 //!
+//! Multi-rack runs (`datacenter`, `serve`) checkpoint one level up: a
+//! [`crate::broker::SiteSnapshot`] holds the broker's state plus one
+//! [`LoopState`] per rack, under its own schema tag, [`SITE_SCHEMA`].
+//!
 //! Snapshots embed a [`fingerprint`] of the crate version, a schema tag,
 //! and the originating configuration; resume refuses a snapshot whose
 //! fingerprint no longer matches, instead of silently continuing a run
@@ -45,10 +49,11 @@ use std::path::{Path, PathBuf};
 /// instead of deserializing into nonsense.
 pub const CHECKPOINT_SCHEMA: &str = "gs-ckpt-1";
 
-/// As [`CHECKPOINT_SCHEMA`], for datacenter (broker + per-rack) snapshots
-/// — bumped when [`crate::broker::BrokerState`] or [`LoopState`] changes
-/// incompatibly.
-pub const DC_CHECKPOINT_SCHEMA: &str = "gs-dc-ckpt-1";
+/// As [`CHECKPOINT_SCHEMA`], for site snapshots
+/// ([`crate::broker::SiteSnapshot`]: broker state + per-rack loop states,
+/// written by both `datacenter` and `serve`) — bumped when
+/// [`crate::broker::SiteState`] or [`LoopState`] changes incompatibly.
+pub const SITE_SCHEMA: &str = "gs-site-1";
 
 /// FNV-1a over the given parts, rendered as a compact hex tag.
 pub fn fingerprint(parts: &[&str]) -> String {

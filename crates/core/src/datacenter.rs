@@ -5,11 +5,13 @@
 //! us to apply computational sprinting in a data center on a per-rack
 //! basis", §II). This module runs many racks — possibly hosting different
 //! applications and strategies — against the same weather, and aggregates
-//! the result. Racks step in lockstep under the [`crate::broker`]: a
-//! deterministic coordinator that routes the fleet's offered load toward
-//! racks with renewable surplus and rides through site-level faults
-//! (rack blackouts, broker↔rack partitions, lossy/laggy control links)
-//! declared in [`DatacenterConfig::site_fault_plan`].
+//! the result. Racks step in lockstep on the [`crate::broker`] rack
+//! driver — the one `serve` runs on too, here with a sim clock and no
+//! site tick: a deterministic coordinator that routes the fleet's offered
+//! load toward racks with renewable surplus and rides through site-level
+//! faults (rack blackouts, broker↔rack partitions, lossy/laggy control
+//! links) declared in [`DatacenterConfig::site_fault_plan`]. A rack whose
+//! worker panics ends the run with an error naming it.
 
 use crate::broker::{rack_engine_config, try_run_datacenter, RackRouteStats};
 use crate::engine::{BurstOutcome, EngineConfig};
@@ -137,7 +139,7 @@ pub struct DatacenterOutcome {
     pub applied_factors: Vec<Vec<f64>>,
 }
 
-/// Run every rack through the stepped broker (racks parallelize across OS
+/// Run every rack through the rack driver (racks parallelize across OS
 /// threads; results are byte-identical at any parallelism) and aggregate.
 /// Panics on an invalid configuration — use
 /// [`crate::broker::try_run_datacenter`] to handle untrusted input.

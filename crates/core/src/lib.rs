@@ -65,8 +65,8 @@ pub mod sweep;
 
 pub use audit::{EpochFlows, InvariantAuditor, SiteFlows};
 pub use broker::{
-    datacenter_fingerprint, resume_datacenter_snapshot, run_datacenter_with_snapshots,
-    try_run_datacenter, BrokerState, DatacenterSnapshot, RackBelief, RackRouteStats,
+    resume_datacenter_snapshot, run_datacenter_with_snapshots, try_run_datacenter, DirectiveRow,
+    RackBelief, RackRouteStats, SiteSnapshot, SiteState,
 };
 pub use campaign::{
     run_campaign, try_run_campaign, try_run_campaign_with_snapshots, CampaignConfig,
@@ -74,8 +74,7 @@ pub use campaign::{
 };
 pub use checkpoint::{
     config_fingerprint, fingerprint, points_digest, EngineSnapshot, Journal, JournalError,
-    JournalHeader, LoadedJournal, LoopState, MainCarry, RunPhase, SnapshotScope,
-    DC_CHECKPOINT_SCHEMA,
+    JournalHeader, LoadedJournal, LoopState, MainCarry, RunPhase, SnapshotScope, SITE_SCHEMA,
 };
 pub use cluster_view::{run_cluster, ClusterOutcome, GridSprintPolicy};
 pub use config::{AvailabilityLevel, GreenConfig};
@@ -100,8 +99,8 @@ pub use predictor::{ClearSkyIndexedPredictor, Predictor};
 pub use profiler::ProfileTable;
 pub use qlearning::{PolicyError, QLearner, TableStats};
 pub use serve::{
-    serve, ControlBackend, DirectiveRow, DisturbancePlan, OverrunPolicy, ServeArgs,
-    ServeDcSideState, ServeError, ServeOptions, ServeSnapshot, ServeSummary, SERVE_SCHEMA_V2,
+    serve, ControlBackend, DisturbancePlan, OverrunPolicy, ServeArgs, ServeError, ServeOptions,
+    ServeSideState, ServeSnapshot, ServeSummary,
 };
 pub use supervisor::{
     epoch_budget, panic_message, run_supervised_sweep, FailureRecord, RackHealth, RackSupervisor,
@@ -116,12 +115,13 @@ pub use sweep::{
 pub mod prelude {
     pub use crate::audit::{EpochFlows, InvariantAuditor, SiteFlows};
     pub use crate::broker::{
-        datacenter_fingerprint, resume_datacenter_snapshot, run_datacenter_with_snapshots,
-        try_run_datacenter, BrokerState, DatacenterSnapshot, RackRouteStats,
+        resume_datacenter_snapshot, run_datacenter_with_snapshots, try_run_datacenter,
+        DirectiveRow, RackRouteStats, SiteSnapshot, SiteState,
     };
     pub use crate::campaign::{run_campaign, try_run_campaign, CampaignConfig, CampaignOutcome};
     pub use crate::checkpoint::{
         config_fingerprint, EngineSnapshot, Journal, JournalError, JournalHeader, LoadedJournal,
+        SITE_SCHEMA,
     };
     pub use crate::config::{AvailabilityLevel, GreenConfig};
     pub use crate::datacenter::{run_datacenter, DatacenterConfig, DatacenterOutcome, RackSpec};

@@ -4,8 +4,9 @@
 //! The batch engine answers "what would the controller have done"; serve
 //! answers "do it, now, and survive the real world doing it". The same
 //! [`crate::engine`] loop runs tick-by-tick against a clock — one
-//! supervised worker thread per rack, `--racks 1` included, under one
-//! orchestrator that owns the site tick — with:
+//! supervised worker thread per rack, `--racks 1` included, on the
+//! [`crate::broker`] rack driver that `datacenter` uses too; serve plugs
+//! its site tick into that driver as its site hooks — with:
 //!
 //! * **Live telemetry** — trace replay at a configurable real-time rate,
 //!   plus an optional line-delimited supply feed (file or stdin) whose
@@ -41,7 +42,6 @@
 use std::collections::VecDeque;
 use std::fs;
 use std::io::{BufRead, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -52,29 +52,16 @@ use gs_cluster::control::{
     apply_with_retry, FlakyControl, RetryPolicy, ServerControl, SimControl, SysfsControl,
 };
 use gs_cluster::ServerSetting;
-use gs_sim::{SimDuration, SimRng, SimTime};
+use gs_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::audit::{InvariantAuditor, SiteFlows};
-use crate::broker::{conserved_factors, RackBelief, REROUTE_EPS};
-use crate::checkpoint::{config_fingerprint, LoopState};
-use crate::engine::{
-    judge, run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord,
-    MeasurementMode, TickDirective,
-};
-use crate::fleet::EngineScratch;
+use crate::broker::{run_site, DirectiveRow, RackReport, SiteHooks, SiteRun};
+use crate::datacenter::{DatacenterConfig, RackSpec};
+use crate::engine::{BurstOutcome, EngineConfig, EpochRecord, MeasurementMode, TickDirective};
 use crate::net::{
     parse_frame, NetConfig, NetPlane, NetShared, NetSummary, RackStat, DEFAULT_MAX_LINE_LEN,
 };
-use crate::pmk::Strategy;
-use crate::profiler::ProfileTable;
-use crate::supervisor::{panic_message, RackHealth, RackSupervisor};
-
-/// Schema tag of a [`ServeSnapshot`]: the whole-daemon checkpoint
-/// embedding every rack's [`LoopState`] plus the orchestrator's
-/// [`ServeDcSideState`], so SIGKILL + `--resume` is byte-identical even
-/// mid-rack-outage.
-pub const SERVE_SCHEMA_V2: &str = "gs-serve-2";
+use crate::supervisor::{RackHealth, RackSupervisor};
 
 /// Serve-level watchdog: consecutive actuation failures on one server
 /// before serve stops commanding sprint settings to it.
@@ -219,8 +206,9 @@ pub struct ServeOptions {
     /// Metrics buffer capacity in lines (drop-oldest beyond it).
     pub metrics_buffer: usize,
     /// Snapshot every N epochs (0 = only the drain snapshot). Per-rack
-    /// [`LoopState`] captures and whole-daemon snapshots share this
-    /// cadence so every checkpoint is mutually consistent.
+    /// [`LoopState`](crate::checkpoint::LoopState) captures and
+    /// whole-daemon snapshots share this cadence so every checkpoint is
+    /// mutually consistent.
     pub snapshot_every: u64,
     /// Bounded retries per actuation failure.
     pub control_retries: u32,
@@ -253,8 +241,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// Serve's own mutable state alongside the engine's [`LoopState`] —
-/// snapshotted with it so counters and the feed cursor survive a crash.
+/// Serve's own mutable state alongside the engine's
+/// [`LoopState`](crate::checkpoint::LoopState) — snapshotted with it so
+/// counters and the feed cursor survive a crash.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 #[serde(default)]
 pub struct ServeSideState {
@@ -287,117 +276,11 @@ pub struct ServeSideState {
     pub watchdog_stalls: u64,
 }
 
-/// One epoch's orchestrator directive, logged so a restarted (or
-/// resumed) rack worker can deterministically replay the epochs it
-/// missed: the same supply override, staleness verdict, demotion, and
-/// routed load factors the live run applied.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DirectiveRow {
-    /// Live supply override handed to every rack (None = trace).
-    pub supply_w: Option<f64>,
-    /// Telemetry declared stale this epoch.
-    pub stale: bool,
-    /// Forced ladder demotion, if any.
-    pub demote: Option<String>,
-    /// Per-rack conserved load factors.
-    pub factors: Vec<f64>,
-}
-
-/// The orchestrator's snapshot-persisted state: everything beyond the
-/// per-rack [`LoopState`]s that shapes the deterministic stream or the
-/// restart ladder.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-#[serde(default)]
-pub struct ServeDcSideState {
-    /// Next epoch the orchestrator will execute. Explicit rather than
-    /// derived from a rack state: every rack could be quarantined.
-    pub next_epoch: u64,
-    /// Last settled telemetry per rack (drives the routing factors).
-    pub beliefs: Vec<RackBelief>,
-    /// False until the first epoch settles (epoch 0 routes evenly).
-    pub has_telemetry: bool,
-    /// Per-rack health ladder position.
-    pub health: Vec<RackHealth>,
-    /// Per-rack restarts consumed.
-    pub restarts_used: Vec<u32>,
-    /// Per-rack probation epochs remaining.
-    pub probation_left: Vec<u32>,
-    /// Full directive history from epoch 0 (indexed by epoch), kept for
-    /// restart replay and the end-of-run baseline comparison.
-    pub rows: Vec<DirectiveRow>,
-    /// Worker restarts performed.
-    pub rack_restarts: u64,
-    /// Worker deaths classified as panics.
-    pub rack_panics_seen: u64,
-    /// Worker deaths classified as stalls.
-    pub rack_stalls_seen: u64,
-    /// Racks pushed to quarantine (restart budget exhausted).
-    pub racks_quarantined: u64,
-    /// Epochs in which load was actively rerouted around a dead rack.
-    pub rerouted_epochs: u64,
-    /// Site-level conservation audit violations (must stay empty).
-    pub site_audit_violations: Vec<String>,
-    /// Human-readable supervision event log.
-    pub events: Vec<String>,
-}
-
-/// A serve checkpoint: every rack's engine state plus the orchestrator's
-/// and serve's own state plus enough configuration to restart with no
-/// flags beyond `--resume`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeSnapshot {
-    /// Always [`SERVE_SCHEMA_V2`].
-    pub schema: String,
-    /// Build/config fingerprint of `cfg` (recomputed and checked on load).
-    pub fingerprint: String,
-    /// The engine configuration the daemon is serving.
-    pub cfg: EngineConfig,
-    /// The deterministic serve options.
-    pub options: ServeOptions,
-    /// Per-rack captured loop states (`None` for a rack quarantined
-    /// before its first capture).
-    pub racks: Vec<Option<LoopState>>,
-    /// Orchestrator state.
-    pub dc: ServeDcSideState,
-    /// Serve's own captured state.
-    pub serve: ServeSideState,
-}
-
-impl ServeSnapshot {
-    /// Parse and verify a snapshot: schema must match and the embedded
-    /// fingerprint must equal the one recomputed from the embedded
-    /// config under *this* build.
-    pub fn from_json(text: &str) -> Result<Self, ServeError> {
-        let snap: ServeSnapshot = serde_json::from_str(text).map_err(|e| {
-            ServeError::Snapshot(format!(
-                "unparseable serve snapshot (this build reads {SERVE_SCHEMA_V2:?}): {e}"
-            ))
-        })?;
-        if snap.schema != SERVE_SCHEMA_V2 {
-            return Err(ServeError::Snapshot(format!(
-                "snapshot schema {:?} is not {SERVE_SCHEMA_V2:?}",
-                snap.schema
-            )));
-        }
-        let expect = serve_fingerprint(&snap.cfg);
-        if snap.fingerprint != expect {
-            return Err(ServeError::Snapshot(format!(
-                "snapshot fingerprint {} does not match this build/config ({expect})",
-                snap.fingerprint
-            )));
-        }
-        Ok(snap)
-    }
-}
-
-/// The fingerprint a [`ServeSnapshot`] carries for `cfg`.
-pub fn serve_fingerprint(cfg: &EngineConfig) -> String {
-    // A config that cannot serialize fingerprints as the empty string —
-    // deterministic on both the write and verify sides, so it still
-    // round-trips instead of panicking the daemon.
-    let json = serde_json::to_string(cfg).unwrap_or_default();
-    config_fingerprint(&json)
-}
+/// A serve checkpoint is the rack driver's one
+/// [`SiteSnapshot`](crate::broker::SiteSnapshot): every rack's engine
+/// state, the broker's state, and — serve only — the daemon's options and
+/// its own counters, enough to restart with no flags beyond `--resume`.
+pub use crate::broker::SiteSnapshot as ServeSnapshot;
 
 /// Which control plane the applied settings are mirrored onto.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -479,6 +362,8 @@ pub enum ServeError {
     Snapshot(String),
     /// An I/O failure on a serve-owned file.
     Io(std::io::Error),
+    /// The rack driver could not finish the run.
+    Rack(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -487,6 +372,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Config(s) => write!(f, "serve config error: {s}"),
             ServeError::Snapshot(s) => write!(f, "serve snapshot error: {s}"),
             ServeError::Io(e) => write!(f, "serve I/O error: {e}"),
+            ServeError::Rack(s) => write!(f, "serve rack error: {s}"),
         }
     }
 }
@@ -751,12 +637,12 @@ struct NetHandle {
     rx: mpsc::Receiver<f64>,
 }
 
-/// The site tick the orchestrator runs once per epoch for the whole
-/// site: telemetry, deadline accounting, actuation, metrics, heartbeat
-/// and snapshot files.
+/// Serve's site hooks on the rack driver, run once per epoch for the
+/// whole site: telemetry, deadline accounting, admin requests, fault
+/// injection, actuation, metrics, heartbeat and snapshot files, pacing.
 struct ServeDriver {
     opts: ServeOptions,
-    cfg_fingerprint: String,
+    /// The served rack's configuration (every rack runs a copy).
     cfg: EngineConfig,
     sim_time: bool,
     rate: f64,
@@ -769,6 +655,10 @@ struct ServeDriver {
     late_demote: Option<String>,
     feed: Option<FeedSource>,
     net: Option<NetHandle>,
+    /// The running network plane, stopped once the loop ends.
+    net_plane: Option<NetPlane>,
+    /// The stopped plane's counters.
+    net_summary: Option<NetSummary>,
     metrics: MetricsSink,
     heartbeat_path: Option<PathBuf>,
     snapshot_path: Option<PathBuf>,
@@ -777,6 +667,10 @@ struct ServeDriver {
     /// Suppress metrics emission for epochs below this (already durable
     /// from the interrupted run).
     emit_from: u64,
+    /// The epoch this process started at (0, or the resume epoch).
+    start_k: u64,
+    /// Drain after this many epochs of this process.
+    drain_after: Option<u64>,
     /// Stale/overrun annotation for the epoch in flight (the tick
     /// decides, the metrics line records).
     cur_stale: bool,
@@ -951,21 +845,6 @@ impl ServeDriver {
         }
     }
 
-    fn pace(&self) {
-        if !self.throttle.is_zero() {
-            std::thread::sleep(self.throttle);
-        }
-        // Real-time replay: one epoch of sim time per (epoch / rate) of
-        // wall time, measured from the tick's start.
-        if let Some(started) = self.tick_started {
-            let target =
-                Duration::from_secs_f64(self.cfg.epoch.as_secs_f64()).div_f64(self.rate.max(1e-9));
-            if let Some(rest) = target.checked_sub(started.elapsed()) {
-                std::thread::sleep(rest);
-            }
-        }
-    }
-
     /// Real-time deadline check on the tick's own work — boundary
     /// snapshot, telemetry, the racks' epoch and actuation — taken before
     /// its metrics line is built and before any throttle or rate sleep, so
@@ -1123,171 +1002,153 @@ fn prepare_metrics_for_resume(path: &Path) -> Result<Option<u64>, ServeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Rack serving: one supervised worker thread per rack, the
-// conserved-routing broker math between them, deterministic
-// restart-from-snapshot, and a whole-daemon checkpoint.
+// The site hooks: serve's per-epoch work around the rack driver
+// (`crate::broker::run_site`), which owns the rack workers, routing,
+// supervision and the directive log.
 // ---------------------------------------------------------------------------
 
-/// One epoch's command from the orchestrator to a rack worker.
-struct ServeRackDirective {
-    load_factor: f64,
-    supply_w: Option<f64>,
-    telemetry_stale: bool,
-    demote: Option<String>,
-    /// Drain at this epoch: capture a final state and exit cleanly.
-    last: bool,
-    /// Fault injection: panic the worker with this payload *before*
-    /// executing the epoch (the deterministic stand-in for a worker
-    /// crash — the epoch itself is never half-executed).
-    panic_with: Option<String>,
-}
+impl SiteHooks for ServeDriver {
+    fn restart_budget(&self) -> Option<u32> {
+        Some(self.opts.rack_restarts)
+    }
 
-/// What a rack worker sends back on its message channel.
-enum RackWireMsg {
-    /// A boundary (or drain) [`LoopState`] capture.
-    Snapshot(Box<LoopState>),
-    /// The epoch settled: its record plus the applied settings.
-    Report(Box<EpochRecord>, Vec<ServerSetting>),
-    /// The worker is dying with this panic payload.
-    Died(String),
-}
-
-/// The worker-side hooks: every epoch blocks on a directive, applies
-/// it, and reports the settled record back. Snapshots ride the same
-/// channel so the orchestrator sees them in stream order.
-struct ServeRackHooks {
-    dir_rx: mpsc::Receiver<ServeRackDirective>,
-    msg_tx: mpsc::Sender<RackWireMsg>,
-    last: bool,
-}
-
-impl EpochHooks for ServeRackHooks {
-    fn before_epoch(&mut self, _k: u64, _t: SimTime) -> TickDirective {
-        // A vanished orchestrator is unrecoverable for a worker; the
-        // panic routes into the supervisor's catch_unwind like any other
-        // death.
-        let Ok(d) = self.dir_rx.recv() else {
-            panic!("orchestrator disconnected");
-        };
-        if let Some(msg) = d.panic_with {
-            panic!("{msg}");
-        }
-        self.last = d.last;
-        TickDirective {
-            supply_w: d.supply_w,
-            telemetry_stale: d.telemetry_stale,
-            demote: d.demote,
-            load_factor: Some(d.load_factor),
+    fn begin_tick(&mut self) {
+        // The tick's wall clock (real time only) covers its boundary
+        // snapshot, site tick, racks and actuation.
+        if !self.sim_time {
+            self.tick_started = Some(Instant::now());
         }
     }
 
-    fn after_epoch(&mut self, _k: u64, rec: &EpochRecord, settings: &[ServerSetting]) -> bool {
-        let _ = self
-            .msg_tx
-            .send(RackWireMsg::Report(Box::new(*rec), settings.to_vec()));
-        !self.last
+    fn tick(&mut self, k: u64, t: SimTime) -> TickDirective {
+        self.tick_directive(k, t)
     }
 
-    fn on_snapshot(&mut self, state: &LoopState) {
-        let _ = self
-            .msg_tx
-            .send(RackWireMsg::Snapshot(Box::new(state.clone())));
+    fn admin_requests(&mut self) -> (Vec<u32>, Vec<u32>) {
+        self.net
+            .as_ref()
+            .map_or((Vec::new(), Vec::new()), |n| n.shared.take_rack_requests())
     }
-}
 
-/// The orchestrator's handle on one rack worker thread.
-struct RackWorker {
-    dir_tx: mpsc::Sender<ServeRackDirective>,
-    msg_rx: mpsc::Receiver<RackWireMsg>,
-    handle: std::thread::JoinHandle<Option<BurstOutcome>>,
-}
+    fn inject(&self, k: u64, rack: usize) -> Option<String> {
+        let plan = self.opts.disturbances.as_ref()?;
+        if plan.rack_stall_at(k, rack as u32) {
+            Some(format!("injected rack stall at epoch {k}"))
+        } else if plan.rack_panic_at(k, rack as u32) {
+            Some(format!("injected rack panic at epoch {k}"))
+        } else {
+            None
+        }
+    }
 
-/// Spawn rack worker: the rack's engine loop on its own thread behind
-/// `catch_unwind`, resuming from `resume` when given. A panic anywhere
-/// inside becomes a [`RackWireMsg::Died`] on the message channel — the
-/// orchestrator's recv loop is the only place deaths surface.
-fn spawn_rack_worker(
-    cfg: &EngineConfig,
-    resume: Option<LoopState>,
-    snapshot_every: u64,
-) -> RackWorker {
-    let (dir_tx, dir_rx) = mpsc::channel();
-    let (msg_tx, msg_rx) = mpsc::channel();
-    let cfg = cfg.clone();
-    let death_tx = msg_tx.clone();
-    let handle = std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(move || {
-            let profiles = ProfileTable::cached(cfg.app);
-            let mut scratch = EngineScratch::new();
-            let mut hooks = ServeRackHooks {
-                dir_rx,
-                msg_tx,
-                last: false,
-            };
-            let (outcome, _monitor, _policy) = run_once_resumable(
-                &cfg,
-                cfg.strategy,
-                profiles,
-                resume,
-                snapshot_every,
-                &mut |_| {},
-                &mut scratch,
-                &mut hooks,
+    fn drain_at(&mut self, k: u64) -> bool {
+        TERM_REQUESTED.load(Ordering::SeqCst)
+            || self
+                .net
+                .as_ref()
+                .is_some_and(|n| n.shared.drain_requested())
+            || self.drain_after.is_some_and(|d| k - self.start_k + 1 >= d)
+    }
+
+    fn settled(
+        &mut self,
+        k: u64,
+        reports: &[Option<RackReport>],
+        sup: &RackSupervisor,
+        row: &DirectiveRow,
+    ) {
+        // Actuate the site's concatenated settings, emit the aggregate
+        // line, then the per-rack topic lines (hub/ring only).
+        let n_servers = self.cfg.green.green_servers;
+        let mut all_settings: Vec<ServerSetting> = Vec::with_capacity(reports.len() * n_servers);
+        for rep in reports {
+            let settings = rep.as_ref().map_or(&[][..], |(_, s)| s.as_slice());
+            all_settings.extend(settings.iter().copied());
+            let missing = n_servers.saturating_sub(settings.len());
+            all_settings.extend(std::iter::repeat_n(ServerSetting::normal(), missing));
+        }
+        let retries_before = self.side.actuation_retries;
+        let failures_before = self.side.actuation_failures;
+        let clamped_before = self.side.control_clamped;
+        self.actuate(k, &all_settings);
+        self.check_tick_budget();
+        if let Some(agg) = aggregate_reports(reports) {
+            self.emit_record(
+                k,
+                &agg,
+                self.side.actuation_retries - retries_before,
+                self.side.actuation_failures - failures_before,
+                self.side.control_clamped - clamped_before,
             );
-            outcome
-        }));
-        match result {
-            Ok(outcome) => Some(outcome),
-            Err(p) => {
-                let _ = death_tx.send(RackWireMsg::Died(panic_message(p.as_ref())));
-                None
+            if k >= self.emit_from {
+                if let Some(net) = &self.net {
+                    for (r, rep) in reports.iter().enumerate() {
+                        if let Some((rec, _)) = rep {
+                            if let Some(json) = rack_metrics_line(r, k, rec) {
+                                net.shared.publish(k, json);
+                            }
+                        }
+                    }
+                }
             }
         }
-    });
-    RackWorker {
-        dir_tx,
-        msg_rx,
-        handle,
-    }
-}
 
-/// Build rack `r`'s directive from a logged row.
-fn directive_from_row(
-    row: &DirectiveRow,
-    rack: usize,
-    last: bool,
-    panic_with: Option<String>,
-) -> ServeRackDirective {
-    ServeRackDirective {
-        load_factor: row.factors.get(rack).copied().unwrap_or(1.0),
-        supply_w: row.supply_w,
-        telemetry_stale: row.stale,
-        demote: row.demote.clone(),
-        last,
-        panic_with,
-    }
-}
-
-/// Baseline-replay hooks: feed a finished run's directive history back
-/// through a `Strategy::Normal` run of one rack, so the floor judgment
-/// compares like-for-like — same routed load factors, supply overrides,
-/// and staleness verdicts (ladder demotions don't apply at the floor).
-struct RowReplayHooks<'a> {
-    rows: &'a [DirectiveRow],
-    rack: usize,
-}
-
-impl EpochHooks for RowReplayHooks<'_> {
-    fn before_epoch(&mut self, k: u64, _t: SimTime) -> TickDirective {
-        match self.rows.get(k as usize) {
-            Some(row) => TickDirective {
-                supply_w: row.supply_w,
-                telemetry_stale: row.stale,
-                demote: None,
-                load_factor: Some(row.factors.get(self.rack).copied().unwrap_or(1.0)),
-            },
-            None => TickDirective::default(),
+        // Live rack-health mirror for the admin STATUS verb (runtime
+        // observability only — never enters the deterministic stream).
+        if let Some(net) = &self.net {
+            net.shared.set_rack_status(
+                (0..reports.len())
+                    .map(|r| RackStat {
+                        rack: r as u32,
+                        health: sup.health[r].to_string(),
+                        restarts: sup.restarts_used[r],
+                        factor: row.applied[r],
+                    })
+                    .collect(),
+            );
         }
+    }
+
+    /// Flush-before-snapshot: every epoch the snapshot believes executed
+    /// must already be durable in the metrics file, or a crash right after
+    /// the write would leave a gap no resume can fill. A stalled sink
+    /// therefore skips the snapshot too.
+    fn snapshot_due(&mut self) -> bool {
+        self.metrics.drain() && self.snapshot_path.is_some()
+    }
+
+    fn on_snapshot(&mut self, mut snap: ServeSnapshot) {
+        let Some(path) = &self.snapshot_path else {
+            return;
+        };
+        snap.options = Some(self.opts.clone());
+        snap.serve = Some(self.side.clone());
+        if let Ok(text) = snap.to_json() {
+            let _ = write_atomic(path, &text);
+        }
+    }
+
+    fn pace(&mut self) {
+        if !self.throttle.is_zero() {
+            std::thread::sleep(self.throttle);
+        }
+        // Real-time replay: one epoch of sim time per (epoch / rate) of
+        // wall time, measured from the tick's start.
+        if let Some(started) = self.tick_started {
+            let target =
+                Duration::from_secs_f64(self.cfg.epoch.as_secs_f64()).div_f64(self.rate.max(1e-9));
+            if let Some(rest) = target.checked_sub(started.elapsed()) {
+                std::thread::sleep(rest);
+            }
+        }
+    }
+
+    fn finish(&mut self) {
+        // Whatever the loop left buffered goes out now; then stop the
+        // plane, so subscribers get every emitted line flushed before the
+        // FIN.
+        self.metrics.drain();
+        self.net_summary = self.net_plane.take().map(NetPlane::stop);
     }
 }
 
@@ -1302,283 +1163,11 @@ fn rack_metrics_line(rack: usize, epoch: u64, rec: &EpochRecord) -> Option<Strin
     ))
 }
 
-/// Where in the epoch protocol a rack worker died — decides how the
-/// restarted worker is re-synchronized with the fleet.
-#[derive(Clone, Copy)]
-enum DeathPhase {
-    /// Before sending its epoch-`k` boundary capture: the replay re-hits
-    /// the boundary and the replacement's capture stands in.
-    Boundary,
-    /// Before the epoch-`k` directive was sent (admin re-admission
-    /// catch-up): the replacement just waits for the directive.
-    PreTick,
-    /// Holding or executing the epoch-`k` directive: the directive is
-    /// re-sent (without injection) and the epoch re-executes.
-    Tick {
-        /// Whether the re-sent directive is the drain epoch.
-        last: bool,
-    },
-    /// During the drain capture after epoch `k` settled: the epoch
-    /// re-executes (its report is discarded — the aggregate already
-    /// includes it) and the drain capture is re-taken.
-    DrainCapture,
-}
-
-/// The orchestrator's mutable rack state, bundled so the restart
-/// protocol can be a method instead of a 9-argument function.
-struct DcRun {
-    rack_cfgs: Vec<EngineConfig>,
-    every: u64,
-    workers: Vec<Option<RackWorker>>,
-    rack_states: Vec<Option<LoopState>>,
-    sup: RackSupervisor,
-    dc: ServeDcSideState,
-}
-
-impl DcRun {
-    /// Mirror the supervisor's ladder into the snapshot-persisted state.
-    fn sync_supervisor(&mut self) {
-        self.dc.health = self.sup.health.clone();
-        self.dc.restarts_used = self.sup.restarts_used.clone();
-        self.dc.probation_left = self.sup.probation_left.clone();
-    }
-
-    /// Spawn a fresh worker for rack `r` from its last captured state
-    /// and deterministically replay the logged directives up to (not
-    /// including) epoch `k`. Replayed reports are discarded — those
-    /// epochs already settled into the aggregate stream. Returns the
-    /// caught-up worker, or the death message if it died again.
-    fn catch_up(&mut self, r: usize, k: u64) -> Result<RackWorker, String> {
-        let w = spawn_rack_worker(&self.rack_cfgs[r], self.rack_states[r].clone(), self.every);
-        let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
-        for j in from..k {
-            let d = directive_from_row(&self.dc.rows[j as usize], r, false, None);
-            if w.dir_tx.send(d).is_err() {
-                return Err(format!(
-                    "rack {r} worker exited during its epoch {j} replay"
-                ));
-            }
-            loop {
-                match w.msg_rx.recv() {
-                    Ok(RackWireMsg::Snapshot(s)) => self.rack_states[r] = Some(*s),
-                    Ok(RackWireMsg::Report(..)) => break,
-                    Ok(RackWireMsg::Died(m)) => return Err(m),
-                    Err(_) => {
-                        return Err(format!(
-                            "rack {r} worker exited during its epoch {j} replay"
-                        ))
-                    }
-                }
-            }
-        }
-        Ok(w)
-    }
-
-    /// Re-synchronize a caught-up replacement worker with the fleet and
-    /// install it. On `Err` the replacement died too.
-    fn finish_restart(
-        &mut self,
-        w: RackWorker,
-        r: usize,
-        k: u64,
-        phase: DeathPhase,
-    ) -> Result<(), String> {
-        match phase {
-            DeathPhase::Boundary => match w.msg_rx.recv() {
-                Ok(RackWireMsg::Snapshot(s)) => self.rack_states[r] = Some(*s),
-                Ok(RackWireMsg::Report(..)) => {
-                    return Err(format!(
-                        "protocol error: rack {r} sent telemetry in place of its epoch {k} \
-                         boundary capture"
-                    ));
-                }
-                Ok(RackWireMsg::Died(m)) => return Err(m),
-                Err(_) => {
-                    return Err(format!(
-                        "rack {r} worker exited at the epoch {k} snapshot boundary"
-                    ));
-                }
-            },
-            DeathPhase::PreTick => {}
-            DeathPhase::Tick { last } => {
-                let d = directive_from_row(&self.dc.rows[k as usize], r, last, None);
-                w.dir_tx.send(d).map_err(|_| {
-                    format!("rack {r} worker exited before its re-sent epoch {k} directive")
-                })?;
-            }
-            DeathPhase::DrainCapture => {
-                let d = directive_from_row(&self.dc.rows[k as usize], r, true, None);
-                w.dir_tx.send(d).map_err(|_| {
-                    format!("rack {r} worker exited before its re-sent drain directive")
-                })?;
-                // The re-executed epoch's report is already aggregated.
-                loop {
-                    match w.msg_rx.recv() {
-                        Ok(RackWireMsg::Snapshot(s)) => self.rack_states[r] = Some(*s),
-                        Ok(RackWireMsg::Report(..)) => break,
-                        Ok(RackWireMsg::Died(m)) => return Err(m),
-                        Err(_) => {
-                            return Err(format!(
-                                "rack {r} worker exited re-executing its drain epoch {k}"
-                            ));
-                        }
-                    }
-                }
-                match w.msg_rx.recv() {
-                    Ok(RackWireMsg::Snapshot(s)) => self.rack_states[r] = Some(*s),
-                    Ok(RackWireMsg::Report(..)) => {
-                        return Err(format!(
-                            "protocol error: rack {r} sent telemetry in place of its drain \
-                             capture"
-                        ));
-                    }
-                    Ok(RackWireMsg::Died(m)) => return Err(m),
-                    Err(_) => {
-                        return Err(format!("rack {r} worker exited before its drain capture"));
-                    }
-                }
-            }
-        }
-        self.workers[r] = Some(w);
-        Ok(())
-    }
-
-    /// A worker for rack `r` died at epoch `k`: classify the death,
-    /// restart from the rack's last captured [`LoopState`] within the
-    /// budget (deterministically replaying every epoch it missed), or
-    /// quarantine it and zero its belief so the next factor computation
-    /// reroutes its share to the survivors. Returns true if the rack is
-    /// alive again.
-    fn handle_death(&mut self, r: usize, k: u64, mut msg: String, phase: DeathPhase) -> bool {
-        loop {
-            if msg.contains("injected rack stall") {
-                self.dc.rack_stalls_seen += 1;
-            } else {
-                self.dc.rack_panics_seen += 1;
-            }
-            // Reap the dead thread before spawning its replacement.
-            if let Some(w) = self.workers[r].take() {
-                drop(w.dir_tx);
-                let _ = w.handle.join();
-            }
-            if !self.sup.record_death(r, msg.clone()) {
-                self.dc.racks_quarantined += 1;
-                self.dc.events.push(format!(
-                    "epoch {k}: rack {r} quarantined after exhausting {} restarts: {msg}",
-                    self.sup.max_restarts
-                ));
-                self.dc.beliefs[r] = RackBelief {
-                    re_supply_w: 0.0,
-                    battery_soc: 0.0,
-                    live_servers: 0,
-                    demand_w: 0.0,
-                    goodput_rps: 0.0,
-                    stale: false,
-                };
-                if self.sup.live_count() == 0 {
-                    self.dc.events.push(format!(
-                        "epoch {k}: all racks quarantined; aggregate stream suspended"
-                    ));
-                }
-                return false;
-            }
-            self.dc.rack_restarts += 1;
-            let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
-            self.dc.events.push(format!(
-                "epoch {k}: rack {r} worker died ({msg}); restart {}/{} from snapshot epoch {from}",
-                self.sup.restarts_used[r], self.sup.max_restarts
-            ));
-            match self.catch_up(r, k) {
-                Ok(w) => match self.finish_restart(w, r, k, phase) {
-                    Ok(()) => return true,
-                    Err(m) => msg = m,
-                },
-                Err(m) => msg = m,
-            }
-        }
-    }
-
-    /// Wait for rack `r`'s drain capture (restarting on death).
-    fn await_drain_capture(&mut self, r: usize, k: u64) {
-        let msg = {
-            let Some(w) = self.workers[r].as_ref() else {
-                return;
-            };
-            match w.msg_rx.recv() {
-                Ok(RackWireMsg::Snapshot(s)) => {
-                    self.rack_states[r] = Some(*s);
-                    return;
-                }
-                Ok(RackWireMsg::Report(..)) => {
-                    format!("protocol error: rack {r} sent telemetry in place of its drain capture")
-                }
-                Ok(RackWireMsg::Died(m)) => m,
-                Err(_) => format!("rack {r} worker exited before its drain capture"),
-            }
-        };
-        // On success the restart protocol re-takes the capture itself.
-        let _ = self.handle_death(r, k, msg, DeathPhase::DrainCapture);
-    }
-
-    /// Collect rack `r`'s epoch-`k` report, restarting through deaths.
-    /// `None` means the rack exhausted its budget and was quarantined.
-    fn collect_report(
-        &mut self,
-        r: usize,
-        k: u64,
-        last: bool,
-    ) -> Option<(EpochRecord, Vec<ServerSetting>)> {
-        loop {
-            let msg = {
-                let w = self.workers[r].as_ref()?;
-                match w.msg_rx.recv() {
-                    Ok(RackWireMsg::Snapshot(s)) => {
-                        self.rack_states[r] = Some(*s);
-                        continue;
-                    }
-                    Ok(RackWireMsg::Report(rec, settings)) => return Some((*rec, settings)),
-                    Ok(RackWireMsg::Died(m)) => m,
-                    Err(_) => format!("rack {r} worker exited during epoch {k}"),
-                }
-            };
-            if !self.handle_death(r, k, msg, DeathPhase::Tick { last }) {
-                return None;
-            }
-        }
-    }
-}
-
-/// Write the whole-daemon snapshot. Flush-before-snapshot: every epoch
-/// the snapshot believes executed must already be durable in the metrics
-/// file, or a crash right after this write would leave a gap no resume
-/// can fill. A stalled sink therefore skips the snapshot too.
-fn write_snapshot(driver: &mut ServeDriver, run: &DcRun) {
-    if !driver.metrics.drain() {
-        return;
-    }
-    let Some(path) = &driver.snapshot_path else {
-        return;
-    };
-    let snap = ServeSnapshot {
-        schema: SERVE_SCHEMA_V2.to_string(),
-        fingerprint: driver.cfg_fingerprint.clone(),
-        cfg: driver.cfg.clone(),
-        options: driver.opts.clone(),
-        racks: run.rack_states.clone(),
-        dc: run.dc.clone(),
-        serve: driver.side.clone(),
-    };
-    let Ok(text) = serde_json::to_string(&snap) else {
-        return;
-    };
-    let _ = write_atomic(path, &text);
-}
-
 /// Sum the per-rack records into the site aggregate line (SoC is
 /// averaged). Every field derives from the rack records alone, so the
 /// aggregate is byte-identical whenever the per-rack records are.
 /// `None` when no rack reported (all quarantined).
-fn aggregate_reports(reports: &[Option<(EpochRecord, Vec<ServerSetting>)>]) -> Option<EpochRecord> {
+fn aggregate_reports(reports: &[Option<RackReport>]) -> Option<EpochRecord> {
     let mut it = reports.iter().flatten();
     let (first, _) = it.next()?;
     let mut agg = *first;
@@ -1601,455 +1190,21 @@ fn aggregate_reports(reports: &[Option<(EpochRecord, Vec<ServerSetting>)>]) -> O
     Some(agg)
 }
 
-/// The serve loop, for any rack count: drives the site tick once per
-/// epoch, the conserved routing factors between the rack workers, the
-/// supervision ladder over their deaths, and the aggregate + per-rack
-/// metrics fan-out. `resume` carries a snapshot's orchestrator state and
-/// rack states; `drain_after` stops the run after that many epochs of
-/// this process. See DESIGN.md §8b for the thread/ownership picture.
-fn run_racks(
-    mut driver: ServeDriver,
-    resume: Option<(ServeDcSideState, Vec<Option<LoopState>>)>,
-    n_epochs: u64,
-    drain_after: Option<u64>,
-    net_plane: Option<NetPlane>,
-) -> Result<ServeSummary, ServeError> {
-    let n_racks = driver.opts.racks as usize;
-    let n_servers = driver.cfg.green.green_servers;
-    let rack_servers = vec![n_servers; n_racks];
-    let every = driver.opts.snapshot_every;
-    // A homogeneous fleet of the served config with the broker's
-    // decorrelated-but-reproducible per-rack seed derivation (rack 0
-    // keeps the served seed).
-    let rack_cfgs: Vec<EngineConfig> = (0..n_racks)
-        .map(|i| EngineConfig {
-            seed: driver.cfg.seed.wrapping_add(i as u64 * 0x9E37_79B9),
-            ..driver.cfg.clone()
-        })
-        .collect();
-
-    let resumed = resume.is_some();
-    let (mut dc, rack_states) = match resume {
-        Some((dc, resume_racks)) => {
-            if resume_racks.len() != n_racks
-                || dc.health.len() != n_racks
-                || dc.beliefs.len() != n_racks
-            {
-                return Err(ServeError::Snapshot(
-                    "snapshot rack states do not match the embedded rack count".to_string(),
-                ));
-            }
-            if dc.rows.len() as u64 != dc.next_epoch {
-                return Err(ServeError::Snapshot(
-                    "snapshot directive log is not aligned with its resume epoch".to_string(),
-                ));
-            }
-            for (r, s) in resume_racks.iter().enumerate() {
-                if dc.health[r] != RackHealth::Quarantined
-                    && s.as_ref().map(|st| st.next_epoch) != Some(dc.next_epoch)
-                {
-                    return Err(ServeError::Snapshot(format!(
-                        "rack {r} state is not aligned with the snapshot epoch"
-                    )));
-                }
-            }
-            (dc, resume_racks)
-        }
-        None => (
-            ServeDcSideState {
-                beliefs: (0..n_racks)
-                    .map(|_| RackBelief::initial(n_servers))
-                    .collect(),
-                health: vec![RackHealth::Live; n_racks],
-                restarts_used: vec![0; n_racks],
-                probation_left: vec![0; n_racks],
-                ..ServeDcSideState::default()
-            },
-            (0..n_racks).map(|_| None).collect(),
-        ),
-    };
-    let start_k = dc.next_epoch;
-    let sup = RackSupervisor::restore(
-        driver.opts.rack_restarts,
-        std::mem::take(&mut dc.health),
-        std::mem::take(&mut dc.restarts_used),
-        std::mem::take(&mut dc.probation_left),
-    );
-    let workers: Vec<Option<RackWorker>> = (0..n_racks)
-        .map(|r| {
-            (!sup.quarantined(r))
-                .then(|| spawn_rack_worker(&rack_cfgs[r], rack_states[r].clone(), every))
-        })
-        .collect();
-    let mut run = DcRun {
-        rack_cfgs,
-        every,
-        workers,
-        rack_states,
-        sup,
-        dc,
-    };
-
-    let start_t = SimTime::from_secs_f64(driver.cfg.burst_start_hour * 3_600.0);
-    let epoch_d = driver.cfg.epoch;
-    let mut drained = false;
-
-    for k in start_k..n_epochs {
-        // The tick's wall clock (real time only) covers its boundary
-        // snapshot, site tick, racks and actuation.
-        if !driver.sim_time {
-            driver.tick_started = Some(Instant::now());
-        }
-
-        // Boundary: collect every live rack's capture, then write the
-        // whole-daemon snapshot — same cadence, mutually consistent.
-        if run.every > 0 && k > start_k && k % run.every == 0 {
-            for r in 0..n_racks {
-                if run.sup.quarantined(r) {
-                    continue;
-                }
-                let msg = {
-                    let Some(w) = run.workers[r].as_ref() else {
-                        continue;
-                    };
-                    match w.msg_rx.recv() {
-                        Ok(RackWireMsg::Snapshot(s)) => {
-                            run.rack_states[r] = Some(*s);
-                            continue;
-                        }
-                        Ok(RackWireMsg::Report(..)) => format!(
-                            "protocol error: rack {r} sent telemetry in place of its epoch {k} \
-                             boundary capture"
-                        ),
-                        Ok(RackWireMsg::Died(m)) => m,
-                        Err(_) => {
-                            format!("rack {r} worker exited at the epoch {k} snapshot boundary")
-                        }
-                    }
-                };
-                // Restarted (capture re-taken by the replay) or
-                // quarantined — either way this rack is settled.
-                let _ = run.handle_death(r, k, msg, DeathPhase::Boundary);
-            }
-            run.dc.next_epoch = k;
-            run.sync_supervisor();
-            write_snapshot(&mut driver, &run);
-        }
-
-        // One site tick for the whole fleet: deadline/watchdog, feed
-        // sampling, staleness, heartbeat.
-        let t = start_t + SimDuration::from_micros(epoch_d.as_micros() * k);
-        let tick = driver.tick_directive(k, t);
-
-        // Admin plane: re-admissions first (a lifted rack catches up and
-        // takes this epoch's directive), then kill marks.
-        let (kills, readmits) = driver
-            .net
-            .as_ref()
-            .map_or((Vec::new(), Vec::new()), |n| n.shared.take_rack_requests());
-        for r in readmits {
-            let r = r as usize;
-            if r < n_racks && run.sup.quarantined(r) {
-                run.sup.lift_quarantine(r);
-                run.dc.events.push(format!(
-                    "epoch {k}: admin re-admitted rack {r}; replaying from its last snapshot"
-                ));
-                match run.catch_up(r, k) {
-                    Ok(w) => run.workers[r] = Some(w),
-                    Err(m) => {
-                        let _ = run.handle_death(r, k, m, DeathPhase::PreTick);
-                    }
-                }
-            }
-        }
-        let mut admin_kill = vec![false; n_racks];
-        for r in kills {
-            let r = r as usize;
-            if r < n_racks && !run.sup.quarantined(r) {
-                admin_kill[r] = true;
-                run.dc
-                    .events
-                    .push(format!("epoch {k}: admin kill for rack {r}"));
-            }
-        }
-
-        // Drain decision at the top of the tick so the directives can
-        // carry it (a directive already dispatched cannot be recalled).
-        let last = TERM_REQUESTED.load(Ordering::SeqCst)
-            || driver
-                .net
-                .as_ref()
-                .is_some_and(|n| n.shared.drain_requested())
-            || drain_after.is_some_and(|d| k - start_k + 1 >= d);
-
-        // Conserved routing factors from the last settled beliefs, and
-        // the directive row every restart replay will reproduce.
-        let factors = conserved_factors(&run.dc.beliefs, &rack_servers, run.dc.has_telemetry);
-        if factors.iter().any(|&f| f <= REROUTE_EPS)
-            && factors.iter().any(|&f| f > 1.0 + REROUTE_EPS)
-        {
-            run.dc.rerouted_epochs += 1;
-        }
-        run.dc.rows.push(DirectiveRow {
-            supply_w: tick.supply_w,
-            stale: tick.telemetry_stale,
-            demote: tick.demote.clone(),
-            factors,
-        });
-        debug_assert_eq!(run.dc.rows.len() as u64, k + 1);
-
-        // Dispatch, then collect in rack order. Injected faults ride the
-        // directive so the worker dies *before* executing the epoch —
-        // the restart replays it identically and the stream never forks.
-        for (r, &kill) in admin_kill.iter().enumerate() {
-            if run.sup.quarantined(r) {
-                continue;
-            }
-            let inject = driver
-                .opts
-                .disturbances
-                .as_ref()
-                .and_then(|p| {
-                    if p.rack_stall_at(k, r as u32) {
-                        Some(format!("injected rack stall at epoch {k}"))
-                    } else if p.rack_panic_at(k, r as u32) {
-                        Some(format!("injected rack panic at epoch {k}"))
-                    } else {
-                        None
-                    }
-                })
-                .or_else(|| kill.then(|| format!("admin kill at epoch {k}")));
-            let d = directive_from_row(&run.dc.rows[k as usize], r, last, inject);
-            if let Some(w) = run.workers[r].as_ref() {
-                // A send to a just-died worker surfaces at collection.
-                let _ = w.dir_tx.send(d);
-            }
-        }
-        let mut reports: Vec<Option<(EpochRecord, Vec<ServerSetting>)>> =
-            (0..n_racks).map(|_| None).collect();
-        for (r, slot) in reports.iter_mut().enumerate() {
-            if !run.sup.quarantined(r) {
-                *slot = run.collect_report(r, k, last);
-            }
-        }
-
-        // Settle beliefs (quarantined racks stay dark) and walk the
-        // probation ladder on clean epochs.
-        for (r, rep) in reports.iter().enumerate() {
-            if let Some((rec, _)) = rep {
-                run.dc.beliefs[r] = RackBelief {
-                    re_supply_w: rec.re_supply_w,
-                    battery_soc: rec.battery_soc,
-                    live_servers: usize::from(rec.live_servers),
-                    demand_w: rec.demand_w,
-                    goodput_rps: rec.goodput_rps,
-                    stale: false,
-                };
-                if run.sup.record_clean_epoch(r) {
-                    run.dc
-                        .events
-                        .push(format!("epoch {k}: rack {r} finished probation; live"));
-                }
-            }
-        }
-        run.dc.has_telemetry = true;
-
-        // Actuate the site's concatenated settings, emit the aggregate
-        // line, then the per-rack topic lines (hub/ring only).
-        let mut all_settings: Vec<ServerSetting> = Vec::with_capacity(n_racks * n_servers);
-        for rep in &reports {
-            match rep {
-                Some((_, settings)) => {
-                    all_settings.extend(settings.iter().copied());
-                    let missing = n_servers.saturating_sub(settings.len());
-                    all_settings.extend(std::iter::repeat_n(ServerSetting::normal(), missing));
-                }
-                None => {
-                    all_settings.extend(std::iter::repeat_n(ServerSetting::normal(), n_servers))
-                }
-            }
-        }
-        let retries_before = driver.side.actuation_retries;
-        let failures_before = driver.side.actuation_failures;
-        let clamped_before = driver.side.control_clamped;
-        driver.actuate(k, &all_settings);
-        driver.check_tick_budget();
-        if let Some(agg) = aggregate_reports(&reports) {
-            driver.emit_record(
-                k,
-                &agg,
-                driver.side.actuation_retries - retries_before,
-                driver.side.actuation_failures - failures_before,
-                driver.side.control_clamped - clamped_before,
-            );
-            if k >= driver.emit_from {
-                if let Some(net) = &driver.net {
-                    for (r, rep) in reports.iter().enumerate() {
-                        if let Some((rec, _)) = rep {
-                            if let Some(json) = rack_metrics_line(r, k, rec) {
-                                net.shared.publish(k, json);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Site conservation audit: the factor row must route exactly the
-        // fleet's load, and a dark rack must draw nothing.
-        let mut aud =
-            InvariantAuditor::with_violations(std::mem::take(&mut run.dc.site_audit_violations));
-        aud.check_site_epoch(&SiteFlows {
-            epoch_index: k as usize,
-            factors: run.dc.rows[k as usize].factors.clone(),
-            dark: run.dc.beliefs.iter().map(|b| b.live_servers == 0).collect(),
-            rack_demand_w: run.dc.beliefs.iter().map(|b| b.demand_w).collect(),
-        });
-        run.dc.site_audit_violations = aud.into_violations();
-
-        // Live rack-health mirror for the admin STATUS verb (runtime
-        // observability only — never enters the deterministic stream).
-        if let Some(net) = &driver.net {
-            net.shared.set_rack_status(
-                (0..n_racks)
-                    .map(|r| RackStat {
-                        rack: r as u32,
-                        health: run.sup.health[r].to_string(),
-                        restarts: run.sup.restarts_used[r],
-                        factor: run.dc.rows[k as usize]
-                            .factors
-                            .get(r)
-                            .copied()
-                            .unwrap_or(0.0),
-                    })
-                    .collect(),
-            );
-        }
-
-        run.dc.next_epoch = k + 1;
-        if last {
-            for r in 0..n_racks {
-                if !run.sup.quarantined(r) {
-                    run.await_drain_capture(r, k);
-                }
-            }
-            drained = true;
-            run.sync_supervisor();
-            write_snapshot(&mut driver, &run);
-            break;
-        }
-        driver.pace();
+/// The homogeneous site `serve` runs: `racks` copies of the served rack,
+/// with no site fault plan. The rack driver derives each rack's seed (rack
+/// 0 keeps the served one) and replicates the served fault plan.
+fn site_config(cfg: &EngineConfig, racks: u32) -> DatacenterConfig {
+    DatacenterConfig {
+        racks: (0..racks)
+            .map(|_| RackSpec {
+                app: cfg.app,
+                green: cfg.green.clone(),
+                strategy: cfg.strategy,
+            })
+            .collect(),
+        template: cfg.clone(),
+        site_fault_plan: None,
     }
-
-    // Join the fleet for its outcomes (quarantined racks have none).
-    let mut rack_outs: Vec<Option<BurstOutcome>> = (0..n_racks).map(|_| None).collect();
-    for (r, out) in rack_outs.iter_mut().enumerate() {
-        if let Some(w) = run.workers[r].take() {
-            drop(w.dir_tx);
-            if let Ok(Some(o)) = w.handle.join() {
-                *out = Some(o);
-            }
-        }
-    }
-
-    // Whatever the loop left buffered goes out now; then stop the plane,
-    // so subscribers get every emitted line flushed before the FIN.
-    driver.metrics.drain();
-    let net_summary = net_plane.map(NetPlane::stop);
-
-    // Floor judgment: replay each surviving rack's directive history
-    // under Strategy::Normal for a like-for-like baseline. A drained
-    // run's truncated window has none. A resumed run is judged like an
-    // uninterrupted one: each rack's LoopState and the directive log
-    // both cover the window from epoch 0.
-    let mut per_rack: Vec<(usize, BurstOutcome)> = Vec::new();
-    let mut floor_all = true;
-    let mut floor_any = false;
-    let mut scratch = EngineScratch::new();
-    for (r, out) in rack_outs.into_iter().enumerate() {
-        let Some(main) = out else { continue };
-        if drained {
-            per_rack.push((r, main));
-            continue;
-        }
-        let profiles = ProfileTable::cached(run.rack_cfgs[r].app);
-        let mut hooks = RowReplayHooks {
-            rows: &run.dc.rows,
-            rack: r,
-        };
-        let (baseline, _monitor, _policy) = run_once_resumable(
-            &run.rack_cfgs[r],
-            Strategy::Normal,
-            profiles,
-            None,
-            0,
-            &mut |_| {},
-            &mut scratch,
-            &mut hooks,
-        );
-        let judged = judge(&run.rack_cfgs[r], main, Some(baseline));
-        floor_all &= judged.floor_held;
-        floor_any = true;
-        per_rack.push((r, judged));
-    }
-    let floor_held = (!drained && floor_any).then_some(floor_all);
-
-    let audit_violations = run.dc.site_audit_violations.len()
-        + per_rack
-            .iter()
-            .map(|(_, o)| o.audit_violations.len())
-            .sum::<usize>();
-    let mut guardrail_events = Vec::new();
-    for (r, o) in &per_rack {
-        guardrail_events.extend(o.guardrail_events.iter().map(|e| format!("rack {r}: {e}")));
-    }
-    let mean_goodput_rps = if per_rack.is_empty() {
-        0.0
-    } else {
-        per_rack
-            .iter()
-            .map(|(_, o)| o.mean_goodput_rps)
-            .sum::<f64>()
-            / per_rack.len() as f64
-    };
-
-    Ok(ServeSummary {
-        epochs_executed: run.dc.next_epoch,
-        resumed_from_epoch: resumed.then_some(start_k),
-        drained,
-        ticks: driver.side.ticks,
-        overrun_ticks: driver.side.overrun_ticks,
-        stale_epochs: driver.side.stale_epochs,
-        safe_mode_epochs: per_rack
-            .iter()
-            .map(|(_, o)| o.safe_mode_epochs)
-            .max()
-            .unwrap_or(0),
-        dropped_metrics_lines: driver.side.dropped_metrics_lines,
-        actuation_retries: driver.side.actuation_retries,
-        actuation_failures: driver.side.actuation_failures,
-        control_clamped: driver.side.control_clamped,
-        feed_malformed: driver.side.feed_malformed,
-        audit_violations,
-        ladder_level: per_rack
-            .iter()
-            .map(|(_, o)| o.ladder_level)
-            .max()
-            .unwrap_or(0),
-        guardrail_events,
-        floor_held,
-        mean_goodput_rps,
-        watchdog_stalls: driver.side.watchdog_stalls,
-        racks: driver.opts.racks,
-        rack_restarts: run.dc.rack_restarts,
-        rack_panics: run.dc.rack_panics_seen,
-        rack_stalls: run.dc.rack_stalls_seen,
-        racks_quarantined: run.dc.racks_quarantined,
-        rerouted_epochs: run.dc.rerouted_epochs,
-        rack_health: run.sup.health.clone(),
-        rack_events: run.dc.events.clone(),
-        net: net_summary,
-    })
 }
 
 /// Run the serve daemon to completion (or drain). See the module docs
@@ -2064,22 +1219,28 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         .validate()
         .map_err(|e| ServeError::Config(e.to_string()))?;
 
-    // Resume: the snapshot's embedded config and options win wholesale;
-    // it carries the per-rack states plus the orchestrator state.
+    // Resume: the snapshot's embedded site and options win wholesale; it
+    // carries the per-rack states plus the broker state.
     let mut resume = None;
     let mut side = ServeSideState::default();
+    let mut resumed_site = None;
     if let Some(path) = &args.resume_path {
         let text = fs::read_to_string(path)
             .map_err(|e| ServeError::Snapshot(format!("cannot read {}: {e}", path.display())))?;
-        let snap = ServeSnapshot::from_json(&text)?;
-        let mut cfg = snap.cfg;
-        cfg.measurement = MeasurementMode::Analytic;
-        args.cfg = cfg;
-        args.options = snap.options;
-        resume = Some((snap.dc, snap.racks));
-        side = snap.serve;
+        let snap = ServeSnapshot::from_json(&text).map_err(ServeError::Snapshot)?;
+        let (Some(options), Some(serve_side)) = (snap.options, snap.serve) else {
+            return Err(ServeError::Snapshot(format!(
+                "{} is a datacenter snapshot; resume it with `greensprint datacenter --resume`",
+                path.display()
+            )));
+        };
+        args.cfg = snap.cfg.template.clone();
+        args.options = options;
+        side = serve_side;
+        resume = Some((snap.site, snap.racks));
+        resumed_site = Some(snap.cfg);
     }
-    let resumed_from = resume.as_ref().map(|(dc, _)| dc.next_epoch);
+    let resumed_from = resume.as_ref().map(|(st, _)| st.next_epoch);
     if args.options.overrun == OverrunPolicy::Degrade && !args.cfg.guardrail.enabled {
         return Err(ServeError::Config(
             "--overrun degrade needs the failover ladder: pass --guardrail on".to_string(),
@@ -2094,11 +1255,18 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
             "--control sysfs drives one physical rack; it cannot serve --racks >= 2".to_string(),
         ));
     }
+    let site = match resumed_site {
+        Some(site) => site,
+        None => {
+            let site = site_config(&args.cfg, args.options.racks);
+            site.validate().map_err(ServeError::Config)?;
+            site
+        }
+    };
 
     // Actuation covers the site's concatenated settings.
     let n = args.cfg.green.green_servers * n_racks;
-    let n_epochs = args
-        .cfg
+    args.cfg
         .burst_duration
         .div_duration(args.cfg.epoch)
         .ok_or_else(|| ServeError::Config("burst duration must be whole epochs".to_string()))?;
@@ -2186,8 +1354,7 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
     install_sigterm_handler();
     TERM_REQUESTED.store(false, Ordering::SeqCst);
 
-    let driver = ServeDriver {
-        cfg_fingerprint: serve_fingerprint(&args.cfg),
+    let mut driver = ServeDriver {
         cfg: args.cfg.clone(),
         sim_time: args.sim_time,
         rate: args.rate,
@@ -2197,22 +1364,107 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         late_demote: None,
         feed,
         net: net_handle,
+        net_plane,
+        net_summary: None,
         metrics: MetricsSink::new(args.metrics_path.clone(), args.options.metrics_buffer),
         heartbeat_path: args.heartbeat_path.clone(),
         snapshot_path: args.snapshot_path.clone(),
         controls,
         emit_from,
+        start_k: resumed_from.unwrap_or(0),
+        drain_after: args.drain_after_epochs,
         cur_stale: false,
         cur_overrun: false,
         opts: args.options.clone(),
         side,
     };
-    run_racks(driver, resume, n_epochs, args.drain_after_epochs, net_plane)
+    // Every rack computes at once: the gate bounds nothing below the
+    // rack count, and the floor replays run in parallel too.
+    let run = run_site(
+        &site,
+        n_racks,
+        args.options.snapshot_every,
+        resume,
+        &mut driver,
+    )
+    .map_err(ServeError::Rack)?;
+    Ok(summarize(run, &driver, resumed_from))
+}
+
+/// The end-of-run report from the rack driver's result and serve's own
+/// counters.
+fn summarize(run: SiteRun, driver: &ServeDriver, resumed_from: Option<u64>) -> ServeSummary {
+    let SiteRun { st, racks, drained } = run;
+    let per_rack: Vec<(usize, BurstOutcome)> = racks
+        .into_iter()
+        .enumerate()
+        .filter_map(|(r, o)| o.map(|o| (r, o)))
+        .collect();
+    // A drained run's truncated window has no comparable baseline.
+    let floor_held =
+        (!drained && !per_rack.is_empty()).then(|| per_rack.iter().all(|(_, o)| o.floor_held));
+    let audit_violations = st.site_audit_violations.len()
+        + per_rack
+            .iter()
+            .map(|(_, o)| o.audit_violations.len())
+            .sum::<usize>();
+    let mut guardrail_events = Vec::new();
+    for (r, o) in &per_rack {
+        guardrail_events.extend(o.guardrail_events.iter().map(|e| format!("rack {r}: {e}")));
+    }
+    let mean_goodput_rps = if per_rack.is_empty() {
+        0.0
+    } else {
+        per_rack
+            .iter()
+            .map(|(_, o)| o.mean_goodput_rps)
+            .sum::<f64>()
+            / per_rack.len() as f64
+    };
+    let side = &driver.side;
+    ServeSummary {
+        epochs_executed: st.next_epoch,
+        resumed_from_epoch: resumed_from,
+        drained,
+        ticks: side.ticks,
+        overrun_ticks: side.overrun_ticks,
+        stale_epochs: side.stale_epochs,
+        safe_mode_epochs: per_rack
+            .iter()
+            .map(|(_, o)| o.safe_mode_epochs)
+            .max()
+            .unwrap_or(0),
+        dropped_metrics_lines: side.dropped_metrics_lines,
+        actuation_retries: side.actuation_retries,
+        actuation_failures: side.actuation_failures,
+        control_clamped: side.control_clamped,
+        feed_malformed: side.feed_malformed,
+        audit_violations,
+        ladder_level: per_rack
+            .iter()
+            .map(|(_, o)| o.ladder_level)
+            .max()
+            .unwrap_or(0),
+        guardrail_events,
+        floor_held,
+        mean_goodput_rps,
+        watchdog_stalls: side.watchdog_stalls,
+        racks: driver.opts.racks,
+        rack_restarts: st.rack_restarts,
+        rack_panics: st.rack_panics,
+        rack_stalls: st.rack_stalls,
+        racks_quarantined: st.racks_quarantined,
+        rerouted_epochs: st.rerouted_epochs as u64,
+        rack_health: st.health,
+        rack_events: st.events,
+        net: driver.net_summary,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::SITE_SCHEMA;
 
     #[test]
     fn disturbance_plan_is_a_pure_function_of_seed() {
@@ -2323,44 +1575,128 @@ mod tests {
         assert_eq!(prepare_metrics_for_resume(&path).unwrap(), None);
     }
 
-    #[test]
-    fn serve_snapshot_rejects_schema_and_fingerprint_drift() {
-        let dir = std::env::temp_dir().join("gs_serve_snaptest");
-        let _ = fs::create_dir_all(&dir);
+    /// A drained serve's snapshot text, for `racks` racks after `epochs`.
+    fn drained_snapshot(dir: &Path, racks: u32, epochs: u64) -> String {
+        let _ = fs::create_dir_all(dir);
         let snap_path = dir.join("snap.json");
+        let _ = fs::remove_file(&snap_path);
         let args = ServeArgs {
+            options: ServeOptions {
+                racks,
+                ..ServeOptions::default()
+            },
             snapshot_path: Some(snap_path.clone()),
-            drain_after_epochs: Some(1),
+            drain_after_epochs: Some(epochs),
             ..ServeArgs::default()
         };
         let summary = serve(args).expect("drain serve runs");
         assert!(summary.drained);
-        let json = fs::read_to_string(&snap_path).unwrap();
+        fs::read_to_string(&snap_path).unwrap()
+    }
+
+    /// The error `serve --resume` fails with on a snapshot file holding
+    /// `json`.
+    fn resume_error(dir: &Path, json: &str) -> ServeError {
+        let path = dir.join("resume.json");
+        fs::write(&path, json).unwrap();
+        match serve(ServeArgs {
+            resume_path: Some(path),
+            ..ServeArgs::default()
+        }) {
+            Ok(s) => panic!("resumed from a bad snapshot: {s:?}"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn serve_snapshot_rejects_schema_and_fingerprint_drift() {
+        let dir = std::env::temp_dir().join("gs_serve_snaptest");
+        let json = drained_snapshot(&dir, 1, 1);
         let snap = ServeSnapshot::from_json(&json).expect("a real snapshot verifies");
-        assert_eq!(snap.schema, SERVE_SCHEMA_V2);
-        assert_eq!(snap.dc.next_epoch, 1);
+        assert_eq!(snap.schema, SITE_SCHEMA);
+        assert_eq!(snap.site.next_epoch, 1);
         assert_eq!(snap.racks.len(), 1);
         assert_eq!(snap.racks[0].as_ref().expect("rack 0 state").next_epoch, 1);
 
-        // The retired single-rack schema is rejected like any other.
-        for schema in ["gs-serve-0", "gs-serve-1"] {
-            let bad_schema = json.replacen(SERVE_SCHEMA_V2, schema, 1);
+        // Every retired schema is rejected like any other.
+        for schema in ["gs-serve-0", "gs-serve-1", "gs-serve-2", "gs-dc-ckpt-1"] {
+            let bad_schema = json.replacen(SITE_SCHEMA, schema, 1);
             assert!(
-                matches!(
-                    ServeSnapshot::from_json(&bad_schema),
-                    Err(ServeError::Snapshot(_))
-                ),
+                matches!(resume_error(&dir, &bad_schema), ServeError::Snapshot(_)),
                 "{schema} accepted"
             );
         }
 
-        let mut tampered: ServeSnapshot = serde_json::from_str(&json).unwrap();
+        let mut tampered = snap.clone();
         tampered.fingerprint = "0000000000000000".to_string();
-        let tampered_json = serde_json::to_string(&tampered).unwrap();
+        let tampered_json = tampered.to_json().unwrap();
         assert!(matches!(
-            ServeSnapshot::from_json(&tampered_json),
-            Err(ServeError::Snapshot(_))
+            resume_error(&dir, &tampered_json),
+            ServeError::Snapshot(_)
         ));
+
+        // A datacenter snapshot of the same site is not a serve snapshot.
+        let mut batch = snap;
+        batch.options = None;
+        batch.serve = None;
+        let batch_json = batch.to_json().unwrap();
+        assert!(ServeSnapshot::from_json(&batch_json).is_ok());
+        assert!(matches!(
+            resume_error(&dir, &batch_json),
+            ServeError::Snapshot(m) if m.contains("datacenter")
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_every_truncated_per_rack_vector() {
+        let dir = std::env::temp_dir().join("gs_serve_truncated");
+        let good = ServeSnapshot::from_json(&drained_snapshot(&dir, 2, 3)).unwrap();
+        type Cut = fn(&mut ServeSnapshot);
+        let cuts: [(&str, Cut); 11] = [
+            ("racks", |s| {
+                s.racks.pop();
+            }),
+            ("beliefs", |s| {
+                s.site.beliefs.pop();
+            }),
+            ("pinned", |s| {
+                s.site.pinned.pop();
+            }),
+            ("link_probation", |s| {
+                s.site.link_probation.pop();
+            }),
+            ("health", |s| {
+                s.site.health.pop();
+            }),
+            ("restarts_used", |s| s.site.restarts_used.clear()),
+            ("probation_left", |s| {
+                s.site.probation_left.pop();
+            }),
+            ("partition_epochs", |s| {
+                s.site.partition_epochs.pop();
+            }),
+            ("degraded_epochs", |s| {
+                s.site.degraded_epochs.pop();
+            }),
+            ("rows", |s| {
+                s.site.rows.pop();
+            }),
+            ("options.racks", |s| {
+                if let Some(o) = s.options.as_mut() {
+                    o.racks = 3;
+                }
+            }),
+        ];
+        for (name, cut) in cuts {
+            let mut snap = good.clone();
+            cut(&mut snap);
+            let json = snap.to_json().unwrap();
+            assert!(
+                matches!(resume_error(&dir, &json), ServeError::Snapshot(_)),
+                "truncated {name} resumed"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -696,7 +696,7 @@ fn chaos(flags: &HashMap<String, String>) {
 
 /// Durably replace a datacenter checkpoint (write-then-rename, like
 /// [`write_snapshot`]).
-fn write_dc_snapshot(path: &str, snap: &DatacenterSnapshot) {
+fn write_dc_snapshot(path: &str, snap: &SiteSnapshot) {
     let tmp = format!("{path}.tmp");
     let json = snap
         .to_json()
@@ -844,11 +844,11 @@ fn datacenter(flags: &HashMap<String, String>) {
     if let Some(path) = flags.get("resume") {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| usage(&format!("cannot read checkpoint {path}: {e}")));
-        let snap = DatacenterSnapshot::from_json(&text)
+        let snap = SiteSnapshot::from_json(&text)
             .unwrap_or_else(|e| usage(&format!("invalid datacenter checkpoint {path}: {e}")));
         eprintln!(
             "resume: {path} — continuing at epoch {}",
-            snap.broker.next_epoch
+            snap.site.next_epoch
         );
         let every = snapshot_every(flags);
         let path = path.clone();
@@ -1536,7 +1536,7 @@ fn serve_cmd(flags: &HashMap<String, String>) {
     };
 
     let summary = serve(args).unwrap_or_else(|e| match e {
-        ServeError::Config(_) => usage(&e.to_string()),
+        ServeError::Config(_) | ServeError::Snapshot(_) => usage(&e.to_string()),
         _ => fatal(&e.to_string()),
     });
     let text = serde_json::to_string_pretty(&summary)

@@ -48,8 +48,8 @@ pub use gs_workload as workload;
 pub mod prelude {
     pub use greensprint::audit::{EpochFlows, InvariantAuditor, SiteFlows};
     pub use greensprint::broker::{
-        datacenter_fingerprint, resume_datacenter_snapshot, run_datacenter_with_snapshots,
-        try_run_datacenter, BrokerState, DatacenterSnapshot, RackRouteStats,
+        resume_datacenter_snapshot, run_datacenter_with_snapshots, try_run_datacenter,
+        DirectiveRow, RackRouteStats, SiteSnapshot, SiteState,
     };
     pub use greensprint::campaign::{
         run_campaign, try_run_campaign, try_run_campaign_with_snapshots, CampaignConfig,
@@ -57,7 +57,7 @@ pub mod prelude {
     };
     pub use greensprint::checkpoint::{
         config_fingerprint, points_digest, EngineSnapshot, Journal, JournalError, JournalHeader,
-        LoadedJournal,
+        LoadedJournal, SITE_SCHEMA,
     };
     pub use greensprint::config::{AvailabilityLevel, GreenConfig};
     pub use greensprint::datacenter::{
@@ -80,8 +80,8 @@ pub mod prelude {
     pub use greensprint::profiler::ProfileTable;
     pub use greensprint::qlearning::{PolicyError, QLearner, TableStats};
     pub use greensprint::serve::{
-        serve, ControlBackend, DirectiveRow, DisturbancePlan, OverrunPolicy, ServeArgs,
-        ServeDcSideState, ServeError, ServeOptions, ServeSnapshot, ServeSummary, SERVE_SCHEMA_V2,
+        serve, ControlBackend, DisturbancePlan, OverrunPolicy, ServeArgs, ServeError, ServeOptions,
+        ServeSideState, ServeSnapshot, ServeSummary,
     };
     pub use greensprint::supervisor::{
         epoch_budget, run_supervised_sweep, RackHealth, RackSupervisor, SupervisorPolicy,

@@ -519,3 +519,119 @@ fn bad_arguments_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("--out"), "{stderr}");
 }
+
+/// The seeded multi-rack recipe the datacenter CLI tests share.
+const DATACENTER: [&str; 8] = [
+    "datacenter",
+    "--racks",
+    "4",
+    "--minutes",
+    "8",
+    "--analytic",
+    "--site-seed",
+    "9",
+];
+
+/// Run `datacenter` with the shared recipe plus `extra` flags; returns
+/// stdout, stderr and the exit code.
+fn datacenter(extra: &[&str]) -> (String, String, Option<i32>) {
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(DATACENTER)
+        .args(extra)
+        .output()
+        .expect("binary runs");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code(),
+    )
+}
+
+#[test]
+fn datacenter_resume_matches_an_uninterrupted_run() {
+    let ckpt = std::env::temp_dir().join(format!("gs-cli-dc-{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let (golden, stderr, code) = datacenter(&["--jobs", "1"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        golden.lines().count(),
+        4,
+        "one JSON line per rack: {golden}"
+    );
+
+    let path = ckpt.to_str().unwrap();
+    let (_, stderr, code) =
+        datacenter(&["--checkpoint", path, "--snapshot-every", "3", "--jobs", "4"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    // A second run refuses to clobber the checkpoint.
+    let (_, stderr, code) = datacenter(&["--checkpoint", path, "--snapshot-every", "3"]);
+    assert_eq!(code, Some(2), "{stderr}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args([
+            "datacenter",
+            "--resume",
+            path,
+            "--snapshot-every",
+            "3",
+            "--jobs",
+            "1",
+        ])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("continuing at epoch 6"), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        golden,
+        "resume is not byte-identical to the uninterrupted --jobs 1 run"
+    );
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn datacenter_site_plan_targeting_a_missing_rack_exits_2() {
+    let plan = std::env::temp_dir().join(format!("gs-cli-dc-plan-{}.json", std::process::id()));
+    std::fs::write(
+        &plan,
+        r#"{"seed":1,"events":[{"at":39600000000,"duration":60000000,"kind":{"RackBlackout":{"rack":9,"epochs":2}}}]}"#,
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(&DATACENTER[..6])
+        .args(["--site-plan", plan.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("rack 9"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_file(&plan);
+}
+
+#[test]
+fn datacenter_rejects_a_retired_checkpoint_schema() {
+    let ckpt = std::env::temp_dir().join(format!("gs-cli-dc-old-{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let path = ckpt.to_str().unwrap();
+    let (_, stderr, code) = datacenter(&["--checkpoint", path, "--snapshot-every", "3"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    // Rewrite the checkpoint into the retired `gs-dc-ckpt-1` layout: no
+    // schema tag, and the broker state under `broker`.
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let old =
+        text.replacen("\"schema\":\"gs-site-1\",", "", 1)
+            .replacen("\"site\":{", "\"broker\":{", 1);
+    assert_ne!(old, text, "the checkpoint layout changed under this test");
+    std::fs::write(&ckpt, old).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(["datacenter", "--resume", path])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("schema"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_file(&ckpt);
+}

@@ -187,16 +187,15 @@ fn resume_through_a_partition_is_byte_identical() {
         }])),
         template,
     };
-    let mut snaps: Vec<DatacenterSnapshot> = Vec::new();
+    let mut snaps: Vec<SiteSnapshot> = Vec::new();
     let golden = run_datacenter_with_snapshots(&cfg, 3, 2, &mut |s| snaps.push(s.clone()))
         .expect("valid config");
     // A snapshot taken while rack 0 was pinned behind the partition.
     let mid = snaps
         .iter()
-        .find(|s| s.broker.pinned[0].is_some())
+        .find(|s| s.site.pinned[0].is_some())
         .expect("no snapshot landed inside the partition");
-    let back =
-        DatacenterSnapshot::from_json(&mid.to_json().expect("serialize")).expect("round trip");
+    let back = SiteSnapshot::from_json(&mid.to_json().expect("serialize")).expect("round trip");
     let resumed = resume_datacenter_snapshot(back, 1, 2, &mut |_| {}).expect("resume");
     assert_eq!(
         serde_json::to_string(&golden).unwrap(),

@@ -1,7 +1,7 @@
 //! End-to-end tests for multi-rack `greensprint serve`: supervised
 //! rack-worker isolation (an injected panic or stall recovers via a
 //! bounded restart-from-snapshot with byte-identical aggregate metrics),
-//! quarantine + conserved rerouting within two epochs, whole-daemon v2
+//! quarantine + conserved rerouting within two epochs, whole-daemon site
 //! snapshots (drain/SIGKILL + `--resume` byte-identity, including
 //! mid-rack-outage), the tick watchdog, and a golden multi-rack stream.
 
@@ -199,8 +199,8 @@ fn exhausted_restarts_quarantine_and_reroute_within_two_epochs() {
     // zero and the survivors absorb its load.
     let snap = ServeSnapshot::from_json(&std::fs::read_to_string(&snap).unwrap())
         .expect("snapshot parses");
-    assert_eq!(snap.schema, SERVE_SCHEMA_V2);
-    let dc = snap.dc;
+    assert_eq!(snap.schema, SITE_SCHEMA);
+    let dc = snap.site;
     assert_eq!(dc.rows.len(), 8, "one directive row per executed epoch");
     assert!(
         dc.rows[3].factors[1] > 0.5,
@@ -282,7 +282,7 @@ fn drain_resume_mid_quarantine_is_byte_identical() {
 }
 
 /// SIGKILL (no drain, no destructor) on a multi-rack daemon, then
-/// `--resume` from the periodic v2 snapshot: bytes identical to an
+/// `--resume` from the periodic site snapshot: bytes identical to an
 /// uninterrupted run.
 #[test]
 fn multi_rack_sigkilled_then_resumed_stream_is_byte_identical() {
@@ -336,8 +336,8 @@ fn multi_rack_sigkilled_then_resumed_stream_is_byte_identical() {
     );
     let text = std::fs::read_to_string(&snap).unwrap();
     assert!(
-        text.contains(SERVE_SCHEMA_V2),
-        "daemon snapshot lacks the {SERVE_SCHEMA_V2} schema"
+        text.contains(SITE_SCHEMA),
+        "daemon snapshot lacks the {SITE_SCHEMA} schema"
     );
 
     let status = Command::new(env!("CARGO_BIN_EXE_greensprint"))
@@ -449,4 +449,34 @@ fn golden_multi_rack_stream_is_byte_identical() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A whole-rack crash that recovers through rejoin probation is not a
+/// dark draw: after the outage the rack's servers draw idle power while
+/// they serve out the hysteresis window with no load, which is correct.
+/// Only a rack inside an active site blackout counts as dark.
+#[test]
+fn whole_rack_crash_recovery_is_not_a_dark_draw() {
+    let start = SimTime::from_hours(11);
+    let mut cfg = serve_cfg(12);
+    cfg.fault_plan = Some(FaultPlan {
+        seed: 0,
+        events: (0..cfg.green.green_servers)
+            .map(|s| FaultEvent {
+                at: start + SimDuration::from_mins(3),
+                duration: SimDuration::from_mins(1),
+                kind: FaultKind::ServerCrash {
+                    server: s as u8,
+                    down_epochs: 2,
+                },
+            })
+            .collect(),
+    });
+    for racks in [1, 3] {
+        let summary = serve(dc_args(cfg.clone(), racks, DisturbancePlan::default()))
+            .expect("crashed-rack serve");
+        assert_eq!(summary.epochs_executed, 12);
+        assert_eq!(summary.audit_violations, 0, "{racks} racks: {summary:?}");
+        assert_eq!(summary.floor_held, Some(true), "{racks} racks: {summary:?}");
+    }
 }
