@@ -131,18 +131,10 @@ impl SimRng {
     }
 
     /// Log-normal parameterized by the *target* mean and coefficient of
-    /// variation of the resulting distribution (not of the underlying
-    /// normal), which is the natural parameterization for service times.
+    /// variation (see [`LogNormal::from_mean_cv`]). Draws many samples of
+    /// one shape through a [`LogNormal`] built once instead.
     pub fn lognormal_mean_cv(&mut self, mean: f64, cv: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        if cv <= 0.0 {
-            return mean;
-        }
-        let sigma2 = (1.0 + cv * cv).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        (mu + sigma2.sqrt() * self.standard_normal()).exp()
+        LogNormal::from_mean_cv(mean, cv).sample(self)
     }
 
     /// Poisson-distributed count with the given mean.
@@ -184,6 +176,49 @@ impl SimRng {
         let la = lo.powf(alpha);
         let ha = hi.powf(alpha);
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
+    }
+}
+
+/// A log-normal distribution, built once from the *target* mean and
+/// coefficient of variation of the resulting distribution (not of the
+/// underlying normal), which is the natural parameterization for service
+/// times. Sampling costs one standard normal and one `exp`.
+#[derive(Debug, Clone, Copy)]
+pub enum LogNormal {
+    /// Degenerate: every draw is this value and consumes no randomness.
+    Fixed(f64),
+    /// `exp(mu + sigma·Z)` for a standard normal `Z`.
+    Shaped {
+        /// Mean of the underlying normal.
+        mu: f64,
+        /// Standard deviation of the underlying normal.
+        sigma: f64,
+    },
+}
+
+impl LogNormal {
+    /// The log-normal with the given mean and CV. A non-positive mean
+    /// always draws 0 and a non-positive CV always draws the mean.
+    pub fn from_mean_cv(mean: f64, cv: f64) -> Self {
+        if mean <= 0.0 {
+            return LogNormal::Fixed(0.0);
+        }
+        if cv <= 0.0 {
+            return LogNormal::Fixed(mean);
+        }
+        let sigma2 = (1.0 + cv * cv).ln();
+        LogNormal::Shaped {
+            mu: mean.ln() - sigma2 / 2.0,
+            sigma: sigma2.sqrt(),
+        }
+    }
+
+    /// One draw from `rng`.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        match *self {
+            LogNormal::Fixed(x) => x,
+            LogNormal::Shaped { mu, sigma } => (mu + sigma * rng.standard_normal()).exp(),
+        }
     }
 }
 

@@ -158,10 +158,13 @@ impl ReservoirPercentiles {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile samples"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
+        let mut samples = self.samples.clone();
+        let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+        // Selection, not a full sort: the rank's value is the same.
+        let (_, &mut at_rank, _) = samples.select_nth_unstable_by(rank - 1, |a, b| {
+            a.partial_cmp(b).expect("NaN in percentile samples")
+        });
+        Some(at_rank)
     }
 
     /// Convenience: the `p`-th percentile (`p` in `[0,100]`).
@@ -177,12 +180,6 @@ impl ReservoirPercentiles {
         }
         let k = self.samples.iter().filter(|&&x| x <= threshold).count();
         Some(k as f64 / self.samples.len() as f64)
-    }
-
-    /// Drop all samples, keeping the cap.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-        self.seen = 0;
     }
 }
 
@@ -316,15 +313,6 @@ mod tests {
         assert_eq!(p.count(), 100_000);
         let med = p.percentile(50.0).unwrap();
         assert!((med - 50_000.0).abs() < 5_000.0, "med={med}");
-    }
-
-    #[test]
-    fn reservoir_reset() {
-        let mut p = ReservoirPercentiles::with_cap(10);
-        p.record(1.0);
-        p.reset();
-        assert_eq!(p.count(), 0);
-        assert_eq!(p.percentile(50.0), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Simulation time: a monotonically increasing clock with microsecond
 //! resolution, represented as an integer so that event ordering is exact
-//! and reproducible (no floating-point tie ambiguity in the event queue).
+//! and reproducible (no floating-point tie ambiguity between events).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

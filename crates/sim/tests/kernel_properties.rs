@@ -1,86 +1,10 @@
 //! Property tests for the simulation kernel.
 
-use gs_sim::{
-    BinaryHeapQueue, EventQueue, Ewma, OnlineStats, ReservoirPercentiles, SimDuration, SimRng,
-    SimTime,
-};
+use gs_sim::{Ewma, OnlineStats, ReservoirPercentiles, SimDuration, SimRng};
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The event queue is a stable priority queue: pops are sorted by
-    /// time, and equal times preserve insertion order.
-    #[test]
-    fn event_queue_pops_sorted_and_stable(times in prop::collection::vec(0_u64..1_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_millis(t), (t, i));
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((at, (t, i))) = q.pop() {
-            prop_assert_eq!(at, SimTime::from_millis(t));
-            if let Some((prev_t, prev_i)) = last {
-                prop_assert!(at >= prev_t);
-                if at == prev_t {
-                    prop_assert!(i > prev_i, "FIFO violated at equal timestamps");
-                }
-            }
-            last = Some((at, i));
-        }
-    }
-
-    /// The calendar queue and the reference binary heap dequeue identical
-    /// `(time, event)` sequences under interleaved schedule/pop traffic
-    /// with heavy timestamp duplication — the property the DES leans on
-    /// when it swaps queue implementations.
-    #[test]
-    fn calendar_matches_heap_under_interleaving(
-        ops in prop::collection::vec(
-            (prop::collection::vec(0_u64..8, 0..12), 0_usize..8),
-            1..40,
-        )
-    ) {
-        let mut cal = EventQueue::new();
-        let mut heap = BinaryHeapQueue::new();
-        let mut next_id = 0_u32;
-        for (offsets, pops) in ops {
-            // Tiny offsets force many exact-duplicate timestamps.
-            for off in offsets {
-                let at = cal.now() + SimDuration::from_millis(off);
-                cal.schedule(at, next_id);
-                heap.schedule(at, next_id);
-                next_id += 1;
-            }
-            for _ in 0..pops {
-                prop_assert_eq!(cal.pop(), heap.pop());
-                prop_assert_eq!(cal.now(), heap.now());
-                prop_assert_eq!(cal.len(), heap.len());
-            }
-        }
-        // Drain both to the end: every remaining event agrees too.
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// The clock never runs backwards.
-    #[test]
-    fn event_queue_clock_is_monotone(times in prop::collection::vec(0_u64..1_000, 1..100)) {
-        let mut q = EventQueue::new();
-        for &t in &times {
-            q.schedule(SimTime::from_millis(t), ());
-        }
-        let mut prev = SimTime::ZERO;
-        while q.pop().is_some() {
-            prop_assert!(q.now() >= prev);
-            prev = q.now();
-        }
-    }
 
     /// Welford merge equals sequential accumulation for any split point.
     #[test]
@@ -103,16 +27,27 @@ proptest! {
         prop_assert_eq!(a.max(), whole.max());
     }
 
-    /// Exact percentiles below the reservoir cap bracket the data.
+    /// Exact percentiles below the reservoir cap bracket the data and are
+    /// bit for bit the nearest-rank value of a stable sort, on
+    /// duplicate-heavy data (a few distinct levels, many repeats).
     #[test]
-    fn percentiles_bracket_data(data in prop::collection::vec(-1e3_f64..1e3, 1..500)) {
+    fn percentiles_bracket_data(
+        levels in prop::collection::vec(-1e3_f64..1e3, 1..12),
+        picks in prop::collection::vec(0_usize..12, 1..500),
+    ) {
+        let data: Vec<f64> = picks.iter().map(|&i| levels[i % levels.len()]).collect();
         let mut p = ReservoirPercentiles::with_cap(1_000);
         data.iter().for_each(|&x| p.record(x));
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+        let mut sorted = data.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for q in [0.0, 0.1, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
             let v = p.quantile(q).unwrap();
             prop_assert!((lo..=hi).contains(&v), "q={q} gave {v} outside [{lo}, {hi}]");
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let want = sorted[rank - 1];
+            prop_assert!(v.to_bits() == want.to_bits(), "q={q} gave {v}, stable sort {want}");
         }
         prop_assert_eq!(p.quantile(0.0).unwrap(), lo);
         prop_assert_eq!(p.quantile(1.0).unwrap(), hi);

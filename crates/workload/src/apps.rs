@@ -21,7 +21,7 @@
 use crate::dist::EmpiricalDist;
 use crate::queueing::Station;
 use gs_cluster::{PowerModel, ServerSetting};
-use gs_sim::SimRng;
+use gs_sim::{LogNormal, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// The three evaluated applications.
@@ -207,20 +207,49 @@ impl AppProfile {
         self
     }
 
-    /// Draw one service time (seconds) for a request at `setting` — the
-    /// DES's sampling hook, honouring the configured shape.
-    pub fn sample_service_s(&self, rng: &mut SimRng, setting: ServerSetting) -> f64 {
+    /// The service-time sampler at `setting`, honouring the configured
+    /// shape. The DES builds one per epoch, so the setting's mean and the
+    /// shape's parameters are computed once, not once per request.
+    pub(crate) fn service_sampler(&self, setting: ServerSetting) -> ServiceSampler<'_> {
         let mean = self.mean_service_s(setting);
         match &self.service_dist {
-            Some(d) => d.sample_scaled(rng, mean),
-            None => rng.lognormal_mean_cv(mean, self.service_cv),
+            Some(dist) => ServiceSampler::Empirical {
+                dist,
+                scale: mean / dist.mean(),
+            },
+            None => ServiceSampler::LogNormal(LogNormal::from_mean_cv(mean, self.service_cv)),
         }
-        .max(1e-6)
     }
 
     /// The maximum sprint speedup over Normal mode (SLO capacities).
     pub fn max_speedup(&self) -> f64 {
         self.slo_capacity(ServerSetting::max_sprint()) / self.slo_capacity(ServerSetting::normal())
+    }
+}
+
+/// One sprint setting's service-time distribution, ready to draw from
+/// (see [`AppProfile::service_sampler`]).
+pub(crate) enum ServiceSampler<'a> {
+    /// The calibrated log-normal at the setting's mean.
+    LogNormal(LogNormal),
+    /// A measured shape, inverse-CDF sampled and rescaled to the
+    /// setting's mean.
+    Empirical {
+        /// The measured distribution.
+        dist: &'a EmpiricalDist,
+        /// Setting mean over the distribution's own mean.
+        scale: f64,
+    },
+}
+
+impl ServiceSampler<'_> {
+    /// Draw one service time (seconds), never below 1 µs.
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
+        match self {
+            ServiceSampler::LogNormal(shape) => shape.sample(rng),
+            ServiceSampler::Empirical { dist, scale } => dist.quantile(rng.uniform()) * scale,
+        }
+        .max(1e-6)
     }
 }
 

@@ -10,11 +10,18 @@
 //! realistic carry-over (no preemption — when the core count drops,
 //! running requests finish and no new ones start until occupancy falls
 //! below the new limit).
+//!
+//! The kernel is two event sources and no event queue: the next arrival is
+//! one timestamp, and the in-service set holds at most one request per
+//! core (`MAX_CORES`, 12). A binary heap that small beats any bucketed
+//! queue. Each epoch builds its service-time sampler once
+//! (`AppProfile::service_sampler`), and the epoch's SLO percentile is a
+//! selection over the latency reservoir, not a sort.
 
-use crate::apps::AppProfile;
+use crate::apps::{AppProfile, ServiceSampler};
 use crate::metrics::EpochPerf;
 use gs_cluster::ServerSetting;
-use gs_sim::{EventQueue, ReservoirPercentiles, SimDuration, SimRng, SimTime};
+use gs_sim::{ReservoirPercentiles, SimDuration, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -24,110 +31,27 @@ const QUEUE_CAP: usize = 50_000;
 /// Latency reservoir size per epoch.
 const LATENCY_RESERVOIR: usize = 20_000;
 
-/// The set of in-service requests, popped in completion order.
-///
-/// The pop order contract is min `(done, arrival FIFO)`. Requests enter
-/// service strictly in arrival order (`ServerSimWith::fill_cores` pops the
-/// FIFO wait queue), so a queue that breaks completion-time ties by
-/// *insertion* order (the calendar queue's sequence numbers) produces the
-/// identical pop sequence to one that breaks ties by *arrival time* (the
-/// original `BinaryHeap<Reverse<(done, arrived)>>`). Both implementations
-/// live here so property tests can assert that equivalence end to end.
-pub trait CompletionQueue: Default + std::fmt::Debug {
-    /// Add a request completing at `done` that arrived at `arrived`.
-    fn push(&mut self, done: SimTime, arrived: SimTime);
-    /// Earliest pending completion time.
-    fn peek_done(&self) -> Option<SimTime>;
-    /// Remove and return the earliest `(done, arrived)` pair.
-    fn pop(&mut self) -> Option<(SimTime, SimTime)>;
-    /// Requests currently in service.
-    fn len(&self) -> usize;
-    /// True if no requests are in service.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Drop all in-service requests.
-    fn clear(&mut self);
-}
-
-/// Production completion set: bucketed calendar queue (see [`EventQueue`]).
-#[derive(Default)]
-pub struct CalendarCompletions(EventQueue<SimTime>);
-
-impl std::fmt::Debug for CalendarCompletions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CalendarCompletions")
-            .field("len", &self.0.len())
-            .finish()
-    }
-}
-
-impl CompletionQueue for CalendarCompletions {
-    fn push(&mut self, done: SimTime, arrived: SimTime) {
-        self.0.schedule(done, arrived);
-    }
-    fn peek_done(&self) -> Option<SimTime> {
-        self.0.peek_time()
-    }
-    fn pop(&mut self) -> Option<(SimTime, SimTime)> {
-        self.0.pop()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
-/// Reference completion set: the original binary heap ordered by
-/// `(done, arrived)`, kept for equivalence property tests.
-#[derive(Default, Debug)]
-pub struct HeapCompletions(BinaryHeap<Reverse<(SimTime, SimTime)>>);
-
-impl CompletionQueue for HeapCompletions {
-    fn push(&mut self, done: SimTime, arrived: SimTime) {
-        self.0.push(Reverse((done, arrived)));
-    }
-    fn peek_done(&self) -> Option<SimTime> {
-        self.0.peek().map(|Reverse((t, _))| *t)
-    }
-    fn pop(&mut self) -> Option<(SimTime, SimTime)> {
-        self.0.pop().map(|Reverse(pair)| pair)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
-/// A single simulated server, generic over the in-service container.
+/// A single simulated server.
 #[derive(Debug)]
-pub struct ServerSimWith<Q: CompletionQueue> {
+pub struct ServerSim {
     rng: SimRng,
     now: SimTime,
     /// Arrival timestamps of queued requests (FIFO).
     queue: VecDeque<SimTime>,
-    /// (completion time, arrival time) of in-service requests.
-    in_service: Q,
+    /// `(completion time, arrival time)` of in-service requests, popped
+    /// earliest completion first. Requests enter service in arrival
+    /// order, so equal completion times pop in arrival (FIFO) order.
+    in_service: BinaryHeap<Reverse<(SimTime, SimTime)>>,
 }
 
-/// A single simulated server (production calendar-queue configuration).
-pub type ServerSim = ServerSimWith<CalendarCompletions>;
-
-/// Heap-backed reference simulator for equivalence property tests.
-pub type ReferenceServerSim = ServerSimWith<HeapCompletions>;
-
-impl<Q: CompletionQueue> ServerSimWith<Q> {
+impl ServerSim {
     /// Create a server simulator with its own random stream.
     pub fn new(rng: SimRng) -> Self {
-        ServerSimWith {
+        ServerSim {
             rng,
             now: SimTime::ZERO,
             queue: VecDeque::new(),
-            in_service: Q::default(),
+            in_service: BinaryHeap::new(),
         }
     }
 
@@ -171,9 +95,10 @@ impl<Q: CompletionQueue> ServerSimWith<Q> {
         let mut latency_sum = 0.0;
         let mut latencies = ReservoirPercentiles::with_cap(LATENCY_RESERVOIR);
         let mut busy_core_secs = 0.0;
+        let service = app.service_sampler(setting);
 
         // Start any queued work the (possibly increased) core budget allows.
-        self.fill_cores(app, setting, cores);
+        self.fill_cores(&service, cores);
 
         let mut next_arrival = if offered_rps > 0.0 {
             self.now + SimDuration::from_secs_f64(self.rng.exp(1.0 / offered_rps))
@@ -182,7 +107,7 @@ impl<Q: CompletionQueue> ServerSimWith<Q> {
         };
 
         loop {
-            let next_completion = self.in_service.peek_done();
+            let next_completion = self.in_service.peek().map(|&Reverse((done, _))| done);
             // The next event is the earlier of arrival and completion,
             // bounded by the epoch end.
             let next_event = match next_completion {
@@ -200,7 +125,7 @@ impl<Q: CompletionQueue> ServerSimWith<Q> {
             if Some(next_event) == next_completion && next_event <= next_arrival {
                 // Completion first (ties prefer completions: frees a core
                 // before the simultaneous arrival is placed).
-                let (done, arrived) = self.in_service.pop().expect("peeked above");
+                let Reverse((done, arrived)) = self.in_service.pop().expect("peeked above");
                 debug_assert_eq!(done, next_event);
                 let lat = (done - arrived).as_secs_f64();
                 completed += 1;
@@ -209,14 +134,14 @@ impl<Q: CompletionQueue> ServerSimWith<Q> {
                 if lat <= app.slo_deadline_s {
                     slo_met += 1;
                 }
-                self.fill_cores(app, setting, cores);
+                self.fill_cores(&service, cores);
             } else {
                 // Arrival.
                 offered += 1;
                 if self.rng.chance(admit_p) && self.queue.len() < QUEUE_CAP {
                     admitted += 1;
                     self.queue.push_back(self.now);
-                    self.fill_cores(app, setting, cores);
+                    self.fill_cores(&service, cores);
                 } else {
                     shed += 1;
                 }
@@ -243,14 +168,13 @@ impl<Q: CompletionQueue> ServerSimWith<Q> {
     }
 
     /// Move queued requests into service while cores are free.
-    fn fill_cores(&mut self, app: &AppProfile, setting: ServerSetting, cores: usize) {
+    fn fill_cores(&mut self, service: &ServiceSampler<'_>, cores: usize) {
         while self.in_service.len() < cores {
             let Some(arrived) = self.queue.pop_front() else {
                 break;
             };
-            let service = app.sample_service_s(&mut self.rng, setting);
-            let done = self.now + SimDuration::from_secs_f64(service);
-            self.in_service.push(done, arrived);
+            let done = self.now + SimDuration::from_secs_f64(service.sample(&mut self.rng));
+            self.in_service.push(Reverse((done, arrived)));
         }
     }
 

@@ -6,7 +6,6 @@
 //! from samples plugs into the application profile, the DES samples from
 //! it by inverse-CDF, and the analytic plane is matched on mean and CV.
 
-use gs_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
 /// A distribution defined by observed samples, with linear interpolation
@@ -96,14 +95,10 @@ impl EmpiricalDist {
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
 
-    /// Inverse-CDF sample, rescaled so the distribution's mean equals
+    /// The quantile rescaled so the distribution's mean equals
     /// `mean_target` (service times scale with frequency/contention, so
-    /// the shape is reused at every sprint setting).
-    pub fn sample_scaled(&self, rng: &mut SimRng, mean_target: f64) -> f64 {
-        self.quantile(rng.uniform()) * (mean_target / self.mean)
-    }
-
-    /// The quantile rescaled to `mean_target` (for analytic grids).
+    /// the shape is reused at every sprint setting). At a uniform random
+    /// `q` this is an inverse-CDF sample.
     pub fn quantile_scaled(&self, q: f64, mean_target: f64) -> f64 {
         self.quantile(q) * (mean_target / self.mean)
     }
@@ -112,6 +107,7 @@ impl EmpiricalDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_sim::SimRng;
 
     fn dist() -> EmpiricalDist {
         EmpiricalDist::from_samples(vec![4.0, 1.0, 2.0, 3.0]).unwrap()
@@ -162,13 +158,13 @@ mod tests {
         let d = dist();
         let mut rng = SimRng::seed_from_u64(5);
         let n = 100_000;
-        let sum: f64 = (0..n).map(|_| d.sample_scaled(&mut rng, 10.0)).sum();
+        let sum: f64 = (0..n).map(|_| d.quantile_scaled(rng.uniform(), 10.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
         // Every sample is within the scaled support.
         let m = 10.0 / d.mean();
         for _ in 0..1_000 {
-            let x = d.sample_scaled(&mut rng, 10.0);
+            let x = d.quantile_scaled(rng.uniform(), 10.0);
             assert!((1.0 * m..=4.0 * m).contains(&x));
         }
     }
@@ -179,6 +175,6 @@ mod tests {
         assert_eq!(d.quantile(0.3), 7.0);
         assert_eq!(d.cv(), 0.0);
         let mut rng = SimRng::seed_from_u64(1);
-        assert_eq!(d.sample_scaled(&mut rng, 14.0), 14.0);
+        assert_eq!(d.quantile_scaled(rng.uniform(), 14.0), 14.0);
     }
 }

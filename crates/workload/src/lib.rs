@@ -35,10 +35,7 @@ pub mod queueing;
 
 pub use apps::{AppProfile, Application};
 pub use arrivals::{BurstPattern, DiurnalTrace};
-pub use des::{
-    CalendarCompletions, CompletionQueue, HeapCompletions, ReferenceServerSim, ServerSim,
-    ServerSimWith,
-};
+pub use des::ServerSim;
 pub use dist::EmpiricalDist;
 pub use loadgen::{ClosedLoopDriver, Driver, DriverReport, RateSchedule};
 pub use metrics::EpochPerf;

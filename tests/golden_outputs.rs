@@ -1,17 +1,25 @@
 //! Golden-output equivalence suite: the hot-path optimization program's
 //! safety net.
 //!
-//! The fixtures under `tests/golden/` were captured from the build **before**
-//! the SoA epoch loop, the calendar-queue DES, and the sweep arenas landed
-//! (PR 6). Every test serializes today's engine output with the same
-//! `serde_json` the capture used and asserts the bytes are identical —
-//! so any optimization that changes a single bit of arithmetic, RNG
-//! consumption, or serialization order fails loudly here.
+//! Each fixture under `tests/golden/` was captured from the build before
+//! the optimization it guards landed: the Analytic planes before the SoA
+//! epoch loop and the sweep arenas, the DES planes before the DES kernel's
+//! per-epoch sampler, in-service heap and selection percentile. Every test
+//! serializes today's output with the same `serde_json` the capture used
+//! and asserts the bytes are identical — so any optimization that changes
+//! a single bit of arithmetic, RNG consumption, or serialization order
+//! fails loudly here.
 //!
 //! Covered planes, per the determinism contract:
 //! * `BurstOutcome` JSON for 3 seeds × {plain, fault-plan, fleet-fault}
 //!   configurations (Hybrid strategy, so the learner's RNG stream is pinned
 //!   too);
+//! * scripted single-server DES epochs (`des_epochs.jsonl`): every
+//!   `EpochPerf` and the carried backlog through overload, a 12 → 6-core
+//!   switch and a drain, past the latency reservoir's cap for Memcached,
+//!   and once with a measured (empirical) service shape;
+//! * a `MeasurementMode::Des` sweep (`des_sweep.jsonl`), 3 apps × {Pacing,
+//!   Hybrid}, at `jobs = 1` and `jobs = 4`;
 //! * `SweepResult` JSON-lines for a mixed burst/campaign grid, run at
 //!   `jobs = 1` and `jobs = 4` (jobs-invariance against golden bytes);
 //! * chaos JSON-lines (fault-plan points through the same executor, the
@@ -26,6 +34,7 @@
 //! golden_outputs`, then justify the diff in the PR.
 
 use greensprint_repro::prelude::*;
+use greensprint_repro::workload::des::ServerSim;
 use std::path::{Path, PathBuf};
 
 const SEEDS: [u64; 3] = [11, 22, 33];
@@ -350,6 +359,108 @@ fn golden_datacenter_site_is_byte_identical_at_any_jobs() {
             "the site must route load"
         );
         check("datacenter_site.jsonl", &datacenter_jsonl(&out));
+    }
+}
+
+/// Completed requests past which a DES epoch's latency reservoir starts
+/// replacing samples (the DES's per-epoch reservoir cap).
+const DES_RESERVOIR_CAP: f64 = 20_000.0;
+
+/// Scripted single-server DES runs, one JSON line per epoch: per app,
+/// three overloaded max-sprint epochs (offered 1.2× the SLO capacity,
+/// admission at it), a Normal 6-core epoch that inherits the 12-core
+/// backlog, then a zero-load drain. Pins service sampling, RNG
+/// consumption, completion order, the carried backlog and the
+/// reservoir percentile — past the reservoir cap for Memcached. A fourth
+/// run replays a measured (empirical) service shape on SPECjbb.
+fn des_epoch_lines() -> String {
+    let epoch = SimDuration::from_secs(10);
+    let sprint = ServerSetting::max_sprint();
+    let normal = ServerSetting::normal();
+    // Cheap hits and 2.5× heavier misses: a shape no log-normal has, mild
+    // enough to keep an SLO capacity at both settings.
+    let mut bimodal = vec![1.0_f64; 700];
+    bimodal.extend(std::iter::repeat_n(2.5, 300));
+    let measured = Application::SpecJbb.profile().with_empirical_service(
+        greensprint_repro::workload::EmpiricalDist::from_samples(bimodal)
+            .expect("positive samples"),
+    );
+    let profiles = Application::ALL.map(Application::profile);
+    let mut s = String::new();
+    for (profile, seed) in profiles.into_iter().chain([measured]).zip([11, 22, 33, 44]) {
+        let app = profile.app;
+        let shape = match profile.service_dist {
+            Some(_) => "empirical",
+            None => "lognormal",
+        };
+        let (sprint_cap, normal_cap) = (profile.slo_capacity(sprint), profile.slo_capacity(normal));
+        let offered = 1.2 * sprint_cap;
+        let mut sim = ServerSim::new(SimRng::seed_from_u64(seed));
+        let script = [
+            (sprint, offered, sprint_cap),
+            (sprint, offered, sprint_cap),
+            (sprint, offered, sprint_cap),
+            (normal, offered, normal_cap),
+            (normal, 0.0, 0.0),
+        ];
+        for (i, (setting, offered, admit)) in script.into_iter().enumerate() {
+            let backlog_in = sim.backlog();
+            let perf = sim.advance_epoch(&profile, setting, offered, admit, epoch);
+            if i == 3 {
+                assert!(backlog_in > 0, "{app}: no backlog reached the 6-core epoch");
+            }
+            if app == Application::Memcached && i < 3 {
+                assert!(
+                    perf.completed_rps * epoch.as_secs_f64() > DES_RESERVOIR_CAP,
+                    "{app}: epoch {i} stayed under the reservoir cap"
+                );
+            }
+            s.push_str(&format!(
+                "{{\"app\":\"{app}\",\"shape\":\"{shape}\",\"epoch\":{i},\"setting\":\"{setting}\",\"backlog\":{},\"perf\":{}}}\n",
+                sim.backlog(),
+                serde_json::to_string(&perf).expect("perf serializes"),
+            ));
+        }
+    }
+    s
+}
+
+#[test]
+fn golden_des_epochs_are_byte_identical() {
+    check("des_epochs.jsonl", &des_epoch_lines());
+}
+
+/// The paper's measurement plane end to end: a request-level DES sweep
+/// over every app on Pacing and Hybrid (Hybrid's reward reads the
+/// SLO-percentile latency, so the percentile reaches the bytes).
+fn des_sweep_points() -> Vec<SweepPoint> {
+    let mut points = Vec::new();
+    for app in Application::ALL {
+        for strategy in [Strategy::Pacing, Strategy::Hybrid] {
+            let cfg = EngineConfig {
+                app,
+                strategy,
+                availability: AvailabilityLevel::Medium,
+                burst_duration: SimDuration::from_mins(2),
+                measurement: MeasurementMode::Des,
+                ..EngineConfig::default()
+            };
+            points.push(SweepPoint::burst(
+                format!("golden/des/{app}/{strategy}"),
+                cfg,
+            ));
+        }
+    }
+    points
+}
+
+#[test]
+fn golden_des_sweep_is_byte_identical_at_any_jobs() {
+    for jobs in [1, 4] {
+        check(
+            "des_sweep.jsonl",
+            &jsonl(&run_sweep(des_sweep_points(), 7, jobs)),
+        );
     }
 }
 
