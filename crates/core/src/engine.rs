@@ -17,7 +17,7 @@ use crate::audit::{EpochFlows, InvariantAuditor};
 use crate::checkpoint::{EngineSnapshot, LoopState, MainCarry, RunPhase, SnapshotScope};
 use crate::config::{AvailabilityLevel, GreenConfig};
 use crate::faults::{ActiveFaults, FaultPlan};
-use crate::fleet::{EngineScratch, FleetState};
+use crate::fleet::{AnalyticCache, EngineScratch, FleetState, ServerPerf};
 use crate::guardrail::{
     EpochSignals, Guardrail, GuardrailAction, GuardrailConfig, QuarantineRecord,
 };
@@ -998,6 +998,11 @@ pub(crate) fn run_window_resumable(
         p.hysteresis = cfg.switch_hysteresis;
         p
     });
+    // The percentile latency has two readers: the learner's reward and the
+    // guardrail's detectors. A run with neither never bisects for it. Both
+    // are fixed for the run: a demotion rebuilds `pmk` with the same
+    // strategy, and the guardrail is never dropped.
+    let reads_latency = !pmk.is_learner_free() || guard.is_some();
     // The demoted rung's controller, steering instead of `pmk` while the
     // ladder level is above 0. Rebuilt from the guardrail level rather
     // than persisted: every rung below the top is learner-free, so the
@@ -1657,29 +1662,33 @@ pub(crate) fn run_window_resumable(
             if !fleet.live[i] {
                 // Dead servers serve nothing; probation servers idle at
                 // Normal without load until their streak completes.
-                fleet.perfs[i] = EpochPerf::default();
+                fleet.perfs[i] = ServerPerf::IDLE;
                 continue;
             }
             let setting = fleet.settings[i];
             let perf = match cfg.measurement {
                 MeasurementMode::Des => {
                     let admit = profiles.get(setting).slo_capacity;
-                    sims[i].advance_epoch(&app, setting, served_rps, admit, cfg.epoch)
+                    ServerPerf::from(
+                        &sims[i].advance_epoch(&app, setting, served_rps, admit, cfg.epoch),
+                    )
                 }
                 // Within one epoch the served rate is constant, so the
                 // per-epoch memo (a short linear scan) answers repeats
                 // without hashing into the run-scoped cache.
                 MeasurementMode::Analytic => {
                     match fleet.perf_memo.iter().find(|(s, _)| *s == setting) {
-                        Some((_, p)) => p.clone(),
+                        Some(&(_, p)) => p,
                         None => {
-                            let p = analytic_cache
-                                .entry((setting, served_rps.to_bits()))
-                                .or_insert_with(|| {
-                                    measure_analytic(&app, profiles, setting, served_rps)
-                                })
-                                .clone();
-                            fleet.perf_memo.push((setting, p.clone()));
+                            let p = cached_analytic(
+                                analytic_cache,
+                                &app,
+                                profiles,
+                                setting,
+                                served_rps,
+                                reads_latency,
+                            );
+                            fleet.perf_memo.push((setting, p));
                             p
                         }
                     }
@@ -1768,13 +1777,15 @@ pub(crate) fn run_window_resumable(
                     // remainder, and the epoch's performance is settled as
                     // the time-weighted blend of the two regimes.
                     let w = (out.sustained.as_secs_f64() / cfg.epoch.as_secs_f64()).clamp(0.0, 1.0);
-                    let normal_perf = analytic_cache
-                        .entry((ServerSetting::normal(), served_rps.to_bits()))
-                        .or_insert_with(|| {
-                            measure_analytic(&app, profiles, ServerSetting::normal(), served_rps)
-                        })
-                        .clone();
-                    fleet.perfs[i] = blend_perf(&fleet.perfs[i], &normal_perf, w);
+                    let normal_perf = cached_analytic(
+                        analytic_cache,
+                        &app,
+                        profiles,
+                        ServerSetting::normal(),
+                        served_rps,
+                        reads_latency,
+                    );
+                    fleet.perfs[i] = fleet.perfs[i].blend(&normal_perf, w);
                     let normal_power =
                         power_model.power_w(ServerSetting::normal(), normal_perf.utilization);
                     meter.record(Source::Grid, normal_power * (1.0 - w), epoch_hours);
@@ -1875,17 +1886,15 @@ pub(crate) fn run_window_resumable(
                 // stochasticity vs the analytic floor estimate).
                 failover_floor: match guard.as_ref() {
                     Some(g) if g.level() > 0 => {
-                        let normal_perf = analytic_cache
-                            .entry((ServerSetting::normal(), served_rps.to_bits()))
-                            .or_insert_with(|| {
-                                measure_analytic(
-                                    &app,
-                                    profiles,
-                                    ServerSetting::normal(),
-                                    served_rps,
-                                )
-                            })
-                            .clone();
+                        // The floor reads goodput only.
+                        let normal_perf = cached_analytic(
+                            analytic_cache,
+                            &app,
+                            profiles,
+                            ServerSetting::normal(),
+                            served_rps,
+                            false,
+                        );
                         let tol = match cfg.measurement {
                             MeasurementMode::Analytic => 0.99,
                             MeasurementMode::Des => 0.85,
@@ -1946,13 +1955,15 @@ pub(crate) fn run_window_resumable(
             if let Some(s) = crossed_at {
                 any_thermal_throttle = true;
                 let w = s as f64 / total_s as f64;
-                let normal_perf = analytic_cache
-                    .entry((ServerSetting::normal(), offered.to_bits()))
-                    .or_insert_with(|| {
-                        measure_analytic(&app, profiles, ServerSetting::normal(), offered)
-                    })
-                    .clone();
-                fleet.perfs[i] = blend_perf(&fleet.perfs[i], &normal_perf, w);
+                let normal_perf = cached_analytic(
+                    analytic_cache,
+                    &app,
+                    profiles,
+                    ServerSetting::normal(),
+                    offered,
+                    reads_latency,
+                );
+                fleet.perfs[i] = fleet.perfs[i].blend(&normal_perf, w);
                 let normal_power =
                     power_model.power_w(ServerSetting::normal(), normal_perf.utilization);
                 pkg.advance(normal_power, SimDuration::from_secs(total_s - s));
@@ -2007,24 +2018,22 @@ pub(crate) fn run_window_resumable(
         let steering_level = guard.as_ref().map_or(0, |g| g.level());
         if let Some(r0) = rep {
             let supply0_w = re_believed_w / plan_n as f64 + fleet.instant_w[r0];
-            let active_inputs = RewardInputs {
-                power_supply_w: supply0_w,
-                power_current_w: fleet.actual_power[r0],
-                qos_target_s: app.slo_deadline_s,
-                qos_current_s: fleet.perfs[r0].slo_percentile_latency_s,
-                offered_slo_fraction: if fleet.perfs[r0].offered_rps > 0.0 {
-                    fleet.perfs[r0].goodput_rps / fleet.perfs[r0].offered_rps
-                } else {
-                    1.0
-                },
-                slo_percentile: app.slo_percentile,
+            // Algorithm 1's reward on the representative server, built
+            // only for its two readers below.
+            let active_reward = || {
+                reward(&reward_inputs(
+                    &app,
+                    supply0_w,
+                    fleet.actual_power[r0],
+                    &fleet.perfs[r0],
+                ))
             };
 
             // Hybrid: reward and Bellman update on the representative server.
             // While a demoted ladder level steers, `pending_q` stays `None`
             // (the steering controller is learner-free), so no update fires.
             if let Some(learner) = pmk.learner_mut() {
-                let r = reward(&active_inputs);
+                let r = active_reward();
                 let next_state = learner.state(supply0_w, offered);
                 if let Some((s_prev, a_prev)) = pending_q {
                     learner.update(s_prev, a_prev, r, next_state);
@@ -2056,24 +2065,22 @@ pub(crate) fn run_window_resumable(
                 let shadow_setting =
                     shadow.apply_hysteresis(profiles, &shadow_ctx, g.shadow_prev(), chosen);
                 g.set_shadow_prev(shadow_setting);
-                let shadow_perf = analytic_cache
-                    .entry((shadow_setting, served_rps.to_bits()))
-                    .or_insert_with(|| measure_analytic(&app, profiles, shadow_setting, served_rps))
-                    .clone();
-                let shadow_inputs = RewardInputs {
-                    power_supply_w: supply0_w,
-                    power_current_w: power_model.power_w(shadow_setting, shadow_perf.utilization),
-                    qos_target_s: app.slo_deadline_s,
-                    qos_current_s: shadow_perf.slo_percentile_latency_s,
-                    offered_slo_fraction: if shadow_perf.offered_rps > 0.0 {
-                        shadow_perf.goodput_rps / shadow_perf.offered_rps
-                    } else {
-                        1.0
-                    },
-                    slo_percentile: app.slo_percentile,
-                };
-                let slo_ok = |p: &EpochPerf| {
-                    p.slo_percentile_latency_s <= app.slo_deadline_s
+                let shadow_perf = cached_analytic(
+                    analytic_cache,
+                    &app,
+                    profiles,
+                    shadow_setting,
+                    served_rps,
+                    true,
+                );
+                let shadow_inputs = reward_inputs(
+                    &app,
+                    supply0_w,
+                    power_model.power_w(shadow_setting, shadow_perf.utilization),
+                    &shadow_perf,
+                );
+                let slo_ok = |p: &ServerPerf| {
+                    p.latency_s() <= app.slo_deadline_s
                         && (p.offered_rps <= 0.0 || p.goodput_rps >= 0.9 * p.offered_rps)
                 };
                 // Corruption scan on whichever policy is steering; a
@@ -2091,7 +2098,7 @@ pub(crate) fn run_window_resumable(
                 monitor.record_ladder(t, steering_level);
                 match g.observe(&EpochSignals {
                     epoch_index: k,
-                    active_reward: reward(&active_inputs),
+                    active_reward: active_reward(),
                     shadow_reward: reward(&shadow_inputs),
                     active_slo_ok: slo_ok(&fleet.perfs[r0]),
                     shadow_slo_ok: slo_ok(&shadow_perf),
@@ -2257,69 +2264,117 @@ pub(crate) fn run_window_resumable(
     (outcome, monitor, policy)
 }
 
-/// Deterministic analytic measurement of one epoch.
+/// Deterministic analytic measurement of one epoch: both solves, the
+/// goodput and the percentile latency.
 pub(crate) fn measure_analytic(
     app: &AppProfile,
     profiles: &ProfileTable,
     setting: ServerSetting,
     offered_rps: f64,
 ) -> EpochPerf {
+    let admitted = offered_rps.min(profiles.get(setting).slo_capacity);
+    let perf = analytic_goodput(app, profiles, setting, offered_rps);
+    EpochPerf {
+        offered_rps,
+        admitted_rps: admitted,
+        completed_rps: admitted,
+        goodput_rps: perf.goodput_rps,
+        shed_rps: offered_rps - admitted,
+        mean_latency_s: app.station(setting).mean_service_s, // lower bound; diagnostics only
+        slo_percentile_latency_s: analytic_latency(app, profiles, setting, offered_rps),
+        utilization: perf.utilization,
+    }
+}
+
+/// The goodput solve of [`measure_analytic`]: the sojourn tail at the SLO
+/// deadline on the full quadrature grid. The percentile latency is left
+/// unsolved.
+fn analytic_goodput(
+    app: &AppProfile,
+    profiles: &ProfileTable,
+    setting: ServerSetting,
+    offered_rps: f64,
+) -> ServerPerf {
     let e = profiles.get(setting);
     let admitted = offered_rps.min(e.slo_capacity);
     let station = app.station(setting);
     let grids = profiles.quad_grids(app.app, setting, station);
     let tail = station.sojourn_tail_with(&grids.full, admitted, app.slo_deadline_s);
-    let goodput = admitted * (1.0 - tail);
-    // The percentile latency only grades the Hybrid reward's magnitude, so
-    // a decimated quadrature grid and a short bisection are plenty.
-    let coarse = &grids.coarse;
-    let latency = {
-        let target = 1.0 - app.slo_percentile;
-        let mut hi = station.mean_service_s * 4.0;
-        for _ in 0..40 {
-            if station.sojourn_tail_with(coarse, admitted, hi) <= target {
-                break;
-            }
-            hi *= 2.0;
-        }
-        let mut lo = 0.0;
-        for _ in 0..25 {
-            let mid = 0.5 * (lo + hi);
-            if station.sojourn_tail_with(coarse, admitted, mid) <= target {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    };
-    EpochPerf {
+    ServerPerf::without_latency(
         offered_rps,
-        admitted_rps: admitted,
-        completed_rps: admitted,
-        goodput_rps: goodput,
-        shed_rps: offered_rps - admitted,
-        mean_latency_s: station.mean_service_s, // lower bound; diagnostics only
-        slo_percentile_latency_s: latency,
-        utilization: (admitted / e.raw_capacity).clamp(0.0, 1.0),
-    }
+        admitted * (1.0 - tail),
+        (admitted / e.raw_capacity).clamp(0.0, 1.0),
+    )
 }
 
-/// Time-weighted blend of a sprint epoch that collapsed to Normal mode
-/// `w` of the way through.
-fn blend_perf(sprint: &EpochPerf, normal: &EpochPerf, w: f64) -> EpochPerf {
-    let mix = |a: f64, b: f64| w * a + (1.0 - w) * b;
-    EpochPerf {
-        offered_rps: sprint.offered_rps,
-        admitted_rps: mix(sprint.admitted_rps, normal.admitted_rps),
-        completed_rps: mix(sprint.completed_rps, normal.completed_rps),
-        goodput_rps: mix(sprint.goodput_rps, normal.goodput_rps),
-        shed_rps: mix(sprint.shed_rps, normal.shed_rps),
-        mean_latency_s: mix(sprint.mean_latency_s, normal.mean_latency_s),
-        slo_percentile_latency_s: sprint
-            .slo_percentile_latency_s
-            .max(normal.slo_percentile_latency_s),
-        utilization: mix(sprint.utilization, normal.utilization),
+/// The percentile-latency solve of [`measure_analytic`]. The latency only
+/// grades the Hybrid reward's magnitude and the guardrail's SLO check, so
+/// a decimated quadrature grid and a short bisection (up to 65 tail sums)
+/// are plenty.
+fn analytic_latency(
+    app: &AppProfile,
+    profiles: &ProfileTable,
+    setting: ServerSetting,
+    offered_rps: f64,
+) -> f64 {
+    let admitted = offered_rps.min(profiles.get(setting).slo_capacity);
+    let station = app.station(setting);
+    let coarse = &profiles.quad_grids(app.app, setting, station).coarse;
+    let target = 1.0 - app.slo_percentile;
+    let mut hi = station.mean_service_s * 4.0;
+    for _ in 0..40 {
+        if station.sojourn_tail_with(coarse, admitted, hi) <= target {
+            break;
+        }
+        hi *= 2.0;
+    }
+    let mut lo = 0.0;
+    for _ in 0..25 {
+        let mid = 0.5 * (lo + hi);
+        if station.sojourn_tail_with(coarse, admitted, mid) <= target {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// The analytic measurement of `setting` at `rps` through a run's cache:
+/// the goodput solve on a miss, and the percentile latency only when
+/// `latency` asks for it. An entry a reader-free run cached without a
+/// latency gets it filled in here, with the bits [`measure_analytic`]
+/// gives, so every later reader hits.
+fn cached_analytic(
+    cache: &mut AnalyticCache,
+    app: &AppProfile,
+    profiles: &ProfileTable,
+    setting: ServerSetting,
+    rps: f64,
+    latency: bool,
+) -> ServerPerf {
+    let p = cache
+        .entry((setting, rps.to_bits()))
+        .or_insert_with(|| analytic_goodput(app, profiles, setting, rps));
+    if latency {
+        p.fill_latency(|| analytic_latency(app, profiles, setting, rps));
+    }
+    *p
+}
+
+/// Algorithm 1's reward inputs for one server's measured epoch.
+fn reward_inputs(app: &AppProfile, supply_w: f64, power_w: f64, perf: &ServerPerf) -> RewardInputs {
+    RewardInputs {
+        power_supply_w: supply_w,
+        power_current_w: power_w,
+        qos_target_s: app.slo_deadline_s,
+        qos_current_s: perf.latency_s(),
+        offered_slo_fraction: if perf.offered_rps > 0.0 {
+            perf.goodput_rps / perf.offered_rps
+        } else {
+            1.0
+        },
+        slo_percentile: app.slo_percentile,
     }
 }
 
@@ -2817,6 +2872,60 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_latency_reader_fills_a_reader_free_runs_cache_to_fresh_bits() {
+        let hybrid = guarded_hybrid_cfg();
+        let pacing = EngineConfig {
+            strategy: Strategy::Pacing,
+            guardrail: GuardrailConfig::default(),
+            ..hybrid.clone()
+        };
+        let mut shared = EngineScratch::new();
+        Engine::new(pacing).run_with_scratch(&mut shared);
+        let unsolved: Vec<_> = shared
+            .analytic_cache
+            .iter()
+            .filter(|(_, p)| !p.has_latency())
+            .map(|(&k, _)| k)
+            .collect();
+        assert!(
+            !unsolved.is_empty(),
+            "an unguarded Pacing run bisects nothing"
+        );
+        assert!(shared.analytic_cache.values().all(|p| !p.has_latency()));
+
+        let after = Engine::new(hybrid.clone()).run_with_scratch(&mut shared);
+        let fresh = Engine::new(hybrid.clone()).run_with_scratch(&mut EngineScratch::new());
+        assert_eq!(json(&after), json(&fresh));
+        // The Hybrid run read some of the Pacing run's entries, filled
+        // their latencies in, and every solved entry holds the full
+        // solve's bits.
+        assert!(unsolved
+            .iter()
+            .any(|k| shared.analytic_cache[k].has_latency()));
+        let app = hybrid.app.profile();
+        let profiles = ProfileTable::cached(hybrid.app);
+        for (&(setting, rps), p) in shared
+            .analytic_cache
+            .iter()
+            .filter(|(_, p)| p.has_latency())
+        {
+            let full = measure_analytic(&app, profiles, setting, f64::from_bits(rps));
+            assert_eq!(
+                [p.offered_rps, p.goodput_rps, p.utilization, p.latency_s()].map(f64::to_bits),
+                [
+                    full.offered_rps,
+                    full.goodput_rps,
+                    full.utilization,
+                    full.slo_percentile_latency_s,
+                ]
+                .map(f64::to_bits),
+                "{setting:?} at {} req/s",
+                f64::from_bits(rps)
+            );
         }
     }
 

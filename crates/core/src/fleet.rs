@@ -18,10 +18,13 @@
 //! into the next run only when both runs measure the same application
 //! against its process-wide cached profile table: its entries are then
 //! the same pure function of `(setting, rps)` in both runs, so a hit
-//! returns exactly the bits a fresh measurement would. Either way reuse
-//! is unobservable in the output: the determinism contract
-//! (byte-identical outcomes, snapshot/resume, jobs-invariance) is pinned
-//! by `tests/golden_outputs.rs`.
+//! returns exactly the bits a fresh measurement would. An entry holds
+//! the percentile latency only once a run that reads latencies (a
+//! learner or a guardrail) has asked for it: a reader-free run caches
+//! the goodput solve alone, and a later reader fills the latency in on
+//! read. Either way reuse is unobservable in the output: the determinism
+//! contract (byte-identical outcomes, snapshot/resume, jobs-invariance)
+//! is pinned by `tests/golden_outputs.rs`.
 //!
 //! None of this is serialized. Persistent loop state (batteries,
 //! predictors, the learner, …) still lives in
@@ -41,6 +44,88 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// on (predicted load, the profile table, the hysteresis band) is
 /// constant within an epoch, so equal keys provably yield equal settings.
 pub(crate) type DecisionKey = (u64, u64, u64, ServerSetting);
+
+/// One server's measured epoch, cut to what the loop reads: the offered
+/// and goodput rates, the utilization that sets the power draw, and the
+/// SLO-percentile latency that the Hybrid reward and the guardrail grade.
+///
+/// The latency is `None` where an analytic run has neither reader and so
+/// never bisected for it; [`ServerPerf::latency_s`] is the only way to
+/// read it, and it refuses a missing one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ServerPerf {
+    pub offered_rps: f64,
+    pub goodput_rps: f64,
+    pub utilization: f64,
+    slo_latency_s: Option<f64>,
+}
+
+impl ServerPerf {
+    /// A server that serves nothing this epoch (dead, or idling through
+    /// rejoin probation). Its latency is a known zero, not a skipped
+    /// solve: a representative server on probation is graded with it.
+    pub const IDLE: Self = Self {
+        offered_rps: 0.0,
+        goodput_rps: 0.0,
+        utilization: 0.0,
+        slo_latency_s: Some(0.0),
+    };
+
+    /// A measurement whose percentile latency is not solved (yet).
+    pub fn without_latency(offered_rps: f64, goodput_rps: f64, utilization: f64) -> Self {
+        Self {
+            offered_rps,
+            goodput_rps,
+            utilization,
+            slo_latency_s: None,
+        }
+    }
+
+    /// Whether the percentile latency has been solved.
+    #[cfg(test)]
+    pub fn has_latency(&self) -> bool {
+        self.slo_latency_s.is_some()
+    }
+
+    /// Solve a percentile latency the measurement skipped.
+    pub fn fill_latency(&mut self, solve: impl FnOnce() -> f64) {
+        self.slo_latency_s.get_or_insert_with(solve);
+    }
+
+    /// The SLO-percentile latency. Only a run with a latency reader asks,
+    /// and such a run solves every latency it measures.
+    pub fn latency_s(&self) -> f64 {
+        self.slo_latency_s
+            .expect("a latency-reading run solves every percentile latency")
+    }
+
+    /// The time-weighted blend of a sprint epoch that collapsed to Normal
+    /// mode `w` of the way through: the rates and utilization mix, and
+    /// the latency is the worse of the two, if both were solved.
+    pub fn blend(&self, normal: &Self, w: f64) -> Self {
+        let mix = |a: f64, b: f64| w * a + (1.0 - w) * b;
+        Self {
+            offered_rps: self.offered_rps,
+            goodput_rps: mix(self.goodput_rps, normal.goodput_rps),
+            utilization: mix(self.utilization, normal.utilization),
+            slo_latency_s: self
+                .slo_latency_s
+                .zip(normal.slo_latency_s)
+                .map(|(s, n)| s.max(n)),
+        }
+    }
+}
+
+impl From<&EpochPerf> for ServerPerf {
+    fn from(p: &EpochPerf) -> Self {
+        Self {
+            offered_rps: p.offered_rps,
+            goodput_rps: p.goodput_rps,
+            utilization: p.utilization,
+            slo_latency_s: Some(p.slo_percentile_latency_s),
+        }
+    }
+}
 
 /// Per-server state as parallel arrays, resized once per run and
 /// overwritten in place every epoch.
@@ -71,7 +156,7 @@ pub(crate) struct FleetState {
     /// Physical power draw this epoch.
     pub actual_power: Vec<f64>,
     /// Measured per-server performance this epoch.
-    pub perfs: Vec<EpochPerf>,
+    pub perfs: Vec<ServerPerf>,
     /// Indices of sprinting servers (settlement order).
     pub sprinting: Vec<usize>,
     /// Indices of batteries open to charging (length varies per epoch).
@@ -84,7 +169,7 @@ pub(crate) struct FleetState {
     /// Analytic measurements already taken this epoch, by setting (the
     /// served rate is constant within an epoch). A short linear-scan
     /// list: epochs see a handful of distinct settings.
-    pub perf_memo: Vec<(ServerSetting, EpochPerf)>,
+    pub perf_memo: Vec<(ServerSetting, ServerPerf)>,
     /// Memoized `Battery::sustainable_power` results, one slot per
     /// planning duration (epoch / horizon / remaining-burst). Keyed by
     /// the bits of `(usable_rated_ah, capacity_ah)` — the only battery
@@ -120,7 +205,7 @@ impl FleetState {
         fit(&mut self.sustained_horizon_w, n, 0.0);
         fit(&mut self.sustained_remaining_w, n, 0.0);
         fit(&mut self.actual_power, n, 0.0);
-        fit(&mut self.perfs, n, EpochPerf::default());
+        fit(&mut self.perfs, n, ServerPerf::IDLE);
         self.sprinting.clear();
         self.open.clear();
         self.socs.clear();
@@ -156,12 +241,19 @@ pub struct EngineScratch {
     /// Memo of analytic epoch measurements, keyed by
     /// `(setting, offered_rps.to_bits())`. Pure in the application and
     /// its profile table, so it is kept across runs that share both (see
-    /// [`EngineScratch::begin_run`]).
-    pub(crate) analytic_cache: HashMap<(ServerSetting, u64), EpochPerf, FxBuildHasher>,
+    /// [`EngineScratch::begin_run`]). Shared by runs that read the
+    /// percentile latency and runs that do not, so an entry may lack one;
+    /// a reading run fills it in on read, with the bits a solve of both
+    /// halves at once gives.
+    pub(crate) analytic_cache: AnalyticCache,
     /// The application whose process-wide cached profile table filled
     /// `analytic_cache`; `None` for any other table.
     cache_app: Option<Application>,
 }
+
+/// The analytic-measurement memo: `(setting, offered_rps.to_bits())` to
+/// the measured epoch.
+pub(crate) type AnalyticCache = HashMap<(ServerSetting, u64), ServerPerf, FxBuildHasher>;
 
 /// Past this many entries the analytic cache is dropped at the next run
 /// start, bounding what a long-lived scratch (a sweep worker's) holds.
@@ -327,7 +419,7 @@ mod tests {
             ServerSetting::max_sprint(),
         );
         s.analytic_cache
-            .insert((ServerSetting::normal(), 0), EpochPerf::default());
+            .insert((ServerSetting::normal(), 0), ServerPerf::IDLE);
         // A new run clears per-epoch lists and, off a cached table, the
         // analytic cache.
         s.begin_run(3, None);
@@ -340,7 +432,7 @@ mod tests {
     fn fill(s: &mut EngineScratch, entries: usize) {
         for rps in 0..entries as u64 {
             s.analytic_cache
-                .insert((ServerSetting::normal(), rps), EpochPerf::default());
+                .insert((ServerSetting::normal(), rps), ServerPerf::IDLE);
         }
     }
 

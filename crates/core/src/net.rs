@@ -1367,6 +1367,11 @@ mod tests {
         assert_eq!(parse_frame("potato"), None);
         assert_eq!(parse_frame("{\"watts\": 5}"), None);
         assert_eq!(parse_frame("NaN"), None);
+        // A line just under the ingest length cap, nested past the JSON
+        // parser's depth bound: refused, not a stack overflow.
+        let deep = "[".repeat(8_000);
+        assert!(deep.len() <= DEFAULT_MAX_LINE_LEN);
+        assert_eq!(parse_frame(&deep), None);
     }
 
     #[test]
