@@ -97,10 +97,14 @@ impl ServerSetting {
         *self != Self::normal()
     }
 
+    /// Size of the setting space `S`: 7 core counts × 9 frequencies.
+    pub const COUNT: usize = (MAX_CORES - NORMAL_CORES + 1) as usize * NUM_FREQ_LEVELS;
+
     /// Every setting in the two-dimensional space `S`, ordered by
-    /// (cores, frequency) — 7 core counts × 9 frequencies = 63 actions.
+    /// (cores, frequency) — 7 core counts × 9 frequencies = 63 actions,
+    /// in [`Self::action_index`] order.
     pub fn all() -> Vec<ServerSetting> {
-        let mut v = Vec::with_capacity((MAX_CORES - NORMAL_CORES + 1) as usize * NUM_FREQ_LEVELS);
+        let mut v = Vec::with_capacity(Self::COUNT);
         for cores in NORMAL_CORES..=MAX_CORES {
             for f in 0..NUM_FREQ_LEVELS as u8 {
                 v.push(ServerSetting::new(cores, f));
@@ -184,6 +188,7 @@ mod tests {
     fn setting_space_has_63_actions() {
         let all = ServerSetting::all();
         assert_eq!(all.len(), 63);
+        assert_eq!(ServerSetting::COUNT, 63);
         // First is Normal, last is max sprint.
         assert_eq!(all[0], ServerSetting::normal());
         assert_eq!(*all.last().unwrap(), ServerSetting::max_sprint());

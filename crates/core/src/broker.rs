@@ -1852,6 +1852,30 @@ mod tests {
             serde_json::to_string(&uninterrupted).unwrap(),
             serde_json::to_string(&resumed).unwrap()
         );
+
+        // One more input: an unguarded Hybrid site whose template plan
+        // poisons every rack's table at epoch 1, so NaN cells sit in each
+        // later snapshot — resumed from every boundary.
+        let mut cfg = fleet(2);
+        cfg.template.fault_plan = Some(FaultPlan::new(vec![FaultEvent {
+            at: SimTime::from_hours(11) + SimDuration::from_mins(1),
+            duration: SimDuration::from_mins(1),
+            kind: FaultKind::QTablePoison { magnitude: 1e9 },
+        }]));
+        let mut snaps: Vec<SiteSnapshot> = Vec::new();
+        let uninterrupted =
+            run_datacenter_with_snapshots(&cfg, 2, 2, &mut |s| snaps.push(s.clone())).unwrap();
+        assert_eq!(snaps.len(), 4);
+        for snap in snaps {
+            let restored = SiteSnapshot::from_json(&snap.to_json().unwrap()).unwrap();
+            let resumed = resume_datacenter_snapshot(restored, 1, 2, &mut |_| {}).unwrap();
+            assert_eq!(
+                serde_json::to_string(&uninterrupted).unwrap(),
+                serde_json::to_string(&resumed).unwrap(),
+                "resumed at epoch {}",
+                snap.site.next_epoch
+            );
+        }
     }
 
     #[test]
@@ -1958,6 +1982,17 @@ mod tests {
             assert!(
                 resume_datacenter_snapshot(snap, 2, 3, &mut |_| {}).is_err(),
                 "truncated {name} resumed"
+            );
+        }
+        // A Q-table delta is outside input too: a cell index past the
+        // table, or out of order, is refused at parse.
+        let json = good.to_json().unwrap();
+        for cells in ["[[27783,0]]", "[[5,0],[5,0]]", "[[9,0],[3,0]]"] {
+            let tampered = crate::qlearning::with_first_delta_cells(&json, cells);
+            assert_ne!(tampered, json);
+            assert!(
+                SiteSnapshot::from_json(&tampered).is_err(),
+                "delta cells {cells} parsed"
             );
         }
     }

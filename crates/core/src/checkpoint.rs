@@ -16,7 +16,9 @@
 //!   engine window ([`LoopState`]: Monitor history, predictor EWMAs,
 //!   Q-table, battery state, fault cursor, RNG stream position, meters),
 //!   wrapped with enough context ([`EngineSnapshot`]) to resume the run
-//!   and finish with output byte-identical to the uninterrupted run.
+//!   and finish with output byte-identical to the uninterrupted run. The
+//!   Q-table is stored as a [`QDelta`] from the table the run started
+//!   from, which resume rebuilds from the embedded configuration.
 //!
 //! Multi-rack runs (`datacenter`, `serve`) checkpoint one level up: a
 //! [`crate::broker::SiteSnapshot`] holds the broker's state plus one
@@ -32,7 +34,7 @@ use crate::engine::{BurstOutcome, EngineConfig, EpochRecord};
 use crate::monitor::Monitor;
 use crate::pmk::ActuationWatchdog;
 use crate::predictor::{ClearSkyIndexedPredictor, Predictor};
-use crate::qlearning::{QLearner, QState};
+use crate::qlearning::{QDelta, QState};
 use crate::sweep::{SweepPoint, SweepResult};
 use gs_cluster::ServerSetting;
 use gs_power::battery::Battery;
@@ -46,14 +48,15 @@ use std::path::{Path, PathBuf};
 
 /// Bump when the serialized shape of [`LoopState`] / [`JournalHeader`]
 /// changes incompatibly; old checkpoints then fail the fingerprint check
-/// instead of deserializing into nonsense.
-pub const CHECKPOINT_SCHEMA: &str = "gs-ckpt-1";
+/// instead of deserializing into nonsense. (`gs-ckpt-1` stored the full
+/// Q-table; `gs-ckpt-2` stores a [`QDelta`].)
+pub const CHECKPOINT_SCHEMA: &str = "gs-ckpt-2";
 
 /// As [`CHECKPOINT_SCHEMA`], for site snapshots
 /// ([`crate::broker::SiteSnapshot`]: broker state + per-rack loop states,
 /// written by both `datacenter` and `serve`) — bumped when
 /// [`crate::broker::SiteState`] or [`LoopState`] changes incompatibly.
-pub const SITE_SCHEMA: &str = "gs-site-1";
+pub const SITE_SCHEMA: &str = "gs-site-2";
 
 /// FNV-1a over the given parts, rendered as a compact hex tag.
 pub fn fingerprint(parts: &[&str]) -> String {
@@ -109,8 +112,11 @@ pub struct LoopState {
     pub predictor: Predictor,
     /// The clear-sky-indexed predictor state.
     pub cs_predictor: ClearSkyIndexedPredictor,
-    /// Hybrid's Q-table, if the strategy carries one.
-    pub learner: Option<QLearner>,
+    /// Hybrid's learner, if the strategy carries one, as its delta from
+    /// the table the run started from: the profile bootstrap, or the
+    /// configuration's `warm_policy_json`. Both are fixed by the
+    /// configuration the snapshot's fingerprint covers.
+    pub learner: Option<QDelta>,
     /// Hybrid's pending (state, action) awaiting its Bellman update.
     pub pending_q: Option<(QState, ServerSetting)>,
     /// Last epoch's applied settings (hysteresis and actuation faults).

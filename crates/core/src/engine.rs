@@ -25,7 +25,7 @@ use crate::monitor::{Monitor, Observation, ObservationQuality};
 use crate::pmk::{ActuationWatchdog, Pmk, PmkContext, Strategy};
 use crate::predictor::Predictor;
 use crate::profiler::ProfileTable;
-use crate::qlearning::{reward, QState, RewardInputs};
+use crate::qlearning::{corrupt_value, reward, QLearner, QState, RewardInputs};
 use gs_cluster::ServerSetting;
 use gs_power::battery::Battery;
 use gs_power::meter::{PowerMeter, Source};
@@ -37,6 +37,7 @@ use gs_workload::arrivals::BurstPattern;
 use gs_workload::des::ServerSim;
 use gs_workload::metrics::EpochPerf;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Why a configuration cannot run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -978,12 +979,23 @@ pub(crate) fn run_window_resumable(
     let mut cs_predictor = crate::predictor::ClearSkyIndexedPredictor::new(pv.peak_ac_watts());
     let mut pmk = Pmk::new(strategy, profiles);
     pmk.hysteresis = cfg.switch_hysteresis;
-    if let (Some(json), Some(learner)) = (&cfg.warm_policy_json, pmk.learner_mut()) {
-        match crate::qlearning::QLearner::from_json(json) {
-            Ok(warm) => *learner = warm,
-            Err(e) => panic!("invalid warm_policy_json: {e}"),
-        }
-    }
+    // The table Hybrid's learner starts from: the warm policy, else the
+    // profile bootstrap `Pmk::new` installed (borrowed from the
+    // process-wide cache for a cached table). Snapshots store the learner
+    // as its delta from this table, and a resume rebuilds it right here,
+    // the same way, before applying the delta.
+    let q_base: Option<Cow<'static, QLearner>> =
+        pmk.learner_mut()
+            .map(|learner| match &cfg.warm_policy_json {
+                Some(json) => match QLearner::from_json(json) {
+                    Ok(warm) => {
+                        *learner = warm.clone();
+                        Cow::Owned(warm)
+                    }
+                    Err(e) => panic!("invalid warm_policy_json: {e}"),
+                },
+                None => QLearner::bootstrapped(profiles),
+            });
     let mut setting_transitions = 0usize;
     // Policy guardrail: shadow-score a certified fallback each epoch and
     // demote down the failover ladder when the active policy misbehaves.
@@ -1008,6 +1020,13 @@ pub(crate) fn run_window_resumable(
     // than persisted: every rung below the top is learner-free, so the
     // strategy name is its entire state.
     let mut fallback_pmk: Option<Pmk> = None;
+    // The guardrail's corruption verdict on `pmk`'s table, kept
+    // incrementally: set once a full scan finds no corrupt cell, and kept
+    // across clean `update`s by checking the one cell each writes. A
+    // poison, a quarantine reset, every ladder change, and run start or
+    // resume (it is never snapshotted) clear it, so the next check scans.
+    let mut table_known_clean = false;
+    let explosion_cap = cfg.guardrail.value_explosion_cap;
     // Fault-injection state: the plan is replayed deterministically; the
     // watchdog and safe-mode estimator run unconditionally (they are the
     // production control path) but are inert while telemetry is clean and
@@ -1091,10 +1110,9 @@ pub(crate) fn run_window_resumable(
         in_burst_grid_recharge_wh = st.in_burst_grid_recharge_wh;
         predictor = st.predictor;
         cs_predictor = st.cs_predictor;
-        if let Some(saved) = st.learner {
-            if let Some(l) = pmk.learner_mut() {
-                *l = saved;
-            }
+        // The learner still holds `q_base`, the delta's base.
+        if let (Some(delta), Some(l)) = (&st.learner, pmk.learner_mut()) {
+            l.apply_delta(delta);
         }
         pending_q = st.pending_q;
         fleet.prev_settings.copy_from_slice(&st.prev_settings);
@@ -1167,7 +1185,10 @@ pub(crate) fn run_window_resumable(
                 in_burst_grid_recharge_wh,
                 predictor: predictor.clone(),
                 cs_predictor: cs_predictor.clone(),
-                learner: pmk.learner_mut().cloned(),
+                learner: pmk
+                    .learner_mut()
+                    .zip(q_base.as_deref())
+                    .map(|(l, base)| l.delta_from(base)),
                 pending_q,
                 prev_settings: fleet.prev_settings.clone(),
                 setting_transitions,
@@ -1220,6 +1241,7 @@ pub(crate) fn run_window_resumable(
         if let Some(reason) = &dir.demote {
             if let Some(g) = guard.as_mut() {
                 if g.force_demote(k, reason) {
+                    table_known_clean = false;
                     let mut p = Pmk::new(g.active_strategy(), profiles);
                     p.hysteresis = cfg.switch_hysteresis;
                     fallback_pmk = Some(p);
@@ -1267,6 +1289,7 @@ pub(crate) fn run_window_resumable(
                 let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
                 if let Some(l) = steering.learner_mut() {
                     l.poison(magnitude);
+                    table_known_clean = false;
                 }
             }
         }
@@ -2036,7 +2059,8 @@ pub(crate) fn run_window_resumable(
                 let r = active_reward();
                 let next_state = learner.state(supply0_w, offered);
                 if let Some((s_prev, a_prev)) = pending_q {
-                    learner.update(s_prev, a_prev, r, next_state);
+                    let written = learner.update(s_prev, a_prev, r, next_state);
+                    table_known_clean &= !corrupt_value(written, explosion_cap);
                 }
                 pending_q = q_state.map(|s| (s, fleet.settings[r0]));
             }
@@ -2083,16 +2107,21 @@ pub(crate) fn run_window_resumable(
                     p.latency_s() <= app.slo_deadline_s
                         && (p.offered_rps <= 0.0 || p.goodput_rps >= 0.9 * p.offered_rps)
                 };
-                // Corruption scan on whichever policy is steering; a
-                // learner-free rung has no table to corrupt.
-                let cap = g.config().value_explosion_cap;
+                // Corruption check on whichever policy is steering; a
+                // learner-free rung has no table to corrupt, so a table
+                // here is `pmk`'s and `table_known_clean` speaks for it.
                 let table_corrupt = {
                     let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
                     steering.learner_mut().is_some_and(|l| {
-                        let stats = l.table_stats();
-                        stats.non_finite > 0
-                            || stats.max_abs > cap
-                            || pending_q.is_some_and(|(s, _)| !s.in_range())
+                        if !table_known_clean {
+                            table_known_clean = !l.any_corrupt(explosion_cap);
+                        }
+                        debug_assert_eq!(
+                            table_known_clean,
+                            !l.any_corrupt(explosion_cap),
+                            "the kept corruption verdict drifted from a full scan"
+                        );
+                        !table_known_clean || pending_q.is_some_and(|(s, _)| !s.in_range())
                     })
                 };
                 monitor.record_ladder(t, steering_level);
@@ -2112,6 +2141,7 @@ pub(crate) fn run_window_resumable(
                     live_fraction: live_count as f64 / n as f64,
                 }) {
                     GuardrailAction::Demote { reason } => {
+                        table_known_clean = false;
                         // Quarantine the learner the demoted rung steered
                         // with; rungs below the top are learner-free.
                         if fallback_pmk.is_none() {
@@ -2138,6 +2168,7 @@ pub(crate) fn run_window_resumable(
                         fallback_pmk = Some(p);
                     }
                     GuardrailAction::Promote => {
+                        table_known_clean = false;
                         if g.level() == 0 {
                             fallback_pmk = None;
                         } else {
@@ -3758,6 +3789,44 @@ mod tests {
         // failover window — and converge on the same bytes.
         for snap in snaps {
             let snap = EngineSnapshot::from_json(&snap.to_json()).unwrap();
+            match resume_snapshot(snap, 0, &mut |_| {}).unwrap() {
+                ResumedRun::Burst {
+                    outcome,
+                    monitor,
+                    policy,
+                } => {
+                    assert_eq!(json(&outcome), json(&want_out));
+                    assert_eq!(json(&monitor), json(&want_mon));
+                    assert_eq!(policy, want_pol);
+                }
+                other => panic!("expected a burst, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_of_an_unguarded_poisoned_table_resume_byte_identically() {
+        // No guardrail: the poisoned table, NaN cells included, steers to
+        // the end of the burst and sits in every later snapshot.
+        let cfg = EngineConfig {
+            strategy: Strategy::Hybrid,
+            availability: AvailabilityLevel::Medium,
+            burst_duration: SimDuration::from_mins(10),
+            fault_plan: Some(poison_at_epoch_1()),
+            ..quick_cfg()
+        };
+        let (want_out, want_mon, want_pol) = Engine::new(cfg.clone()).run_full();
+        let mut snaps = Vec::new();
+        Engine::new(cfg)
+            .run_full_with_snapshots(2, &mut |s| snaps.push(s.clone()))
+            .unwrap();
+        let poisoned = snaps
+            .iter()
+            .filter(|s| s.phase == RunPhase::Strategy && s.state.next_epoch > 1)
+            .count();
+        assert!(poisoned >= 4, "{poisoned} snapshots after the poison");
+        for snap in snaps {
+            let snap = EngineSnapshot::from_json(&snap.to_json()).expect("snapshot parses");
             match resume_snapshot(snap, 0, &mut |_| {}).unwrap() {
                 ResumedRun::Burst {
                     outcome,

@@ -97,7 +97,7 @@ pub use net::{
 pub use pmk::Strategy;
 pub use predictor::{ClearSkyIndexedPredictor, Predictor};
 pub use profiler::ProfileTable;
-pub use qlearning::{PolicyError, QLearner, TableStats};
+pub use qlearning::{PolicyError, QDelta, QLearner, TableStats};
 pub use serve::{
     serve, ControlBackend, DisturbancePlan, OverrunPolicy, ServeArgs, ServeError, ServeOptions,
     ServeSideState, ServeSnapshot, ServeSummary,

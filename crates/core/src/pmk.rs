@@ -127,19 +127,12 @@ impl Pmk {
         parallel_actions.push(ServerSetting::normal());
         let mut pacing_actions = ServerSetting::pacing_axis();
         pacing_actions.push(ServerSetting::normal());
-        let learner = (strategy == Strategy::Hybrid).then(|| {
-            // When `profiles` is a process-wide cached table, clone the
-            // matching cached bootstrap instead of re-running the
-            // 21×21×63 sweep — the bootstrap is a pure function of the
-            // table, so this changes nothing but wall-clock.
-            if let Some(app) = ProfileTable::cached_app(profiles) {
-                return QLearner::bootstrapped_cached(app).clone();
-            }
-            let max = profiles.get(ServerSetting::max_sprint());
-            let mut q = QLearner::new(max.full_load_power_w, max.slo_capacity);
-            q.bootstrap(profiles);
-            q
-        });
+        // When `profiles` is a process-wide cached table this clones the
+        // matching cached bootstrap instead of re-running the 21×21×63
+        // sweep — the bootstrap is a pure function of the table, so this
+        // changes nothing but wall-clock.
+        let learner =
+            (strategy == Strategy::Hybrid).then(|| QLearner::bootstrapped(profiles).into_owned());
         Pmk {
             strategy,
             hysteresis: 0.0,

@@ -13,6 +13,10 @@
 //! very first sprint decisions are already sensible and online learning
 //! refines them.
 //!
+//! A decision reads one 63-cell row and an update writes one cell, so
+//! the hot paths index the table with a constant row stride and allocate
+//! nothing; a snapshot stores only the cells a run changed ([`QDelta`]).
+//!
 //! One interpretation note, recorded here because Algorithm 1 leaves it
 //! implicit: `QoScurrent` must reflect the *offered* workload, not only the
 //! requests a load balancer admitted — otherwise shedding to a trickle
@@ -25,6 +29,7 @@ use crate::profiler::ProfileTable;
 use gs_cluster::ServerSetting;
 use gs_sim::SimRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The paper's learning rate.
 pub const PAPER_LEARNING_RATE: f64 = 0.7;
@@ -36,6 +41,9 @@ pub const QUANT_STEP: f64 = 0.05;
 
 /// Number of quantization levels for one state dimension (0 %, 5 %, …, 100 %).
 const LEVELS: usize = 21;
+
+/// Actions per state — the table's row stride.
+const ACTIONS: usize = ServerSetting::COUNT;
 
 /// A quantized MDP state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -167,8 +175,121 @@ impl std::fmt::Display for PolicyError {
 
 impl std::error::Error for PolicyError {}
 
-/// Summary statistics over a Q-table, shared by the guardrail's
-/// corruption detector and `greensprint qtable dump`.
+/// Why a [`QDelta`] cannot apply to a table. Parsing a delta checks
+/// both, so a snapshot carrying a tampered delta is refused at load
+/// (the CLI exits 2) rather than indexing past the table on resume.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum DeltaError {
+    /// A cell index at or past [`QLearner::CELLS`].
+    IndexOutOfRange {
+        /// The offending index.
+        index: u32,
+    },
+    /// A cell index that does not follow the previous one strictly
+    /// upwards (a repeat or a step back).
+    NotIncreasing {
+        /// The index before it.
+        after: u32,
+        /// The offending index.
+        index: u32,
+    },
+}
+
+impl std::fmt::Display for DeltaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeltaError::IndexOutOfRange { index } => write!(
+                f,
+                "q-table delta names cell {index} of a {}-cell table",
+                QLearner::CELLS
+            ),
+            DeltaError::NotIncreasing { after, index } => write!(
+                f,
+                "q-table delta lists cell {index} after cell {after}; indices must strictly increase"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DeltaError {}
+
+/// A learner stored as its difference from a base table: the scalar
+/// fields, plus each cell whose bits differ from the base's as a
+/// `(cell index, f64::to_bits)` pair, in strictly increasing index order.
+/// Bits rather than decimal floats, so every cell round-trips exactly —
+/// NaN, ±inf and −0.0 included. Snapshots carry a learner this way
+/// (`LoopState::learner`), and resume applies it onto the same base.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct QDelta {
+    learning_rate: f64,
+    discount: f64,
+    epsilon: f64,
+    max_power_w: f64,
+    max_load_rps: f64,
+    cells: Vec<(u32, u64)>,
+}
+
+impl QDelta {
+    /// Check every cell index against the table size and its
+    /// predecessor.
+    pub(crate) fn validate(&self) -> Result<(), DeltaError> {
+        let mut prev: Option<u32> = None;
+        for &(index, _) in &self.cells {
+            if index as usize >= QLearner::CELLS {
+                return Err(DeltaError::IndexOutOfRange { index });
+            }
+            if let Some(after) = prev.filter(|&p| index <= p) {
+                return Err(DeltaError::NotIncreasing { after, index });
+            }
+            prev = Some(index);
+        }
+        Ok(())
+    }
+}
+
+/// Parsing validates: a [`QDelta`] that deserialized applies to any
+/// full-size table.
+impl Deserialize for QDelta {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            learning_rate: f64,
+            discount: f64,
+            epsilon: f64,
+            max_power_w: f64,
+            max_load_rps: f64,
+            cells: Vec<(u32, u64)>,
+        }
+        let raw = Raw::from_value(v)?;
+        let delta = QDelta {
+            learning_rate: raw.learning_rate,
+            discount: raw.discount,
+            epsilon: raw.epsilon,
+            max_power_w: raw.max_power_w,
+            max_load_rps: raw.max_load_rps,
+            cells: raw.cells,
+        };
+        delta.validate().map_err(serde::Error::msg)?;
+        Ok(delta)
+    }
+}
+
+/// `json` (a serialized snapshot) with its first Q-table delta's cell
+/// list replaced by `cells`, a JSON array — a tampered snapshot for the
+/// resume tests to refuse.
+#[cfg(test)]
+pub(crate) fn with_first_delta_cells(json: &str, cells: &str) -> String {
+    let key = "\"cells\":";
+    let at = json.find(key).expect("the snapshot holds a Q-table delta") + key.len();
+    let len = if json[at..].starts_with("[]") {
+        2
+    } else {
+        json[at..].find("]]").expect("a closed cell list") + 2
+    };
+    format!("{}{cells}{}", &json[..at], &json[at + len..])
+}
+
+/// Summary statistics over a Q-table, for `greensprint qtable dump`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TableStats {
     /// Total number of cells.
@@ -203,13 +324,23 @@ pub struct QLearner {
     max_load_rps: f64,
 }
 
+/// Whether one cell value trips the guardrail's corruption detector:
+/// NaN, ±inf, or a magnitude above `cap`. A table is corrupt when any
+/// cell is — the verdict `table_stats` gives as
+/// `non_finite > 0 || max_abs > cap`.
+pub(crate) fn corrupt_value(v: f64, cap: f64) -> bool {
+    !v.is_finite() || v.abs() > cap
+}
+
 impl QLearner {
+    /// Cells in a table: one row of 63 actions per state.
+    pub(crate) const CELLS: usize = QState::COUNT * ACTIONS;
+
     /// A learner with the paper's constants, quantizing against the given
     /// application maxima.
     pub fn new(max_power_w: f64, max_load_rps: f64) -> Self {
-        let n_actions = ServerSetting::all().len();
         QLearner {
-            table: vec![0.0; QState::COUNT * n_actions],
+            table: vec![0.0; Self::CELLS],
             learning_rate: PAPER_LEARNING_RATE,
             discount: PAPER_DISCOUNT,
             epsilon: 0.0,
@@ -231,13 +362,27 @@ impl QLearner {
             std::sync::OnceLock::new(),
             std::sync::OnceLock::new(),
         ];
-        BOOTSTRAPPED[crate::profiler::app_cache_index(app)].get_or_init(|| {
-            let profiles = ProfileTable::cached(app);
-            let max = profiles.get(ServerSetting::max_sprint());
-            let mut q = QLearner::new(max.full_load_power_w, max.slo_capacity);
-            q.bootstrap(profiles);
-            q
-        })
+        BOOTSTRAPPED[crate::profiler::app_cache_index(app)]
+            .get_or_init(|| Self::bootstrapped_fresh(ProfileTable::cached(app)))
+    }
+
+    /// The profile-bootstrapped learner for `profiles`: the process-wide
+    /// [`Self::bootstrapped_cached`] copy, borrowed, for a cached table,
+    /// else a fresh bootstrap.
+    pub(crate) fn bootstrapped(profiles: &ProfileTable) -> Cow<'static, QLearner> {
+        match ProfileTable::cached_app(profiles) {
+            Some(app) => Cow::Borrowed(Self::bootstrapped_cached(app)),
+            None => Cow::Owned(Self::bootstrapped_fresh(profiles)),
+        }
+    }
+
+    /// [`QLearner::new`] against `profiles`' maxima, then
+    /// [`QLearner::bootstrap`].
+    fn bootstrapped_fresh(profiles: &ProfileTable) -> QLearner {
+        let max = profiles.get(ServerSetting::max_sprint());
+        let mut q = QLearner::new(max.full_load_power_w, max.slo_capacity);
+        q.bootstrap(profiles);
+        q
     }
 
     /// Quantize observed (supply, load) into an MDP state.
@@ -249,7 +394,13 @@ impl QLearner {
     }
 
     fn cell(&self, s: QState, a: ServerSetting) -> usize {
-        s.index() * ServerSetting::all().len() + a.action_index()
+        s.index() * ACTIONS + a.action_index()
+    }
+
+    /// State `s`'s row: one value per action, in action-index order.
+    fn row(&self, s: QState) -> &[f64] {
+        let start = s.index() * ACTIONS;
+        &self.table[start..start + ACTIONS]
     }
 
     /// Current table value.
@@ -309,10 +460,11 @@ impl QLearner {
         if self.epsilon > 0.0 && rng.chance(self.epsilon) {
             return feasible[rng.index(feasible.len())];
         }
+        let row = self.row(s);
         feasible
             .iter()
             .copied()
-            .max_by(|&a, &b| self.value(s, a).total_cmp(&self.value(s, b)))
+            .max_by(|a, b| row[a.action_index()].total_cmp(&row[b.action_index()]))
             .expect("feasible set is non-empty")
     }
 
@@ -359,7 +511,7 @@ impl QLearner {
     /// Structural health check: table shape, cell finiteness, and
     /// hyper-parameter / quantization-reference ranges.
     pub fn validate(&self) -> Result<(), PolicyError> {
-        let expected = QState::COUNT * ServerSetting::all().len();
+        let expected = Self::CELLS;
         if self.table.len() != expected {
             return Err(PolicyError::WrongShape {
                 expected,
@@ -392,6 +544,48 @@ impl QLearner {
             }
         }
         Ok(())
+    }
+
+    /// Whether any cell trips [`corrupt_value`] — the guardrail's full
+    /// corruption scan.
+    pub(crate) fn any_corrupt(&self, cap: f64) -> bool {
+        self.table.iter().any(|&v| corrupt_value(v, cap))
+    }
+
+    /// This learner as a [`QDelta`] from `base`, a table of the same
+    /// shape: the scalar fields and every cell whose bits differ.
+    pub(crate) fn delta_from(&self, base: &QLearner) -> QDelta {
+        QDelta {
+            learning_rate: self.learning_rate,
+            discount: self.discount,
+            epsilon: self.epsilon,
+            max_power_w: self.max_power_w,
+            max_load_rps: self.max_load_rps,
+            cells: self
+                .table
+                .iter()
+                .zip(&base.table)
+                .enumerate()
+                .filter(|(_, (v, b))| v.to_bits() != b.to_bits())
+                .map(|(i, (v, _))| (i as u32, v.to_bits()))
+                .collect(),
+        }
+    }
+
+    /// Restore a [`Self::delta_from`] capture onto `self`, which must
+    /// hold the capture's base: afterwards `self` is bit-identical to the
+    /// captured learner.
+    pub(crate) fn apply_delta(&mut self, delta: &QDelta) {
+        self.learning_rate = delta.learning_rate;
+        self.discount = delta.discount;
+        self.epsilon = delta.epsilon;
+        self.max_power_w = delta.max_power_w;
+        self.max_load_rps = delta.max_load_rps;
+        // In range: a delta is built from a full table or validated when
+        // parsed, and every table but a forensic unchecked load is full.
+        for &(i, bits) in &delta.cells {
+            self.table[i as usize] = f64::from_bits(bits);
+        }
     }
 
     /// Summary statistics over the table (finite-value min/max/mean and
@@ -437,15 +631,19 @@ impl QLearner {
         }
     }
 
-    /// The Bellman update of Algorithm 1 line 15.
-    pub fn update(&mut self, s: QState, a: ServerSetting, r: f64, next: QState) {
-        let best_next = ServerSetting::all()
-            .into_iter()
-            .map(|a2| self.value(next, a2))
+    /// The Bellman update of Algorithm 1 line 15. Returns the value it
+    /// wrote, the only cell that changed.
+    pub fn update(&mut self, s: QState, a: ServerSetting, r: f64, next: QState) -> f64 {
+        let best_next = self
+            .row(next)
+            .iter()
+            .copied()
             .fold(f64::NEG_INFINITY, f64::max);
         let cell = self.cell(s, a);
         let old = self.table[cell];
-        self.table[cell] = old + self.learning_rate * (r + self.discount * best_next - old);
+        let new = old + self.learning_rate * (r + self.discount * best_next - old);
+        self.table[cell] = new;
+        new
     }
 }
 
@@ -805,6 +1003,129 @@ mod tests {
             load_level: 99
         }
         .in_range());
+    }
+
+    /// `delta` through its JSON encoding, applied onto a copy of `base`.
+    fn restored(base: &QLearner, delta: &QDelta) -> QLearner {
+        let json = serde_json::to_string(delta).unwrap();
+        let parsed: QDelta = serde_json::from_str(&json).expect("a built delta parses");
+        assert_eq!(&parsed, delta);
+        let mut q = base.clone();
+        q.apply_delta(&parsed);
+        q
+    }
+
+    fn bits(q: &QLearner) -> Vec<u64> {
+        q.table.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn delta_round_trips_nan_infinities_and_signed_zero() {
+        let (base, _) = learner(); // an all-zero table
+        let mut q = base.clone();
+        q.table[0] = f64::NAN;
+        q.table[1] = -f64::NAN;
+        q.table[2] = f64::from_bits(0x7ff0_0000_0000_0001); // signalling NaN
+        q.table[3] = f64::INFINITY;
+        q.table[4] = f64::NEG_INFINITY;
+        q.table[5] = -0.0;
+        q.table[QLearner::CELLS - 1] = 1e300;
+        q.epsilon = 0.25;
+        let delta = q.delta_from(&base);
+        // −0.0 differs from the base's 0.0 in its bits; untouched cells
+        // are left out.
+        assert_eq!(delta.cells.len(), 7);
+        let back = restored(&base, &delta);
+        assert_eq!(bits(&back), bits(&q));
+        assert_eq!(back.epsilon, 0.25);
+        assert_eq!(back.table[5].to_bits(), (-0.0_f64).to_bits());
+    }
+
+    #[test]
+    fn delta_of_a_table_where_every_cell_changed_round_trips() {
+        let (mut base, profiles) = learner();
+        base.bootstrap(&profiles);
+        let mut q = base.clone();
+        q.poison(1e9);
+        for v in &mut q.table {
+            *v = f64::from_bits(v.to_bits() ^ 1);
+        }
+        let delta = q.delta_from(&base);
+        assert_eq!(delta.cells.len(), QLearner::CELLS);
+        assert_eq!(bits(&restored(&base, &delta)), bits(&q));
+        // And an unchanged learner is an empty delta.
+        assert_eq!(base.delta_from(&base).cells.len(), 0);
+    }
+
+    #[test]
+    fn deltas_with_bad_indices_are_refused() {
+        let (q, _) = learner();
+        let with_cells = |cells: Vec<(u32, u64)>| QDelta {
+            cells,
+            ..q.delta_from(&q)
+        };
+        let last = QLearner::CELLS as u32 - 1;
+        assert_eq!(with_cells(vec![(0, 1), (last, 1)]).validate(), Ok(()));
+        let bad = [
+            (
+                vec![(last + 1, 1)],
+                DeltaError::IndexOutOfRange { index: last + 1 },
+            ),
+            (
+                vec![(0, 1), (u32::MAX, 1)],
+                DeltaError::IndexOutOfRange { index: u32::MAX },
+            ),
+            (
+                vec![(5, 1), (5, 2)],
+                DeltaError::NotIncreasing { after: 5, index: 5 },
+            ),
+            (
+                vec![(9, 1), (3, 2)],
+                DeltaError::NotIncreasing { after: 9, index: 3 },
+            ),
+        ];
+        for (cells, want) in bad {
+            let delta = with_cells(cells);
+            assert_eq!(delta.validate(), Err(want.clone()));
+            let json = serde_json::to_string(&delta).unwrap();
+            let err = serde_json::from_str::<QDelta>(&json).expect_err("bad delta parsed");
+            assert_eq!(err.to_string(), want.to_string());
+        }
+    }
+
+    #[test]
+    fn corruption_scan_matches_the_table_stats_verdict() {
+        let (mut base, profiles) = learner();
+        base.bootstrap(&profiles);
+        let stats_verdict = |q: &QLearner, cap: f64| {
+            q.table_stats().non_finite > 0 || q.table_stats().max_abs > cap
+        };
+        let mut poisoned = base.clone();
+        poisoned.poison(1e8);
+        let mut one_inf = base.clone();
+        one_inf.table[77] = f64::NEG_INFINITY;
+        let mut one_big = base.clone();
+        one_big.table[78] = -2e6;
+        for q in [&base, &poisoned, &one_inf, &one_big] {
+            for cap in [1e6, 1e9, 0.5, -1.0, f64::NAN, f64::INFINITY] {
+                assert_eq!(q.any_corrupt(cap), stats_verdict(q, cap), "cap {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_returns_the_one_cell_it_wrote() {
+        let (mut q, profiles) = learner();
+        q.bootstrap(&profiles);
+        let before = q.clone();
+        let s = QState {
+            power_level: 3,
+            load_level: 17,
+        };
+        let a = ServerSetting::new(8, 4);
+        let written = q.update(s, a, 2.5, s);
+        assert_eq!(written.to_bits(), q.value(s, a).to_bits());
+        assert_eq!(q.delta_from(&before).cells.len(), 1);
     }
 
     #[test]

@@ -1619,7 +1619,13 @@ mod tests {
         assert_eq!(snap.racks[0].as_ref().expect("rack 0 state").next_epoch, 1);
 
         // Every retired schema is rejected like any other.
-        for schema in ["gs-serve-0", "gs-serve-1", "gs-serve-2", "gs-dc-ckpt-1"] {
+        for schema in [
+            "gs-serve-0",
+            "gs-serve-1",
+            "gs-serve-2",
+            "gs-dc-ckpt-1",
+            "gs-site-1",
+        ] {
             let bad_schema = json.replacen(SITE_SCHEMA, schema, 1);
             assert!(
                 matches!(resume_error(&dir, &bad_schema), ServeError::Snapshot(_)),
@@ -1697,6 +1703,13 @@ mod tests {
                 "truncated {name} resumed"
             );
         }
+        // A Q-table delta naming a cell past the table.
+        let tampered =
+            crate::qlearning::with_first_delta_cells(&good.to_json().unwrap(), "[[27783,0]]");
+        assert!(
+            matches!(resume_error(&dir, &tampered), ServeError::Snapshot(m) if m.contains("27783")),
+            "tampered delta resumed"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use greensprint::pmk::Strategy;
     pub use greensprint::profiler::ProfileTable;
-    pub use greensprint::qlearning::{PolicyError, QLearner, TableStats};
+    pub use greensprint::qlearning::{PolicyError, QDelta, QLearner, TableStats};
     pub use greensprint::serve::{
         serve, ControlBackend, DisturbancePlan, OverrunPolicy, ServeArgs, ServeError, ServeOptions,
         ServeSideState, ServeSnapshot, ServeSummary,

@@ -1,5 +1,6 @@
 //! Smoke tests for the operator CLI (the `greensprint` binary).
 
+use greensprint_repro::prelude::SITE_SCHEMA;
 use std::process::Command;
 
 fn run(args: &[&str]) -> (String, String, bool) {
@@ -620,9 +621,9 @@ fn datacenter_rejects_a_retired_checkpoint_schema() {
     // Rewrite the checkpoint into the retired `gs-dc-ckpt-1` layout: no
     // schema tag, and the broker state under `broker`.
     let text = std::fs::read_to_string(&ckpt).unwrap();
-    let old =
-        text.replacen("\"schema\":\"gs-site-1\",", "", 1)
-            .replacen("\"site\":{", "\"broker\":{", 1);
+    let old = text
+        .replacen(&format!("\"schema\":\"{SITE_SCHEMA}\","), "", 1)
+        .replacen("\"site\":{", "\"broker\":{", 1);
     assert_ne!(old, text, "the checkpoint layout changed under this test");
     std::fs::write(&ckpt, old).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))

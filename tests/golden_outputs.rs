@@ -11,9 +11,10 @@
 //! fails loudly here.
 //!
 //! Covered planes, per the determinism contract:
-//! * `BurstOutcome` JSON for 3 seeds × {plain, fault-plan, fleet-fault}
-//!   configurations (Hybrid strategy, so the learner's RNG stream is pinned
-//!   too);
+//! * `BurstOutcome` JSON for 3 seeds × {plain, fault-plan, fleet-fault,
+//!   guarded} configurations (Hybrid strategy, so the learner's RNG stream
+//!   is pinned too; `guarded` runs the policy guardrail over a poisoned
+//!   Q-table, so its demote/quarantine/re-promote path is pinned as well);
 //! * scripted single-server DES epochs (`des_epochs.jsonl`): every
 //!   `EpochPerf` and the carried backlog through overload, a 12 → 6-core
 //!   switch and a drain, past the latency reservoir's cap for Memcached,
@@ -78,8 +79,10 @@ fn check(name: &str, actual: &str) {
     }
 }
 
-/// The three burst families, all Analytic (snapshot-capable) and all on the
+/// The burst families, all Analytic (snapshot-capable) and all on the
 /// Hybrid strategy so the learner's RNG stream is part of the contract.
+const FAMILIES: [&str; 4] = ["plain", "faults", "fleet", "guarded"];
+
 fn family_cfg(family: &str, seed: u64) -> EngineConfig {
     let start = SimTime::from_hours(11);
     let dur = SimDuration::from_mins(10);
@@ -109,6 +112,16 @@ fn family_cfg(family: &str, seed: u64) -> EngineConfig {
             )),
             ..base
         },
+        // The guardrail supervising a poisoned table: demote on
+        // corruption, quarantine, re-promote to a fresh bootstrap.
+        "guarded" => {
+            let mut cfg = EngineConfig {
+                fault_plan: Some(FaultPlan::generate_poison(seed, start, dur)),
+                ..base
+            };
+            cfg.guardrail.enabled = true;
+            cfg
+        }
         other => panic!("unknown family {other}"),
     }
 }
@@ -120,7 +133,7 @@ fn outcome_json(cfg: EngineConfig) -> String {
 
 #[test]
 fn golden_burst_outcomes_are_byte_identical() {
-    for family in ["plain", "faults", "fleet"] {
+    for family in FAMILIES {
         for seed in SEEDS {
             let json = outcome_json(family_cfg(family, seed));
             check(&format!("burst_{family}_seed{seed}.json"), &json);
@@ -469,7 +482,7 @@ fn golden_outcomes_survive_snapshot_resume() {
     // One seed per family: snapshot mid-run, resume from the captured
     // state, and require the resumed outcome to hit the same golden bytes
     // as the uninterrupted run.
-    for family in ["plain", "faults", "fleet"] {
+    for family in FAMILIES {
         let cfg = family_cfg(family, SEEDS[0]);
         let fixture = fixture_dir().join(format!("burst_{family}_seed{}.json", SEEDS[0]));
         let mut snaps: Vec<EngineSnapshot> = Vec::new();
@@ -491,7 +504,9 @@ fn golden_outcomes_survive_snapshot_resume() {
             "{family}: expected multiple snapshots, got {}",
             snaps.len()
         );
-        let mid = snaps[snaps.len() / 2].clone();
+        // Through a JSON round trip, as an on-disk checkpoint resumes.
+        let mid = EngineSnapshot::from_json(&snaps[snaps.len() / 2].to_json())
+            .expect("snapshot parses back");
         match resume_snapshot(mid, 3, &mut |_| {}).expect("resume") {
             ResumedRun::Burst { outcome, .. } => {
                 let resumed = serde_json::to_string(&outcome).expect("outcome serializes");
