@@ -17,7 +17,7 @@ use crate::audit::{EpochFlows, InvariantAuditor};
 use crate::checkpoint::{EngineSnapshot, LoopState, MainCarry, RunPhase, SnapshotScope};
 use crate::config::{AvailabilityLevel, GreenConfig};
 use crate::faults::{ActiveFaults, FaultPlan};
-use crate::fleet::{AnalyticCache, EngineScratch, FleetState, ServerPerf};
+use crate::fleet::{AdmittedPerf, AnalyticCache, EngineScratch, FleetState, ServerPerf};
 use crate::guardrail::{
     EpochSignals, Guardrail, GuardrailAction, GuardrailConfig, QuarantineRecord,
 };
@@ -1983,7 +1983,7 @@ pub(crate) fn run_window_resumable(
                     &app,
                     profiles,
                     ServerSetting::normal(),
-                    offered,
+                    served_rps,
                     reads_latency,
                 );
                 fleet.perfs[i] = fleet.perfs[i].blend(&normal_perf, w);
@@ -2325,14 +2325,13 @@ fn analytic_goodput(
     profiles: &ProfileTable,
     setting: ServerSetting,
     offered_rps: f64,
-) -> ServerPerf {
+) -> AdmittedPerf {
     let e = profiles.get(setting);
     let admitted = offered_rps.min(e.slo_capacity);
     let station = app.station(setting);
     let grids = profiles.quad_grids(app.app, setting, station);
     let tail = station.sojourn_tail_with(&grids.full, admitted, app.slo_deadline_s);
-    ServerPerf::without_latency(
-        offered_rps,
+    AdmittedPerf::without_latency(
         admitted * (1.0 - tail),
         (admitted / e.raw_capacity).clamp(0.0, 1.0),
     )
@@ -2340,8 +2339,11 @@ fn analytic_goodput(
 
 /// The percentile-latency solve of [`measure_analytic`]. The latency only
 /// grades the Hybrid reward's magnitude and the guardrail's SLO check, so
-/// a decimated quadrature grid and a short bisection (up to 65 tail sums)
-/// are plenty.
+/// a decimated quadrature grid and a short bisection are plenty. The
+/// bracket's first probe already holds for every calibrated application
+/// and setting, so a bisection makes 26 tail comparisons. One pass of
+/// running sums answers them (see [`gs_workload::queueing::TailAtMost`]),
+/// each exactly as the full tail sum would.
 fn analytic_latency(
     app: &AppProfile,
     profiles: &ProfileTable,
@@ -2352,9 +2354,18 @@ fn analytic_latency(
     let station = app.station(setting);
     let coarse = &profiles.quad_grids(app.app, setting, station).coarse;
     let target = 1.0 - app.slo_percentile;
+    let within = station.tail_at_most(coarse, admitted, target);
+    let met = |d: f64| {
+        let met = within.at(d);
+        debug_assert_eq!(
+            met,
+            station.sojourn_tail_with(coarse, admitted, d) <= target
+        );
+        met
+    };
     let mut hi = station.mean_service_s * 4.0;
     for _ in 0..40 {
-        if station.sojourn_tail_with(coarse, admitted, hi) <= target {
+        if met(hi) {
             break;
         }
         hi *= 2.0;
@@ -2362,7 +2373,7 @@ fn analytic_latency(
     let mut lo = 0.0;
     for _ in 0..25 {
         let mid = 0.5 * (lo + hi);
-        if station.sojourn_tail_with(coarse, admitted, mid) <= target {
+        if met(mid) {
             hi = mid;
         } else {
             lo = mid;
@@ -2371,26 +2382,31 @@ fn analytic_latency(
     hi
 }
 
-/// The analytic measurement of `setting` at `rps` through a run's cache:
-/// the goodput solve on a miss, and the percentile latency only when
-/// `latency` asks for it. An entry a reader-free run cached without a
-/// latency gets it filled in here, with the bits [`measure_analytic`]
-/// gives, so every later reader hits.
+/// The analytic measurement of `setting` at `served_rps` through a run's
+/// cache, keyed by the admitted rate `min(served_rps, SLO capacity)`:
+/// both solves read the rate only in that form, so every served rate at
+/// or above the capacity shares one entry. The goodput solve runs on a
+/// miss, and the percentile latency only when `latency` asks for it. An
+/// entry a reader-free run cached without a latency gets it filled in
+/// here, with the bits [`measure_analytic`] gives, so every later reader
+/// hits. The result carries the caller's own `served_rps` as its offered
+/// rate, which the reward and the guardrail's SLO check read.
 fn cached_analytic(
     cache: &mut AnalyticCache,
     app: &AppProfile,
     profiles: &ProfileTable,
     setting: ServerSetting,
-    rps: f64,
+    served_rps: f64,
     latency: bool,
 ) -> ServerPerf {
+    let admitted = served_rps.min(profiles.get(setting).slo_capacity);
     let p = cache
-        .entry((setting, rps.to_bits()))
-        .or_insert_with(|| analytic_goodput(app, profiles, setting, rps));
+        .entry((setting, admitted.to_bits()))
+        .or_insert_with(|| analytic_goodput(app, profiles, setting, admitted));
     if latency {
-        p.fill_latency(|| analytic_latency(app, profiles, setting, rps));
+        p.fill_latency(|| analytic_latency(app, profiles, setting, admitted));
     }
-    *p
+    p.offered(served_rps)
 }
 
 /// Algorithm 1's reward inputs for one server's measured epoch.
@@ -2887,10 +2903,19 @@ mod tests {
             let uncached = (app_id == Application::SpecJbb).then(|| ProfileTable::build(&app));
             for setting in ServerSetting::all() {
                 let e = cached.get(setting);
+                let cap = e.slo_capacity;
                 for rps in [
                     0.0,
-                    0.5 * e.slo_capacity,
-                    e.slo_capacity,
+                    f64::from_bits(1),
+                    0.1 * cap,
+                    0.25 * cap,
+                    0.5 * cap,
+                    0.75 * cap,
+                    0.9 * cap,
+                    0.99 * cap,
+                    cap.next_down(),
+                    cap,
+                    cap.next_up(),
                     1.2 * e.raw_capacity,
                 ] {
                     let want =
@@ -2939,25 +2964,66 @@ mod tests {
             .any(|k| shared.analytic_cache[k].has_latency()));
         let app = hybrid.app.profile();
         let profiles = ProfileTable::cached(hybrid.app);
-        for (&(setting, rps), p) in shared
+        for (&(setting, admitted), p) in shared
             .analytic_cache
             .iter()
             .filter(|(_, p)| p.has_latency())
         {
-            let full = measure_analytic(&app, profiles, setting, f64::from_bits(rps));
+            let admitted = f64::from_bits(admitted);
+            let full = measure_analytic(&app, profiles, setting, admitted);
+            assert_eq!(full.admitted_rps.to_bits(), admitted.to_bits());
             assert_eq!(
-                [p.offered_rps, p.goodput_rps, p.utilization, p.latency_s()].map(f64::to_bits),
                 [
-                    full.offered_rps,
-                    full.goodput_rps,
-                    full.utilization,
-                    full.slo_percentile_latency_s,
+                    p.goodput_rps,
+                    p.utilization,
+                    p.offered(admitted).latency_s()
                 ]
                 .map(f64::to_bits),
-                "{setting:?} at {} req/s",
-                f64::from_bits(rps)
+                [
+                    full.goodput_rps,
+                    full.utilization,
+                    full.slo_percentile_latency_s
+                ]
+                .map(f64::to_bits),
+                "{setting:?} admitting {admitted} req/s"
             );
         }
+    }
+
+    #[test]
+    fn overloaded_rates_share_one_cache_entry_and_keep_their_offered_rate() {
+        let app = Application::SpecJbb.profile();
+        let profiles = ProfileTable::cached(Application::SpecJbb);
+        let setting = ServerSetting::normal();
+        let cap = profiles.get(setting).slo_capacity;
+        let key = (setting, cap.to_bits());
+        let mut cache = AnalyticCache::default();
+        let a = cached_analytic(&mut cache, &app, profiles, setting, 1.5 * cap, false);
+        let b = cached_analytic(&mut cache, &app, profiles, setting, 3.0 * cap, false);
+        assert_eq!(cache.len(), 1, "both rates admit the capacity");
+        assert!(!cache[&key].has_latency());
+        // A latency reader at a third overloaded rate fills that entry.
+        let c = cached_analytic(&mut cache, &app, profiles, setting, 2.0 * cap, true);
+        assert_eq!(cache.len(), 1);
+        assert!(cache[&key].has_latency());
+        // Each result is the full solve at its caller's own offered rate.
+        for (rps, got) in [(1.5 * cap, a), (3.0 * cap, b), (2.0 * cap, c)] {
+            let full = measure_analytic(&app, profiles, setting, rps);
+            assert_eq!(
+                [got.offered_rps, got.goodput_rps, got.utilization].map(f64::to_bits),
+                [full.offered_rps, full.goodput_rps, full.utilization].map(f64::to_bits),
+                "{rps} req/s"
+            );
+        }
+        assert_eq!(
+            c.latency_s().to_bits(),
+            measure_analytic(&app, profiles, setting, 2.0 * cap)
+                .slo_percentile_latency_s
+                .to_bits()
+        );
+        // A rate below the capacity admits itself: an entry of its own.
+        cached_analytic(&mut cache, &app, profiles, setting, 0.5 * cap, false);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

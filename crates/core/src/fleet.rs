@@ -17,9 +17,9 @@
 //! resets the fleet arrays and memo tables. The analytic cache survives
 //! into the next run only when both runs measure the same application
 //! against its process-wide cached profile table: its entries are then
-//! the same pure function of `(setting, rps)` in both runs, so a hit
-//! returns exactly the bits a fresh measurement would. An entry holds
-//! the percentile latency only once a run that reads latencies (a
+//! the same pure function of `(setting, admitted rps)` in both runs, so
+//! a hit returns exactly the bits a fresh measurement would. An entry
+//! holds the percentile latency only once a run that reads latencies (a
 //! learner or a guardrail) has asked for it: a reader-free run caches
 //! the goodput solve alone, and a later reader fills the latency in on
 //! read. Either way reuse is unobservable in the output: the determinism
@@ -71,27 +71,6 @@ impl ServerPerf {
         slo_latency_s: Some(0.0),
     };
 
-    /// A measurement whose percentile latency is not solved (yet).
-    pub fn without_latency(offered_rps: f64, goodput_rps: f64, utilization: f64) -> Self {
-        Self {
-            offered_rps,
-            goodput_rps,
-            utilization,
-            slo_latency_s: None,
-        }
-    }
-
-    /// Whether the percentile latency has been solved.
-    #[cfg(test)]
-    pub fn has_latency(&self) -> bool {
-        self.slo_latency_s.is_some()
-    }
-
-    /// Solve a percentile latency the measurement skipped.
-    pub fn fill_latency(&mut self, solve: impl FnOnce() -> f64) {
-        self.slo_latency_s.get_or_insert_with(solve);
-    }
-
     /// The SLO-percentile latency. Only a run with a latency reader asks,
     /// and such a run solves every latency it measures.
     pub fn latency_s(&self) -> f64 {
@@ -112,6 +91,50 @@ impl ServerPerf {
                 .slo_latency_s
                 .zip(normal.slo_latency_s)
                 .map(|(s, n)| s.max(n)),
+        }
+    }
+}
+
+/// An analytic measurement of one setting at one admitted rate: a
+/// [`ServerPerf`] without the offered rate, which the solves never read.
+/// Offered rates at or above the setting's SLO capacity all admit the
+/// capacity, so they share one of these; [`Self::offered`] attaches each
+/// caller's own offered rate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdmittedPerf {
+    pub goodput_rps: f64,
+    pub utilization: f64,
+    slo_latency_s: Option<f64>,
+}
+
+impl AdmittedPerf {
+    /// A measurement whose percentile latency is not solved (yet).
+    pub fn without_latency(goodput_rps: f64, utilization: f64) -> Self {
+        Self {
+            goodput_rps,
+            utilization,
+            slo_latency_s: None,
+        }
+    }
+
+    /// Whether the percentile latency has been solved.
+    #[cfg(test)]
+    pub fn has_latency(&self) -> bool {
+        self.slo_latency_s.is_some()
+    }
+
+    /// Solve a percentile latency the measurement skipped.
+    pub fn fill_latency(&mut self, solve: impl FnOnce() -> f64) {
+        self.slo_latency_s.get_or_insert_with(solve);
+    }
+
+    /// The measurement as seen by a caller that offered `offered_rps`.
+    pub fn offered(&self, offered_rps: f64) -> ServerPerf {
+        ServerPerf {
+            offered_rps,
+            goodput_rps: self.goodput_rps,
+            utilization: self.utilization,
+            slo_latency_s: self.slo_latency_s,
         }
     }
 }
@@ -238,22 +261,23 @@ impl FleetState {
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     pub(crate) fleet: FleetState,
-    /// Memo of analytic epoch measurements, keyed by
-    /// `(setting, offered_rps.to_bits())`. Pure in the application and
-    /// its profile table, so it is kept across runs that share both (see
-    /// [`EngineScratch::begin_run`]). Shared by runs that read the
-    /// percentile latency and runs that do not, so an entry may lack one;
-    /// a reading run fills it in on read, with the bits a solve of both
-    /// halves at once gives.
+    /// Memo of analytic epoch measurements, keyed by the setting and the
+    /// bits of the admitted rate, `min(served rate, SLO capacity)`: the
+    /// only form in which either solve reads the rate. Pure in the
+    /// application and its profile table, so it is kept across runs that
+    /// share both (see [`EngineScratch::begin_run`]). Shared by runs that
+    /// read the percentile latency and runs that do not, so an entry may
+    /// lack one; a reading run fills it in on read, with the bits a solve
+    /// of both halves at once gives.
     pub(crate) analytic_cache: AnalyticCache,
     /// The application whose process-wide cached profile table filled
     /// `analytic_cache`; `None` for any other table.
     cache_app: Option<Application>,
 }
 
-/// The analytic-measurement memo: `(setting, offered_rps.to_bits())` to
-/// the measured epoch.
-pub(crate) type AnalyticCache = HashMap<(ServerSetting, u64), ServerPerf, FxBuildHasher>;
+/// The analytic-measurement memo: `(setting, admitted_rps.to_bits())` to
+/// the measured epoch, less the offered rate.
+pub(crate) type AnalyticCache = HashMap<(ServerSetting, u64), AdmittedPerf, FxBuildHasher>;
 
 /// Past this many entries the analytic cache is dropped at the next run
 /// start, bounding what a long-lived scratch (a sweep worker's) holds.
@@ -418,8 +442,10 @@ mod tests {
             (0, 0, 0, ServerSetting::normal()),
             ServerSetting::max_sprint(),
         );
-        s.analytic_cache
-            .insert((ServerSetting::normal(), 0), ServerPerf::IDLE);
+        s.analytic_cache.insert(
+            (ServerSetting::normal(), 0),
+            AdmittedPerf::without_latency(0.0, 0.0),
+        );
         // A new run clears per-epoch lists and, off a cached table, the
         // analytic cache.
         s.begin_run(3, None);
@@ -431,8 +457,10 @@ mod tests {
 
     fn fill(s: &mut EngineScratch, entries: usize) {
         for rps in 0..entries as u64 {
-            s.analytic_cache
-                .insert((ServerSetting::normal(), rps), ServerPerf::IDLE);
+            s.analytic_cache.insert(
+                (ServerSetting::normal(), rps),
+                AdmittedPerf::without_latency(0.0, 0.0),
+            );
         }
     }
 

@@ -113,6 +113,15 @@ pub struct Station {
 /// this must be well above `1/(1-q)` to resolve the violation budget.
 pub const QUAD_POINTS: usize = 2000;
 
+/// How close to its target, relative to the target, a running-sum tail
+/// estimate ([`TailAtMost`]) may fall before the exact sum decides the
+/// comparison instead. Every term of the tail is non-negative, so both
+/// the estimate and [`Station::sojourn_tail_with`] sit within a relative
+/// ~1e-12 of the true sum on grids of up to [`QUAD_POINTS`] points;
+/// outside this band the two cannot fall on different sides of the
+/// target.
+pub const TAIL_ESTIMATE_BAND: f64 = 1e-9;
+
 impl Station {
     /// Per-core service rate (req/s).
     pub fn mu(&self) -> f64 {
@@ -195,6 +204,39 @@ impl Station {
         acc / grid.len() as f64
     }
 
+    /// `sojourn_tail_with(grid, lambda, d) <= target` for many deadlines
+    /// `d` at one rate, from one O(n) pass over the grid (see
+    /// [`TailAtMost`]).
+    pub fn tail_at_most<'a>(&self, grid: &'a [f64], lambda: f64, target: f64) -> TailAtMost<'a> {
+        let mu = self.mu();
+        let correction = (1.0 + self.service_cv * self.service_cv) / 2.0;
+        let theta = (self.cores as f64 * mu - lambda) / correction;
+        let mut cmp = TailAtMost {
+            station: *self,
+            grid,
+            lambda,
+            target,
+            pw: 0.0,
+            theta,
+            sums: Vec::new(),
+        };
+        // A rate that is not positive or not stable, a decay that is not
+        // positive, or an unsorted grid leaves `sums` empty: the exact
+        // sum answers every comparison.
+        let stable = lambda > 0.0 && lambda / mu < self.cores as f64 && theta > 0.0;
+        if stable && grid.windows(2).all(|w| w[0] <= w[1]) {
+            cmp.pw = erlang_c(self.cores, lambda / mu);
+            cmp.sums.reserve_exact(grid.len());
+            let (mut r, mut prev) = (0.0, grid.first().copied().unwrap_or(0.0));
+            for &s in grid {
+                r = r * (-theta * (s - prev)).exp() + 1.0;
+                cmp.sums.push(r);
+                prev = s;
+            }
+        }
+        cmp
+    }
+
     /// The `q`-percentile of sojourn time at arrival rate `lambda`
     /// (seconds), by bisection on the tail; `None` when the station is
     /// unstable at `lambda` (the percentile grows without bound).
@@ -257,6 +299,66 @@ impl Station {
             }
         }
         lo
+    }
+}
+
+/// The comparison `sojourn_tail_with(grid, λ, d) <= target` at one rate
+/// `λ`, answered for any deadline `d` by a binary search and one `exp`
+/// instead of an O(n) sum.
+///
+/// With the grid sorted, the points below `d` are a prefix `s_0..s_k`,
+/// and the tail is `(n − k − 1 + pw·Σ_{i≤k} e^{−θ(d − s_i)}) / n`. The
+/// pass in [`Station::tail_at_most`] keeps the running sums
+/// `R_j = Σ_{i≤j} e^{−θ(s_j − s_i)} = R_{j−1}·e^{−θ(s_j − s_{j−1})} + 1`,
+/// each anchored at its own grid point, so every exponent is at most 0
+/// and nothing overflows; the waiting sum at `d` is then
+/// `e^{−θ(d − s_k)}·R_k`. Where that estimate is within
+/// [`TAIL_ESTIMATE_BAND`] of the target, or is not finite, or `λ` is not
+/// positive or not stable, the exact sum decides. So every answer is the
+/// one [`Station::sojourn_tail_with`] gives.
+#[derive(Debug)]
+pub struct TailAtMost<'a> {
+    station: Station,
+    grid: &'a [f64],
+    lambda: f64,
+    target: f64,
+    /// The Erlang-C prefactor at `lambda`.
+    pw: f64,
+    /// The waiting tail's decay rate at `lambda`.
+    theta: f64,
+    /// `R_j` per grid point; empty where only the exact sum answers.
+    sums: Vec<f64>,
+}
+
+impl TailAtMost<'_> {
+    /// Whether `P(T > d) <= target`, bit for bit as
+    /// `sojourn_tail_with(grid, lambda, d) <= target` decides it.
+    pub fn at(&self, d: f64) -> bool {
+        self.estimate(d).unwrap_or_else(|| {
+            self.station.sojourn_tail_with(self.grid, self.lambda, d) <= self.target
+        })
+    }
+
+    /// The answer from the running sums, or `None` where only the exact
+    /// sum may decide.
+    fn estimate(&self, d: f64) -> Option<bool> {
+        let tail = self.running_tail(d)?;
+        let clear = (tail - self.target).abs() > TAIL_ESTIMATE_BAND * self.target.abs();
+        (tail.is_finite() && clear).then_some(tail <= self.target)
+    }
+
+    /// The tail at `d` from the running sums; `None` without them.
+    fn running_tail(&self, d: f64) -> Option<f64> {
+        if self.sums.is_empty() || d.is_nan() {
+            return None;
+        }
+        let below = self.grid.partition_point(|&s| s < d);
+        let waiting = match below.checked_sub(1) {
+            Some(k) => self.pw * (-self.theta * (d - self.grid[k])).exp() * self.sums[k],
+            None => 0.0,
+        };
+        let n = self.grid.len();
+        Some(((n - below) as f64 + waiting) / n as f64)
     }
 }
 
@@ -372,6 +474,101 @@ mod tests {
                 assert_eq!(got.to_bits(), reference(&st, lambda, 0.99).to_bits());
             }
         }
+    }
+
+    /// The deadlines a comparison is checked at: every grid point and its
+    /// two f64 neighbours, deadlines at or below 0, and deadlines past
+    /// the last grid point.
+    fn probe_deadlines(grid: &[f64]) -> Vec<f64> {
+        let last = grid[grid.len() - 1];
+        let mut ds: Vec<f64> = grid
+            .iter()
+            .flat_map(|&s| [s.next_down(), s, s.next_up()])
+            .collect();
+        ds.extend([-1.0, -0.0, 0.0, 2.0 * last, 1e3 * last, f64::INFINITY]);
+        ds
+    }
+
+    #[test]
+    fn tail_at_most_answers_as_the_exact_sum_does() {
+        for st in [station(6, 50.0), station(12, 110.0), station(1, 8.0)] {
+            let grid: Vec<f64> = st.service_grid().into_iter().step_by(8).collect();
+            let raw = st.raw_capacity();
+            let slo = st.slo_capacity(0.5, 0.99);
+            for lambda in [
+                0.0,
+                f64::from_bits(1),
+                0.3 * slo,
+                slo,
+                0.999 * raw,
+                raw.next_down(),
+                raw,
+                1.1 * raw,
+            ] {
+                for target in [0.01, 1.0 - 0.95, 1.0 - 0.90] {
+                    let cmp = st.tail_at_most(&grid, lambda, target);
+                    // An idle or unstable rate leaves every answer to
+                    // the exact sum.
+                    let exact_only = lambda == 0.0 || lambda >= raw;
+                    for d in probe_deadlines(&grid) {
+                        let want = st.sojourn_tail_with(&grid, lambda, d) <= target;
+                        assert_eq!(cmp.at(d), want, "λ={lambda} target={target} d={d}");
+                        if exact_only {
+                            assert_eq!(cmp.estimate(d), None, "λ={lambda} d={d}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_estimate_at_its_target_defers_to_the_exact_sum() {
+        let st = station(6, 50.0);
+        let grid = st.service_grid();
+        let lambda = 0.8 * st.slo_capacity(0.5, 0.99);
+        for d in [0.04, 0.09, 0.2, 0.5] {
+            let target = st.sojourn_tail_with(&grid, lambda, d);
+            let cmp = st.tail_at_most(&grid, lambda, target);
+            assert_eq!(cmp.estimate(d), None, "d={d}");
+            assert!(cmp.at(d), "the exact tail is at most itself");
+            // Just below the exact tail the comparison fails, again
+            // decided by the exact sum.
+            let cmp = st.tail_at_most(&grid, lambda, target.next_down());
+            assert_eq!(cmp.estimate(d), None, "d={d}");
+            assert!(!cmp.at(d));
+        }
+    }
+
+    #[test]
+    fn running_tails_stay_far_inside_the_band_of_the_exact_sum() {
+        // The band is sound only while estimate and exact sum agree far
+        // more closely than it: check a margin of 100 on full and
+        // decimated grids, from light load up to the stability limit.
+        let mut worst: f64 = 0.0;
+        for st in [station(6, 50.0), station(12, 110.0), station(1, 8.0)] {
+            let full = st.service_grid();
+            let coarse: Vec<f64> = full.iter().step_by(8).copied().collect();
+            let raw = st.raw_capacity();
+            for grid in [&full, &coarse] {
+                for lambda in [1e-3 * raw, 0.3 * raw, 0.8 * raw, 0.999 * raw] {
+                    let cmp = st.tail_at_most(grid, lambda, 0.01);
+                    for d in probe_deadlines(grid).into_iter().step_by(7) {
+                        let exact = st.sojourn_tail_with(grid, lambda, d);
+                        let est = cmp.running_tail(d).unwrap();
+                        if exact > 0.0 {
+                            worst = worst.max((est - exact).abs() / exact);
+                        } else {
+                            assert_eq!(est, 0.0, "λ={lambda} d={d}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            worst < TAIL_ESTIMATE_BAND / 100.0,
+            "worst relative gap {worst:e}"
+        );
     }
 
     #[test]
