@@ -15,11 +15,11 @@
 //! # Architecture
 //!
 //! Each rack runs the unmodified engine epoch loop on its own OS thread
-//! behind `catch_unwind`, driven through the engine's `EpochHooks` seam:
-//! at the top of every epoch the worker blocks on a directive (the
-//! epoch's applied load factor plus the site tick's supply override,
-//! staleness verdict and demotion), and after the epoch settles it
-//! reports its record back. Once per epoch the broker:
+//! behind `catch_unwind`, stepping it one epoch per directive: the worker
+//! blocks on a directive (the epoch's applied load factor plus the site
+//! tick's supply override, staleness verdict and demotion), calls
+//! `EpochLoop::step`, and reports the settled record back. Once per epoch
+//! the broker:
 //!
 //! 1. runs the site tick through its site hooks (serve's telemetry,
 //!    deadlines and heartbeat; a no-op for a batch `datacenter` run);
@@ -64,13 +64,12 @@ use crate::audit::{InvariantAuditor, SiteFlows};
 use crate::checkpoint::{fingerprint, LoopState, SITE_SCHEMA};
 use crate::datacenter::{DatacenterConfig, DatacenterOutcome};
 use crate::engine::{
-    judge, run_once_resumable, BurstOutcome, EngineConfig, EpochHooks, EpochRecord,
-    MeasurementMode, TickDirective, REJOIN_EPOCHS,
+    check_state, judge, BurstOutcome, EngineConfig, EpochLoop, EpochRecord, MeasurementMode,
+    RunWindow, TickDirective, REJOIN_EPOCHS,
 };
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::fleet::EngineScratch;
 use crate::pmk::Strategy;
-use crate::profiler::ProfileTable;
 use crate::serve::{ServeOptions, ServeSideState};
 use crate::supervisor::{backoff_ms, panic_message, RackHealth, RackSupervisor};
 
@@ -169,6 +168,18 @@ pub struct DirectiveRow {
     /// Per-rack factors each rack actually ran, after the control link
     /// (held through a partition or a lost directive, stale under delay).
     pub applied: Vec<f64>,
+}
+
+impl DirectiveRow {
+    /// What rack `rack` ran under this row.
+    fn tick(&self, rack: usize) -> TickDirective {
+        TickDirective {
+            supply_w: self.supply_w,
+            telemetry_stale: self.stale,
+            demote: self.demote.clone(),
+            load_factor: Some(self.applied[rack]),
+        }
+    }
 }
 
 /// Every piece of mutable state the broker carries across epochs.
@@ -407,8 +418,9 @@ impl SiteSnapshot {
     /// The resume validator: schema and fingerprint match this build, the
     /// configuration is valid, every per-rack vector has one entry per
     /// configured rack, the directive log covers exactly the executed
-    /// epochs, and every live rack's state sits at the resume epoch. A
-    /// snapshot that passes cannot index out of bounds on resume.
+    /// epochs, and every live rack's state sits at the resume epoch and
+    /// fits its rack (the engine's loop-state check). A snapshot that
+    /// passes cannot index out of bounds on resume.
     pub fn validate(&self) -> Result<(), String> {
         if self.schema != SITE_SCHEMA {
             return Err(format!(
@@ -460,15 +472,23 @@ impl SiteSnapshot {
                 "snapshot directive row {k} does not hold one factor per rack"
             ));
         }
+        let template = &self.cfg.template;
+        let n_epochs = template
+            .burst_duration
+            .div_duration(template.epoch)
+            .unwrap_or(0);
         for (r, s) in self.racks.iter().enumerate() {
-            if st.health[r] != RackHealth::Quarantined
-                && s.as_ref().map(|s| s.next_epoch) != Some(st.next_epoch)
-            {
+            if st.health[r] == RackHealth::Quarantined {
+                continue;
+            }
+            let Some(s) = s.as_ref().filter(|s| s.next_epoch == st.next_epoch) else {
                 return Err(format!(
                     "rack {r} state is not aligned with the snapshot epoch {}",
                     st.next_epoch
                 ));
-            }
+            };
+            let cfg = rack_engine_config(&self.cfg, r);
+            check_state(s, &cfg, cfg.strategy, n_epochs).map_err(|e| format!("rack {r} {e}"))?;
         }
         match (&self.options, &self.serve) {
             (None, None) => Ok(()),
@@ -666,10 +686,7 @@ impl Drop for Permit {
 
 /// One epoch's command from the broker to a rack worker.
 struct WorkerDirective {
-    load_factor: f64,
-    supply_w: Option<f64>,
-    telemetry_stale: bool,
-    demote: Option<String>,
+    tick: TickDirective,
     /// Drain at this epoch: capture a final state and exit cleanly.
     last: bool,
     /// Fault injection: panic the worker with this payload *before*
@@ -691,53 +708,6 @@ enum WorkerMsg {
 /// A settled epoch's record and applied per-server settings for one rack.
 pub(crate) type RackReport = (EpochRecord, Vec<ServerSetting>);
 
-/// The worker-side hooks: every epoch blocks on a directive, takes a
-/// gate permit, applies the directive, and reports the settled record
-/// back. Snapshots ride the same channel so the broker sees them in
-/// stream order.
-struct WorkerHooks {
-    dir_rx: mpsc::Receiver<WorkerDirective>,
-    msg_tx: mpsc::Sender<WorkerMsg>,
-    gate: Arc<JobGate>,
-    permit: Option<Permit>,
-    last: bool,
-}
-
-impl EpochHooks for WorkerHooks {
-    fn before_epoch(&mut self, _k: u64, _t: SimTime) -> TickDirective {
-        // A vanished broker (its run ended in error) leaves the worker
-        // nothing to do: unwind quietly, without the panic hook's report.
-        let Ok(d) = self.dir_rx.recv() else {
-            resume_unwind(Box::new("broker disconnected"));
-        };
-        self.permit = Some(self.gate.acquire());
-        if let Some(msg) = d.panic_with {
-            panic!("{msg}");
-        }
-        self.last = d.last;
-        TickDirective {
-            supply_w: d.supply_w,
-            telemetry_stale: d.telemetry_stale,
-            demote: d.demote,
-            load_factor: Some(d.load_factor),
-        }
-    }
-
-    fn after_epoch(&mut self, _k: u64, rec: &EpochRecord, settings: &[ServerSetting]) -> bool {
-        self.permit = None;
-        let _ = self
-            .msg_tx
-            .send(WorkerMsg::Report(Box::new(*rec), settings.to_vec()));
-        !self.last
-    }
-
-    fn on_snapshot(&mut self, state: &LoopState) {
-        let _ = self
-            .msg_tx
-            .send(WorkerMsg::Snapshot(Box::new(state.clone())));
-    }
-}
-
 /// A finished rack worker: its strategy-run outcome and the scratch arena
 /// its baseline replay reuses.
 type WorkerResult = Option<(BurstOutcome, EngineScratch)>;
@@ -750,46 +720,67 @@ struct RackWorker {
 }
 
 /// Spawn a rack worker: the rack's engine loop on its own thread behind
-/// `catch_unwind`, resuming from `resume` when given. A panic anywhere
-/// inside becomes a [`WorkerMsg::Died`] on the message channel — the
-/// broker's recv loop is the only place deaths surface.
+/// `catch_unwind`, resuming from `resume` when given. Every epoch the
+/// worker waits for a directive, takes a gate permit, steps the loop and
+/// reports the settled record; captures ride the same channel, so the
+/// broker sees them in stream order. A panic anywhere inside becomes a
+/// [`WorkerMsg::Died`] on the message channel — the broker's recv loop is
+/// the only place deaths surface.
 fn spawn_worker(
     cfg: &EngineConfig,
     resume: Option<LoopState>,
     snapshot_every: u64,
     gate: &Arc<JobGate>,
 ) -> RackWorker {
-    let (dir_tx, dir_rx) = mpsc::channel();
+    let (dir_tx, dir_rx) = mpsc::channel::<WorkerDirective>();
     let (msg_tx, msg_rx) = mpsc::channel();
     let cfg = cfg.clone();
-    let death_tx = msg_tx.clone();
     let gate = Arc::clone(gate);
     let handle = std::thread::spawn(move || {
         let mut scratch = EngineScratch::new();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut hooks = WorkerHooks {
-                dir_rx,
-                msg_tx,
-                gate,
-                permit: None,
-                last: false,
-            };
-            run_once_resumable(
-                &cfg,
-                cfg.strategy,
-                ProfileTable::cached(cfg.app),
-                resume,
-                snapshot_every,
-                &mut |_| {},
-                &mut scratch,
-                &mut hooks,
-            )
-            .0
+            let window = RunWindow::burst(&cfg);
+            let mut lp = EpochLoop::new(&cfg, cfg.strategy, &window, &mut scratch);
+            if let Some(state) = resume {
+                lp = lp
+                    .resume(state)
+                    .unwrap_or_else(|e| panic!("unresumable rack state: {e}"));
+            }
+            let start = lp.next_epoch();
+            while !lp.done() {
+                // The boundary capture goes out before the worker waits for
+                // epoch k's directive; the resume boundary is not re-sent.
+                let k = lp.next_epoch();
+                if snapshot_every > 0 && k > start && k.is_multiple_of(snapshot_every) {
+                    let _ = msg_tx.send(WorkerMsg::Snapshot(Box::new(lp.snapshot())));
+                }
+                // A vanished broker (its run ended in error) leaves the
+                // worker nothing to do: unwind quietly, without the panic
+                // hook's report.
+                let Ok(d) = dir_rx.recv() else {
+                    resume_unwind(Box::new("broker disconnected"));
+                };
+                let permit = gate.acquire();
+                if let Some(msg) = d.panic_with {
+                    panic!("{msg}");
+                }
+                let rec = lp.step(&d.tick);
+                drop(permit);
+                let _ = msg_tx.send(WorkerMsg::Report(Box::new(rec), lp.settings().to_vec()));
+                if d.last {
+                    // Graceful drain: capture the would-be-next state
+                    // exactly as the next boundary would, so a restart
+                    // resumes with the next unexecuted epoch.
+                    let _ = msg_tx.send(WorkerMsg::Snapshot(Box::new(lp.snapshot())));
+                    break;
+                }
+            }
+            lp.finish().0
         }));
         match result {
             Ok(outcome) => Some((outcome, scratch)),
             Err(p) => {
-                let _ = death_tx.send(WorkerMsg::Died(panic_message(p.as_ref())));
+                let _ = msg_tx.send(WorkerMsg::Died(panic_message(p.as_ref())));
                 None
             }
         }
@@ -809,35 +800,9 @@ fn directive_from_row(
     panic_with: Option<String>,
 ) -> WorkerDirective {
     WorkerDirective {
-        load_factor: row.applied[rack],
-        supply_w: row.supply_w,
-        telemetry_stale: row.stale,
-        demote: row.demote.clone(),
+        tick: row.tick(rack),
         last,
         panic_with,
-    }
-}
-
-/// Baseline-replay hooks: feed a finished run's directive log back
-/// through a `Strategy::Normal` run of one rack, so the floor judgment
-/// compares like-for-like — same applied load factors, supply overrides,
-/// and staleness verdicts (ladder demotions don't apply at the floor).
-struct RowReplayHooks<'a> {
-    rows: &'a [DirectiveRow],
-    rack: usize,
-}
-
-impl EpochHooks for RowReplayHooks<'_> {
-    fn before_epoch(&mut self, k: u64, _t: SimTime) -> TickDirective {
-        match self.rows.get(k as usize) {
-            Some(row) => TickDirective {
-                supply_w: row.supply_w,
-                telemetry_stale: row.stale,
-                demote: None,
-                load_factor: Some(row.applied[self.rack]),
-            },
-            None => TickDirective::default(),
-        }
     }
 }
 
@@ -1408,10 +1373,12 @@ pub(crate) fn run_site(
 /// The floor judgment: replay each rack's directive log under
 /// `Strategy::Normal` — in parallel, bounded by `jobs`, each replay
 /// reusing its rack's strategy-pass scratch (and so its analytic cache) —
-/// and judge the strategy run against it. A Normal rack is its own
-/// baseline. A resumed run is judged like an uninterrupted one: each
-/// rack's [`LoopState`] and the directive log both cover the window from
-/// epoch 0.
+/// and judge the strategy run against it. The replay steps a Normal loop
+/// once per row, with the row's applied load factor, supply override and
+/// staleness verdict (ladder demotions don't apply at the floor), so the
+/// judgment compares like-for-like. A Normal rack is its own baseline. A
+/// resumed run is judged like an uninterrupted one: each rack's
+/// [`LoopState`] and the directive log both cover the window from epoch 0.
 fn judge_racks(
     rack_cfgs: &[EngineConfig],
     rows: &[DirectiveRow],
@@ -1432,17 +1399,15 @@ fn judge_racks(
                         return Some(judge(cfg, main, None));
                     }
                     let _permit = gate.acquire();
-                    let (baseline, _, _) = run_once_resumable(
-                        cfg,
-                        Strategy::Normal,
-                        ProfileTable::cached(cfg.app),
-                        None,
-                        0,
-                        &mut |_| {},
-                        &mut scratch,
-                        &mut RowReplayHooks { rows, rack: r },
-                    );
-                    Some(judge(cfg, main, Some(baseline)))
+                    let window = RunWindow::burst(cfg);
+                    let mut lp = EpochLoop::new(cfg, Strategy::Normal, &window, &mut scratch);
+                    for row in rows {
+                        lp.step(&TickDirective {
+                            demote: None,
+                            ..row.tick(r)
+                        });
+                    }
+                    Some(judge(cfg, main, Some(lp.finish().0)))
                 })
             })
             .collect();
@@ -1936,7 +1901,10 @@ mod tests {
         let good = snaps[0].clone();
         good.validate().expect("a real snapshot validates");
         type Cut = fn(&mut SiteSnapshot);
-        let cuts: [(&str, Cut); 12] = [
+        fn rack1(s: &mut SiteSnapshot) -> &mut LoopState {
+            s.racks[1].as_mut().expect("rack 1 is live")
+        }
+        let cuts: [(&str, Cut); 19] = [
             ("racks", |s| {
                 s.racks.pop();
             }),
@@ -1968,6 +1936,28 @@ mod tests {
             }),
             ("row applied", |s| {
                 s.site.rows[1].applied.pop();
+            }),
+            // Inside a rack's loop state.
+            ("rack prev_settings", |s| {
+                rack1(s).prev_settings.pop();
+            }),
+            ("rack batteries", |s| {
+                rack1(s).batteries.pop();
+            }),
+            ("rack grid_recharging", |s| {
+                rack1(s).grid_recharging.pop();
+            }),
+            ("rack down_left", |s| {
+                rack1(s).down_left.pop();
+            }),
+            ("rack health_streak", |s| {
+                rack1(s).health_streak.pop();
+            }),
+            ("rack thermals", |s| {
+                rack1(s).thermals.pop();
+            }),
+            ("rack epochs", |s| {
+                rack1(s).epochs.pop();
             }),
         ];
         for (name, cut) in cuts {

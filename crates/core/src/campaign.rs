@@ -9,14 +9,11 @@
 //! extrapolates them to a year so [`gs_tco`]-style models can be fed with
 //! *measured* sprint activity instead of an assumption.
 
-use crate::checkpoint::{EngineSnapshot, LoopState, MainCarry, RunPhase, SnapshotScope};
+use crate::checkpoint::{EngineSnapshot, SnapshotScope};
 use crate::engine::{
-    run_window, run_window_resumable, BurstOutcome, EngineConfig, EngineError, MeasurementMode,
-    NoHooks, RunWindow,
+    run_two_phase, BurstOutcome, EngineConfig, EngineError, MeasurementMode, RunWindow, SnapshotOut,
 };
 use crate::fleet::EngineScratch;
-use crate::pmk::Strategy;
-use crate::profiler::ProfileTable;
 use gs_cluster::{ServerSetting, NUM_FREQ_LEVELS};
 use gs_power::solar::{SolarTrace, WeatherModel};
 use gs_sim::{SimDuration, SimRng, SimTime};
@@ -102,24 +99,14 @@ pub(crate) fn try_run_campaign_in(
     scratch: &mut EngineScratch,
 ) -> Result<CampaignOutcome, EngineError> {
     cfg.validate()?;
-    let (run, normal) = with_campaign_window(cfg, |profiles, window| {
-        let (run, _) = run_window(&cfg.engine, cfg.engine.strategy, profiles, window, scratch);
-        let (normal, _) = run_window(&cfg.engine, Strategy::Normal, profiles, window, scratch);
-        (run, normal)
-    });
-    Ok(assemble_outcome(cfg, run, &normal))
+    run_phases(cfg, None, None, scratch)
 }
 
-/// Rebuild the campaign's deterministic load and sky from its seed and
-/// hand the window to `f` — the one place both fresh runs and snapshot
-/// resumes derive the environment, so they cannot diverge.
-fn with_campaign_window<T>(
-    cfg: &CampaignConfig,
-    f: impl FnOnce(&ProfileTable, &RunWindow<'_>) -> T,
-) -> T {
-    let profiles = ProfileTable::cached(cfg.engine.app);
+/// The campaign's deterministic load and sky, rebuilt from its seed — the
+/// one place both fresh runs and snapshot resumes derive the environment,
+/// so they cannot diverge.
+fn campaign_window(cfg: &CampaignConfig) -> RunWindow {
     let app = cfg.engine.app.profile();
-
     let mut rng = SimRng::seed_from_u64(cfg.engine.seed ^ 0xCA3A_16E5);
     let load = DiurnalTrace::generate(cfg.days, cfg.spikes_per_day, &mut rng);
     let sky = SolarTrace::generate(cfg.days, &WeatherModel::default(), &mut rng);
@@ -127,15 +114,26 @@ fn with_campaign_window<T>(
         cfg.peak_intensity_cores,
         (NUM_FREQ_LEVELS - 1) as u8,
     ));
-    let offered = move |t: SimTime| load.offered_rps(t, peak_rps);
-
-    let window = RunWindow {
-        offered_rps: &offered,
-        trace: &sky,
+    RunWindow {
+        offered_rps: Box::new(move |t: SimTime| load.offered_rps(t, peak_rps)),
+        trace: sky,
         start: SimTime::ZERO,
         duration: SimDuration::from_hours(cfg.days as u64 * 24),
-    };
-    f(profiles, &window)
+    }
+}
+
+/// The campaign's strategy run and its Normal baseline over one window,
+/// fresh or resumed from `resume`, snapshotting through `out`.
+fn run_phases(
+    cfg: &CampaignConfig,
+    resume: Option<EngineSnapshot>,
+    out: Option<&mut SnapshotOut<'_>>,
+    scratch: &mut EngineScratch,
+) -> Result<CampaignOutcome, EngineError> {
+    let window = campaign_window(cfg);
+    let (main, normal) = run_two_phase(&cfg.engine, &window, true, resume, out, scratch)?;
+    let normal = normal.expect("a campaign always runs its baseline");
+    Ok(assemble_outcome(cfg, main.outcome, &normal))
 }
 
 /// Derive the campaign-level metrics from the finished strategy and
@@ -194,36 +192,7 @@ pub fn try_run_campaign_with_snapshots(
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
 ) -> Result<CampaignOutcome, EngineError> {
-    cfg.validate()?;
-    if cfg.engine.measurement != MeasurementMode::Analytic {
-        return Err(EngineError::SnapshotRequiresAnalytic);
-    }
-    let fp = campaign_fingerprint(cfg);
-    let mut scratch = EngineScratch::new();
-    let run = with_campaign_window(cfg, |profiles, window| {
-        let mut emit = |state: LoopState| {
-            sink(&EngineSnapshot {
-                fingerprint: fp.clone(),
-                scope: SnapshotScope::Campaign(cfg.clone()),
-                phase: RunPhase::Strategy,
-                main_carry: None,
-                state,
-            });
-        };
-        run_window_resumable(
-            &cfg.engine,
-            cfg.engine.strategy,
-            profiles,
-            window,
-            None,
-            every_epochs,
-            &mut emit,
-            &mut scratch,
-            &mut NoHooks,
-        )
-        .0
-    });
-    finish_campaign(cfg, &fp, run, None, every_epochs, sink, &mut scratch)
+    resume_or_run(cfg, campaign_fingerprint(cfg), None, every_epochs, sink)
 }
 
 /// Resume a campaign from a mid-run snapshot; called through
@@ -234,106 +203,42 @@ pub(crate) fn resume_campaign_snapshot(
     every_epochs: u64,
     sink: &mut dyn FnMut(&EngineSnapshot),
 ) -> Result<CampaignOutcome, EngineError> {
+    resume_or_run(
+        cfg,
+        snap.fingerprint.clone(),
+        Some(snap),
+        every_epochs,
+        sink,
+    )
+}
+
+/// A snapshotting campaign run, fresh or resumed from `resume`.
+fn resume_or_run(
+    cfg: &CampaignConfig,
+    fingerprint: String,
+    resume: Option<EngineSnapshot>,
+    every_epochs: u64,
+    sink: &mut dyn FnMut(&EngineSnapshot),
+) -> Result<CampaignOutcome, EngineError> {
     cfg.validate()?;
     if cfg.engine.measurement != MeasurementMode::Analytic {
         return Err(EngineError::SnapshotRequiresAnalytic);
     }
-    let fp = snap.fingerprint.clone();
-    let mut scratch = EngineScratch::new();
-    match snap.phase {
-        RunPhase::Strategy => {
-            let run = with_campaign_window(cfg, |profiles, window| {
-                let mut emit = |state: LoopState| {
-                    sink(&EngineSnapshot {
-                        fingerprint: fp.clone(),
-                        scope: SnapshotScope::Campaign(cfg.clone()),
-                        phase: RunPhase::Strategy,
-                        main_carry: None,
-                        state,
-                    });
-                };
-                run_window_resumable(
-                    &cfg.engine,
-                    cfg.engine.strategy,
-                    profiles,
-                    window,
-                    Some(snap.state),
-                    every_epochs,
-                    &mut emit,
-                    &mut scratch,
-                    &mut NoHooks,
-                )
-                .0
-            });
-            finish_campaign(cfg, &fp, run, None, every_epochs, sink, &mut scratch)
-        }
-        RunPhase::Baseline => {
-            let carry = snap.main_carry.ok_or_else(|| {
-                EngineError::SnapshotMismatch(
-                    "baseline-phase snapshot is missing the finished strategy run".to_string(),
-                )
-            })?;
-            finish_campaign(
-                cfg,
-                &fp,
-                carry.outcome,
-                Some(snap.state),
-                every_epochs,
-                sink,
-                &mut scratch,
-            )
-        }
-    }
-}
-
-/// Run (or resume) the campaign's Normal-baseline pass with snapshotting
-/// and assemble the final outcome. Baseline snapshots carry the finished
-/// strategy run so a resume from one still has everything.
-#[allow(clippy::too_many_arguments)]
-fn finish_campaign(
-    cfg: &CampaignConfig,
-    fp: &str,
-    run: BurstOutcome,
-    baseline_resume: Option<LoopState>,
-    every_epochs: u64,
-    sink: &mut dyn FnMut(&EngineSnapshot),
-    scratch: &mut EngineScratch,
-) -> Result<CampaignOutcome, EngineError> {
-    let normal = with_campaign_window(cfg, |profiles, window| {
-        let mut emit = |state: LoopState| {
-            sink(&EngineSnapshot {
-                fingerprint: fp.to_string(),
-                scope: SnapshotScope::Campaign(cfg.clone()),
-                phase: RunPhase::Baseline,
-                main_carry: Some(MainCarry {
-                    outcome: run.clone(),
-                    monitor: None,
-                    policy: None,
-                }),
-                state,
-            });
-        };
-        run_window_resumable(
-            &cfg.engine,
-            Strategy::Normal,
-            profiles,
-            window,
-            baseline_resume,
-            every_epochs,
-            &mut emit,
-            scratch,
-            &mut NoHooks,
-        )
-        .0
-    });
-    Ok(assemble_outcome(cfg, run, &normal))
+    let mut out = SnapshotOut {
+        every: every_epochs,
+        fingerprint,
+        scope: SnapshotScope::Campaign(cfg.clone()),
+        sink,
+    };
+    run_phases(cfg, resume, Some(&mut out), &mut EngineScratch::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::RunPhase;
     use crate::config::GreenConfig;
-    use crate::engine::MeasurementMode;
+    use crate::pmk::Strategy;
 
     fn campaign(strategy: Strategy) -> CampaignOutcome {
         let cfg = CampaignConfig {

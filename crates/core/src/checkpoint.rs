@@ -91,11 +91,12 @@ pub fn points_digest(points: &[SweepPoint]) -> String {
 // Engine snapshots
 // ---------------------------------------------------------------------------
 
-/// Every piece of mutable state the scheduling-epoch loop carries across
-/// epochs. Capturing it at an epoch boundary and restoring it later
-/// continues the run exactly — same RNG stream, same learner, same
-/// batteries, same accumulated records — so the final outcome is
-/// byte-identical to the uninterrupted run.
+/// Every piece of state the scheduling-epoch loop carries across epochs.
+/// `engine::EpochLoop` reads and writes these fields in place, so a
+/// snapshot is a clone of the loop's state taken at an epoch boundary, and
+/// resuming from it continues the run exactly — same RNG stream, same
+/// learner, same batteries, same accumulated records — so the final
+/// outcome is byte-identical to the uninterrupted run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LoopState {
     /// The next epoch index to execute.
@@ -115,7 +116,9 @@ pub struct LoopState {
     /// Hybrid's learner, if the strategy carries one, as its delta from
     /// the table the run started from: the profile bootstrap, or the
     /// configuration's `warm_policy_json`. Both are fixed by the
-    /// configuration the snapshot's fingerprint covers.
+    /// configuration the snapshot's fingerprint covers. A running loop
+    /// keeps the learner itself and leaves this `None`; the snapshot
+    /// fills it in.
     pub learner: Option<QDelta>,
     /// Hybrid's pending (state, action) awaiting its Bellman update.
     pub pending_q: Option<(QState, ServerSetting)>,
@@ -162,27 +165,18 @@ pub struct LoopState {
     /// Curtailed energy already audited (Wh).
     pub audited_curtailed_wh: f64,
     /// Guardrail ladder/probation state, when the guardrail is enabled.
-    /// Absent in pre-guardrail snapshots.
-    #[serde(default)]
     pub guardrail: Option<crate::guardrail::GuardrailState>,
     /// Per-server remaining crash-outage epochs (fleet faults).
-    #[serde(default)]
     pub down_left: Vec<u32>,
     /// Per-server consecutive-healthy-epoch streaks (rejoin hysteresis).
-    #[serde(default)]
     pub health_streak: Vec<u32>,
     /// Server-epochs spent dead so far.
-    #[serde(default)]
     pub dead_server_epochs: usize,
     /// Server-epochs spent straggling so far.
-    #[serde(default)]
     pub straggler_epochs: usize,
-    /// Smallest live-fleet size seen so far (the engine clamps it to the
-    /// fleet size on restore).
-    #[serde(default)]
+    /// Smallest live-fleet size seen so far.
     pub min_live_servers: usize,
     /// Human-readable fleet crash/flap/rejoin log.
-    #[serde(default)]
     pub fleet_events: Vec<String>,
 }
 

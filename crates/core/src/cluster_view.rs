@@ -52,7 +52,6 @@ pub struct ClusterOutcome {
     pub cluster_speedup_vs_normal: f64,
     /// Smallest live green-server count seen during the burst (the full
     /// green subset unless the fault plan crashed or flapped servers).
-    #[serde(default)]
     pub green_min_live_servers: usize,
 }
 

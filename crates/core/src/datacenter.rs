@@ -44,9 +44,7 @@ pub struct DatacenterConfig {
     /// Site-level fault schedule: rack blackouts, inverter derates,
     /// broker↔rack partitions, link loss/delay (the site kinds of
     /// [`crate::faults::FaultKind`]), plus rack-local kinds replicated to
-    /// every rack. `None` runs the site fault-free. Absent in pre-broker
-    /// serialized configs.
-    #[serde(default)]
+    /// every rack. `None` runs the site fault-free.
     pub site_fault_plan: Option<FaultPlan>,
 }
 
@@ -94,48 +92,34 @@ pub struct DatacenterOutcome {
     pub battery_used_wh: f64,
     /// Total curtailed renewable energy (Wh).
     pub curtailed_wh: f64,
-    /// Rack-epochs spent partitioned from the broker. Absent in
-    /// pre-broker serialized outcomes (like every field below).
-    #[serde(default)]
+    /// Rack-epochs spent partitioned from the broker.
     pub partition_epochs: usize,
     /// Rack-epochs run degraded: partitioned, on rejoin probation, or
     /// applying a held factor after directive loss.
-    #[serde(default)]
     pub degraded_epochs: usize,
     /// Rack-epochs inside an active rack-blackout event.
-    #[serde(default)]
     pub blackout_epochs: usize,
     /// Rack-epochs that applied a stale (link-delayed) factor.
-    #[serde(default)]
     pub stale_factor_epochs: usize,
     /// Epochs in which load was re-routed away from a drained rack.
-    #[serde(default)]
     pub rerouted_epochs: usize,
     /// Directive retransmissions attempted on lossy links.
-    #[serde(default)]
     pub link_retries: usize,
     /// Virtual retransmission latency accumulated from
     /// [`crate::supervisor::backoff_ms`] (bookkeeping only).
-    #[serde(default)]
     pub link_latency_ms: u64,
     /// Racks re-admitted to routing after probationary hysteresis.
-    #[serde(default)]
     pub rejoins: usize,
     /// Human-readable partition/degrade/rejoin log.
-    #[serde(default)]
     pub site_events: Vec<String>,
     /// Site-level audit violations (routed-load conservation, factor
     /// sanity, dark racks drawing power). Empty on a healthy run.
-    #[serde(default)]
     pub site_audit_violations: Vec<String>,
     /// Per-rack routing statistics, in configuration order.
-    #[serde(default)]
     pub route_stats: Vec<RackRouteStats>,
     /// The broker's computed (conserved) factors, one row per epoch.
-    #[serde(default)]
     pub factors: Vec<Vec<f64>>,
     /// The factors each rack actually applied, one row per epoch.
-    #[serde(default)]
     pub applied_factors: Vec<Vec<f64>>,
 }
 

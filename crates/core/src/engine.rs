@@ -19,17 +19,17 @@ use crate::config::{AvailabilityLevel, GreenConfig};
 use crate::faults::{ActiveFaults, FaultPlan};
 use crate::fleet::{AdmittedPerf, AnalyticCache, EngineScratch, FleetState, ServerPerf};
 use crate::guardrail::{
-    EpochSignals, Guardrail, GuardrailAction, GuardrailConfig, QuarantineRecord,
+    ladder_for, EpochSignals, GuardrailAction, GuardrailConfig, GuardrailState, QuarantineRecord,
 };
 use crate::monitor::{Monitor, Observation, ObservationQuality};
 use crate::pmk::{ActuationWatchdog, Pmk, PmkContext, Strategy};
 use crate::predictor::Predictor;
 use crate::profiler::ProfileTable;
 use crate::qlearning::{corrupt_value, reward, QLearner, QState, RewardInputs};
-use gs_cluster::ServerSetting;
+use gs_cluster::{PowerModel, ServerSetting};
 use gs_power::battery::Battery;
 use gs_power::meter::{PowerMeter, Source};
-use gs_power::pss::{PowerSourceSelector, SupplyCase};
+use gs_power::pss::{PowerSourceSelector, SupplyCase, SupplyPlan};
 use gs_power::solar::{PvArray, SolarTrace};
 use gs_sim::{SimDuration, SimRng, SimTime};
 use gs_workload::apps::{AppProfile, Application};
@@ -318,18 +318,13 @@ pub struct EpochRecord {
     /// How many green servers were sprinting this epoch.
     pub sprinting_servers: u8,
     /// True if the controller planned this epoch in safe mode (no verified
-    /// supply observation). Absent in pre-fault serialized records.
-    #[serde(default)]
+    /// supply observation).
     pub safe_mode: bool,
     /// The guardrail ladder level that steered this epoch (0 = the
-    /// configured strategy; always 0 with the guardrail off). Absent in
-    /// pre-guardrail serialized records.
-    #[serde(default)]
+    /// configured strategy; always 0 with the guardrail off).
     pub ladder_level: u8,
     /// Servers carrying load this epoch (the full rack minus crashed,
-    /// flapping, and rejoin-probation servers). Absent in pre-fleet
-    /// serialized records.
-    #[serde(default)]
+    /// flapping, and rejoin-probation servers).
     pub live_servers: u8,
 }
 
@@ -367,60 +362,43 @@ pub struct BurstOutcome {
     /// thermal simulation is disabled).
     pub peak_temp_c: f64,
     /// Epochs during which at least one injected fault was active.
-    #[serde(default)]
     pub fault_epochs: usize,
     /// Epochs the controller planned in safe mode (no verified supply
     /// observation: sensor dropout, or a delayed reading not yet arrived).
-    #[serde(default)]
     pub safe_mode_epochs: usize,
     /// Epochs with at least one server clamped to Normal by the
     /// commanded-vs-observed actuation watchdog.
-    #[serde(default)]
     pub watchdog_clamped_epochs: usize,
     /// Whether goodput stayed at or above the Normal-mode degradation
     /// floor (within measurement tolerance) — the invariant that defines
     /// graceful degradation under faults.
-    #[serde(default = "default_floor_held")]
     pub floor_held: bool,
     /// Invariant-auditor violations (energy conservation, SoC bounds,
     /// breaker cap, negative flows). Empty on a healthy run — and when
-    /// the auditor is disabled. Absent in pre-auditor serialized records.
-    #[serde(default)]
+    /// the auditor is disabled.
     pub audit_violations: Vec<String>,
     /// Epochs steered by a demoted ladder level (0 with the guardrail
     /// off or never triggered).
-    #[serde(default)]
     pub failover_epochs: usize,
     /// Deepest guardrail ladder level reached during the burst.
-    #[serde(default)]
     pub ladder_level: usize,
     /// Q-tables quarantined by the guardrail during the burst.
-    #[serde(default)]
     pub quarantined_tables: usize,
     /// Human-readable guardrail demotion/promotion/quarantine log.
-    #[serde(default)]
     pub guardrail_events: Vec<String>,
     /// Server-epochs spent physically down (crashed or flapping). Zero
     /// without fleet faults.
-    #[serde(default)]
     pub dead_server_epochs: usize,
     /// Server-epochs spent alive but goodput-degraded by a straggler
     /// fault.
-    #[serde(default)]
     pub straggler_epochs: usize,
     /// Smallest number of load-carrying servers seen in any epoch (the
-    /// full rack size on a healthy run; 0 in old serialized records).
-    #[serde(default)]
+    /// full rack size on a healthy run).
     pub min_live_servers: usize,
     /// Human-readable fleet crash/flap/rejoin log.
-    #[serde(default)]
     pub fleet_events: Vec<String>,
     /// Per-epoch records.
     pub epochs: Vec<EpochRecord>,
-}
-
-fn default_floor_held() -> bool {
-    true
 }
 
 /// The burst engine.
@@ -481,11 +459,7 @@ impl Engine {
     }
 
     fn run_full_in(self, scratch: &mut EngineScratch) -> (BurstOutcome, Monitor, Option<String>) {
-        let profiles = ProfileTable::cached(self.cfg.app);
-        let (main, monitor, policy) = run_once(&self.cfg, self.cfg.strategy, profiles, scratch);
-        let baseline = (self.cfg.strategy != Strategy::Normal)
-            .then(|| run_once(&self.cfg, Strategy::Normal, profiles, scratch).0);
-        (judge(&self.cfg, main, baseline), monitor, policy)
+        run_burst(&self.cfg, None, None, scratch).expect("a fresh burst resumes no snapshot")
     }
 
     /// As [`Engine::run_full`], emitting a resumable [`EngineSnapshot`]
@@ -505,43 +479,13 @@ impl Engine {
         if self.cfg.measurement != MeasurementMode::Analytic {
             return Err(EngineError::SnapshotRequiresAnalytic);
         }
-        let cfg = self.cfg;
-        let profiles = ProfileTable::cached(cfg.app);
-        let fp = burst_fingerprint(&cfg);
-        let mut scratch = EngineScratch::new();
-        let (main, monitor, policy) = {
-            let mut emit = |state: LoopState| {
-                sink(&EngineSnapshot {
-                    fingerprint: fp.clone(),
-                    scope: SnapshotScope::Burst(cfg.clone()),
-                    phase: RunPhase::Strategy,
-                    main_carry: None,
-                    state,
-                });
-            };
-            run_once_resumable(
-                &cfg,
-                cfg.strategy,
-                profiles,
-                None,
-                every_epochs,
-                &mut emit,
-                &mut scratch,
-                &mut NoHooks,
-            )
-        };
-        Ok(finish_burst(
-            &cfg,
-            profiles,
-            &fp,
-            main,
-            monitor,
-            policy,
-            None,
-            every_epochs,
+        let mut out = SnapshotOut {
+            every: every_epochs,
+            fingerprint: burst_fingerprint(&self.cfg),
+            scope: SnapshotScope::Burst(self.cfg.clone()),
             sink,
-            &mut scratch,
-        ))
+        };
+        run_burst(&self.cfg, None, Some(&mut out), &mut EngineScratch::new())
     }
 }
 
@@ -581,55 +525,22 @@ pub(crate) fn judge(
     outcome
 }
 
-/// Run (or resume) the Normal-baseline phase of a burst experiment with
-/// snapshotting, then assemble the normalized result. The finished
-/// strategy run rides inside every baseline-phase snapshot so a resume
-/// from one still has everything.
-#[allow(clippy::too_many_arguments)]
-fn finish_burst(
+/// One burst experiment, fresh or resumed from `resume`: the strategy
+/// run, its Normal baseline (a Normal strategy is its own), and the
+/// judgment.
+fn run_burst(
     cfg: &EngineConfig,
-    profiles: &ProfileTable,
-    fp: &str,
-    main: BurstOutcome,
-    monitor: Monitor,
-    policy: Option<String>,
-    baseline_resume: Option<LoopState>,
-    every_epochs: u64,
-    sink: &mut dyn FnMut(&EngineSnapshot),
+    resume: Option<EngineSnapshot>,
+    out: Option<&mut SnapshotOut<'_>>,
     scratch: &mut EngineScratch,
-) -> (BurstOutcome, Monitor, Option<String>) {
-    let baseline = if cfg.strategy == Strategy::Normal {
-        None
-    } else {
-        let carry = MainCarry {
-            outcome: main.clone(),
-            monitor: Some(monitor.clone()),
-            policy: policy.clone(),
-        };
-        let mut emit = |state: LoopState| {
-            sink(&EngineSnapshot {
-                fingerprint: fp.to_string(),
-                scope: SnapshotScope::Burst(cfg.clone()),
-                phase: RunPhase::Baseline,
-                main_carry: Some(carry.clone()),
-                state,
-            });
-        };
-        Some(
-            run_once_resumable(
-                cfg,
-                Strategy::Normal,
-                profiles,
-                baseline_resume,
-                every_epochs,
-                &mut emit,
-                scratch,
-                &mut NoHooks,
-            )
-            .0,
-        )
-    };
-    (judge(cfg, main, baseline), monitor, policy)
+) -> Result<(BurstOutcome, Monitor, Option<String>), EngineError> {
+    let window = RunWindow::burst(cfg);
+    let baseline = cfg.strategy != Strategy::Normal;
+    let (main, baseline) = run_two_phase(cfg, &window, baseline, resume, out, scratch)?;
+    let monitor = main
+        .monitor
+        .expect("a burst's strategy run carries its monitor");
+    Ok((judge(cfg, main.outcome, baseline), monitor, main.policy))
 }
 
 /// The checkpoint fingerprint of a burst configuration.
@@ -663,7 +574,8 @@ pub enum ResumedRun {
 /// snapshots at the same cadence through `sink`.
 ///
 /// Refuses a snapshot whose fingerprint no longer matches the current
-/// code + embedded configuration.
+/// code + embedded configuration, and one whose loop state does not fit
+/// that configuration.
 pub fn resume_snapshot(
     snap: EngineSnapshot,
     every_epochs: u64,
@@ -696,70 +608,23 @@ fn resume_burst(
     if cfg.measurement != MeasurementMode::Analytic {
         return Err(EngineError::SnapshotRequiresAnalytic);
     }
-    let profiles = ProfileTable::cached(cfg.app);
-    let fp = snap.fingerprint.clone();
-    let mut scratch = EngineScratch::new();
-    let (outcome, monitor, policy) = match snap.phase {
-        RunPhase::Strategy => {
-            let (main, monitor, policy) = {
-                let mut emit = |state: LoopState| {
-                    sink(&EngineSnapshot {
-                        fingerprint: fp.clone(),
-                        scope: SnapshotScope::Burst(cfg.clone()),
-                        phase: RunPhase::Strategy,
-                        main_carry: None,
-                        state,
-                    });
-                };
-                run_once_resumable(
-                    &cfg,
-                    cfg.strategy,
-                    profiles,
-                    Some(snap.state),
-                    every_epochs,
-                    &mut emit,
-                    &mut scratch,
-                    &mut NoHooks,
-                )
-            };
-            finish_burst(
-                &cfg,
-                profiles,
-                &fp,
-                main,
-                monitor,
-                policy,
-                None,
-                every_epochs,
-                sink,
-                &mut scratch,
-            )
-        }
-        RunPhase::Baseline => {
-            let carry = snap.main_carry.ok_or_else(|| {
-                EngineError::SnapshotMismatch(
-                    "baseline-phase snapshot is missing the finished strategy run".to_string(),
-                )
-            })?;
-            let monitor = carry.monitor.clone().ok_or_else(|| {
-                EngineError::SnapshotMismatch(
-                    "burst snapshot is missing the strategy run's monitor".to_string(),
-                )
-            })?;
-            finish_burst(
-                &cfg,
-                profiles,
-                &fp,
-                carry.outcome,
-                monitor,
-                carry.policy,
-                Some(snap.state),
-                every_epochs,
-                sink,
-                &mut scratch,
-            )
-        }
+    if snap
+        .main_carry
+        .as_ref()
+        .is_some_and(|c| c.monitor.is_none())
+    {
+        return Err(EngineError::SnapshotMismatch(
+            "burst snapshot is missing the strategy run's monitor".to_string(),
+        ));
+    }
+    let mut out = SnapshotOut {
+        every: every_epochs,
+        fingerprint: snap.fingerprint.clone(),
+        scope: SnapshotScope::Burst(cfg.clone()),
+        sink,
     };
+    let (outcome, monitor, policy) =
+        run_burst(&cfg, Some(snap), Some(&mut out), &mut EngineScratch::new())?;
     Ok(ResumedRun::Burst {
         outcome,
         monitor,
@@ -767,105 +632,160 @@ fn resume_burst(
     })
 }
 
+/// Where a two-phase run's snapshots go: the cadence, the stamp every
+/// snapshot carries, and the sink.
+pub(crate) struct SnapshotOut<'s> {
+    /// Snapshot at every `every`-th epoch boundary (0 = never).
+    pub every: u64,
+    /// The experiment's checkpoint fingerprint.
+    pub fingerprint: String,
+    /// The experiment, with its configuration.
+    pub scope: SnapshotScope,
+    /// Receives every snapshot.
+    pub sink: &'s mut dyn FnMut(&EngineSnapshot),
+}
+
+impl SnapshotOut<'_> {
+    /// The finished strategy run as baseline-phase snapshots carry it:
+    /// whole for a burst, the outcome alone for a campaign.
+    fn carry_of(&self, main: &MainCarry) -> MainCarry {
+        match self.scope {
+            SnapshotScope::Burst(_) => main.clone(),
+            SnapshotScope::Campaign(_) => MainCarry {
+                outcome: main.outcome.clone(),
+                monitor: None,
+                policy: None,
+            },
+        }
+    }
+
+    fn emit(&mut self, phase: RunPhase, main_carry: Option<&MainCarry>, state: LoopState) {
+        (self.sink)(&EngineSnapshot {
+            fingerprint: self.fingerprint.clone(),
+            scope: self.scope.clone(),
+            phase,
+            main_carry: main_carry.cloned(),
+            state,
+        });
+    }
+}
+
+/// The two-phase experiment driver bursts and campaigns share: the
+/// configured strategy over `window`, then, when `baseline`, a Normal run
+/// of the same window. A `resume` snapshot picks the run up in whichever
+/// phase it was taken; `out` receives a snapshot at every cadence boundary
+/// of both phases. Returns the finished strategy run and the baseline.
+pub(crate) fn run_two_phase(
+    cfg: &EngineConfig,
+    window: &RunWindow,
+    baseline: bool,
+    resume: Option<EngineSnapshot>,
+    mut out: Option<&mut SnapshotOut<'_>>,
+    scratch: &mut EngineScratch,
+) -> Result<(MainCarry, Option<BurstOutcome>), EngineError> {
+    let (main, baseline_state) = match resume {
+        Some(snap) if snap.phase == RunPhase::Baseline => {
+            let main = snap.main_carry.ok_or_else(|| {
+                EngineError::SnapshotMismatch(
+                    "baseline-phase snapshot is missing the finished strategy run".to_string(),
+                )
+            })?;
+            (main, Some(snap.state))
+        }
+        resume => {
+            let mut lp = EpochLoop::new(cfg, cfg.strategy, window, scratch);
+            if let Some(snap) = resume {
+                lp = lp
+                    .resume(snap.state)
+                    .map_err(EngineError::SnapshotMismatch)?;
+            }
+            let (outcome, monitor, policy) =
+                drive(lp, RunPhase::Strategy, None, out.as_deref_mut());
+            let main = MainCarry {
+                outcome,
+                monitor: Some(monitor),
+                policy,
+            };
+            (main, None)
+        }
+    };
+    let baseline = if baseline {
+        let carry = out.as_ref().map(|o| o.carry_of(&main));
+        let mut lp = EpochLoop::new(cfg, Strategy::Normal, window, scratch);
+        if let Some(state) = baseline_state {
+            lp = lp.resume(state).map_err(EngineError::SnapshotMismatch)?;
+        }
+        Some(drive(lp, RunPhase::Baseline, carry.as_ref(), out).0)
+    } else {
+        None
+    };
+    Ok((main, baseline))
+}
+
+/// Step `lp` to the end of its window with no-op directives, handing `out`
+/// a snapshot at every cadence boundary after the one it started from.
+fn drive(
+    mut lp: EpochLoop<'_>,
+    phase: RunPhase,
+    carry: Option<&MainCarry>,
+    mut out: Option<&mut SnapshotOut<'_>>,
+) -> (BurstOutcome, Monitor, Option<String>) {
+    let start = lp.next_epoch();
+    let dir = TickDirective::default();
+    while !lp.done() {
+        // Capture at the epoch boundary: nothing of epoch k has happened
+        // yet, so a resume from this state replays epoch k first. The
+        // resume boundary itself is not re-captured (`k > start`).
+        let k = lp.next_epoch();
+        if let Some(out) = out.as_deref_mut() {
+            if out.every > 0 && k > start && k.is_multiple_of(out.every) {
+                out.emit(phase, carry, lp.snapshot());
+            }
+        }
+        lp.step(&dir);
+    }
+    lp.finish()
+}
+
 /// A simulation window: when it runs, which sky it sees, and the offered
 /// load at every instant. Single bursts and long campaigns share the same
 /// epoch loop through this.
-pub(crate) struct RunWindow<'a> {
+pub(crate) struct RunWindow {
     /// Offered per-server load (req/s) at a given time.
-    pub offered_rps: &'a dyn Fn(SimTime) -> f64,
+    pub offered_rps: Box<dyn Fn(SimTime) -> f64>,
     /// Normalized irradiance trace.
-    pub trace: &'a SolarTrace,
+    pub trace: SolarTrace,
     /// Window start.
     pub start: SimTime,
     /// Window length (must be a multiple of the epoch).
     pub duration: SimDuration,
 }
 
-/// Execute one burst under one strategy.
-pub(crate) fn run_once(
-    cfg: &EngineConfig,
-    strategy: Strategy,
-    profiles: &ProfileTable,
-    scratch: &mut EngineScratch,
-) -> (BurstOutcome, Monitor, Option<String>) {
-    run_once_resumable(
-        cfg,
-        strategy,
-        profiles,
-        None,
-        0,
-        &mut |_| {},
-        scratch,
-        &mut NoHooks,
-    )
-}
-
-/// As [`run_once`], optionally restarting from a captured [`LoopState`]
-/// and emitting fresh captures every `snapshot_every` epochs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_once_resumable(
-    cfg: &EngineConfig,
-    strategy: Strategy,
-    profiles: &ProfileTable,
-    resume: Option<LoopState>,
-    snapshot_every: u64,
-    snap: &mut dyn FnMut(LoopState),
-    scratch: &mut EngineScratch,
-    hooks: &mut dyn EpochHooks,
-) -> (BurstOutcome, Monitor, Option<String>) {
-    let app = cfg.app.profile();
-    let trace: SolarTrace = cfg
-        .trace_override
-        .clone()
-        .unwrap_or_else(|| cfg.availability.trace(cfg.seed));
-    let start = SimTime::from_secs_f64(cfg.burst_start_hour * 3_600.0);
-    let end = start + cfg.burst_duration;
-    let burst = BurstPattern::intensity(&app, cfg.burst_intensity_cores, start, end);
-    let window = RunWindow {
-        offered_rps: &|t| burst.offered_rps(t),
-        trace: &trace,
-        start,
-        duration: cfg.burst_duration,
-    };
-    run_window_resumable(
-        cfg,
-        strategy,
-        profiles,
-        &window,
-        resume,
-        snapshot_every,
-        snap,
-        scratch,
-        hooks,
-    )
-}
-
-/// The scheduling-epoch loop over an arbitrary window.
-pub(crate) fn run_window(
-    cfg: &EngineConfig,
-    strategy: Strategy,
-    profiles: &ProfileTable,
-    window: &RunWindow<'_>,
-    scratch: &mut EngineScratch,
-) -> (BurstOutcome, Monitor) {
-    let (outcome, monitor, _) = run_window_resumable(
-        cfg,
-        strategy,
-        profiles,
-        window,
-        None,
-        0,
-        &mut |_| {},
-        scratch,
-        &mut NoHooks,
-    );
-    (outcome, monitor)
+impl RunWindow {
+    /// The window of one burst of `cfg`: its sky and its burst pattern.
+    pub(crate) fn burst(cfg: &EngineConfig) -> Self {
+        let trace = cfg
+            .trace_override
+            .clone()
+            .unwrap_or_else(|| cfg.availability.trace(cfg.seed));
+        let start = SimTime::from_secs_f64(cfg.burst_start_hour * 3_600.0);
+        let end = start + cfg.burst_duration;
+        let burst =
+            BurstPattern::intensity(&cfg.app.profile(), cfg.burst_intensity_cores, start, end);
+        RunWindow {
+            offered_rps: Box::new(move |t| burst.offered_rps(t)),
+            trace,
+            start,
+            duration: cfg.burst_duration,
+        }
+    }
 }
 
 /// What an external driver injects into one epoch, decided before the
 /// epoch executes. The default directive is a strict no-op: every field
-/// leaves the loop's own arithmetic untouched, so a driver that returns
-/// `TickDirective::default()` forever reproduces a batch run bit-for-bit.
+/// leaves the loop's own arithmetic untouched, so a driver that steps
+/// with `TickDirective::default()` forever reproduces a batch run
+/// bit-for-bit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct TickDirective {
     /// Replace the trace-derived renewable AC supply with a live reading
@@ -887,395 +807,501 @@ pub(crate) struct TickDirective {
     pub load_factor: Option<f64>,
 }
 
-/// Driver hooks for the epoch loop: the seam `greensprint serve` uses to
-/// run the *identical* control path against a tick clock. The batch
-/// entry points all pass [`NoHooks`], whose defaults make every hook
-/// invisible — the golden-output suite pins that equivalence.
-pub(crate) trait EpochHooks {
-    /// Called at the top of epoch `k` (sim time `t`), before anything of
-    /// the epoch has executed. The returned directive shapes this epoch.
-    fn before_epoch(&mut self, _k: u64, _t: SimTime) -> TickDirective {
-        TickDirective::default()
-    }
-    /// Called after epoch `k` fully settled, with its record and the
-    /// fleet's applied per-server settings. Return `false` to stop at
-    /// this boundary (graceful drain): the loop captures a final
-    /// [`LoopState`], hands it to [`EpochHooks::on_snapshot`], and
-    /// returns the partial outcome.
-    fn after_epoch(&mut self, _k: u64, _rec: &EpochRecord, _settings: &[ServerSetting]) -> bool {
-        true
-    }
-    /// Called with every captured [`LoopState`] — the periodic boundary
-    /// captures and the final drain capture — *before* the plain `snap`
-    /// sink sees it. Lets one `&mut` driver observe both the epoch
-    /// stream and the snapshots without a second simultaneous borrow.
-    fn on_snapshot(&mut self, _state: &LoopState) {}
-}
-
-/// The batch driver: every hook is a no-op and every directive a
-/// default, so the loop behaves exactly as it did before hooks existed.
-pub(crate) struct NoHooks;
-
-impl EpochHooks for NoHooks {}
-
-/// The resumable scheduling-epoch loop: restores every mutable local
-/// from a [`LoopState`] when resuming, and captures one at each
-/// `snapshot_every`-th epoch boundary. Both halves touch *all* of the
-/// loop's mutable state — a field missed here would silently break the
-/// byte-identity guarantee, which the resume tests pin down.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_window_resumable(
-    cfg: &EngineConfig,
-    strategy: Strategy,
-    profiles: &ProfileTable,
-    window: &RunWindow<'_>,
-    resume: Option<LoopState>,
-    snapshot_every: u64,
-    snap: &mut dyn FnMut(LoopState),
-    scratch: &mut EngineScratch,
-    hooks: &mut dyn EpochHooks,
-) -> (BurstOutcome, Monitor, Option<String>) {
-    let app = cfg.app.profile();
-    let n = cfg.green.green_servers;
-    // Analytic measurements are pure in (app, setting, rps) on a cached
-    // table, so such runs may share the scratch's cache across runs.
-    scratch.begin_run(
-        n,
-        ProfileTable::cached_app(profiles).filter(|&a| a == cfg.app),
-    );
-    let EngineScratch {
-        fleet,
-        analytic_cache,
-        ..
-    } = scratch;
-    let pv: PvArray = cfg.green.pv_array();
-    let trace = window.trace;
-    let start = window.start;
-    let end = start + window.duration;
-
-    let mut rng = SimRng::seed_from_u64(cfg.seed ^ strategy_salt(strategy));
-    // Forking the per-server DES streams is part of the pinned master rng
-    // sequence whether or not the run is analytic; only DES mode pays to
-    // materialize the simulators themselves.
-    let mut sims: Vec<ServerSim> = match cfg.measurement {
-        MeasurementMode::Des => (0..n).map(|_| ServerSim::new(rng.fork())).collect(),
-        MeasurementMode::Analytic => {
-            for _ in 0..n {
-                let _ = rng.fork();
-            }
-            Vec::new()
-        }
-    };
-    let mut batteries: Vec<Option<Battery>> = (0..n)
-        .map(|_| cfg.green.battery_spec().map(Battery::new_full))
-        .collect();
-    // Paper case 3: "Recharging is activated when battery depth of
-    // discharge reaches the set goal (40% DoD)" — a latch per battery;
-    // once triggered, the grid tops the unit back up whenever its server
-    // is not sprinting, until full.
-    let mut grid_recharging: Vec<bool> = vec![false; n];
-    let mut in_burst_grid_recharge_wh = 0.0;
-    let mut predictor = Predictor::new();
-    let mut cs_predictor = crate::predictor::ClearSkyIndexedPredictor::new(pv.peak_ac_watts());
+/// A PMK for `strategy` with the configured switching hysteresis — every
+/// controller the loop runs (the strategy's, the shadow, a demoted rung).
+fn pmk_for(cfg: &EngineConfig, strategy: Strategy, profiles: &ProfileTable) -> Pmk {
     let mut pmk = Pmk::new(strategy, profiles);
     pmk.hysteresis = cfg.switch_hysteresis;
-    // The table Hybrid's learner starts from: the warm policy, else the
-    // profile bootstrap `Pmk::new` installed (borrowed from the
-    // process-wide cache for a cached table). Snapshots store the learner
-    // as its delta from this table, and a resume rebuilds it right here,
-    // the same way, before applying the delta.
-    let q_base: Option<Cow<'static, QLearner>> =
-        pmk.learner_mut()
-            .map(|learner| match &cfg.warm_policy_json {
-                Some(json) => match QLearner::from_json(json) {
-                    Ok(warm) => {
-                        *learner = warm.clone();
-                        Cow::Owned(warm)
-                    }
-                    Err(e) => panic!("invalid warm_policy_json: {e}"),
-                },
-                None => QLearner::bootstrapped(profiles),
-            });
-    let mut setting_transitions = 0usize;
-    // Policy guardrail: shadow-score a certified fallback each epoch and
-    // demote down the failover ladder when the active policy misbehaves.
-    // Normal has no ladder, so the baseline run is never supervised.
-    let mut guard: Option<Guardrail> = if cfg.guardrail.enabled {
-        Guardrail::new(cfg.guardrail.clone(), strategy)
+    pmk
+}
+
+/// Check that `st` is a loop state of an `n_epochs`-epoch window of `cfg`
+/// under `strategy`: every per-server vector has one entry per server,
+/// the thermal packages match the thermal model, the fault cursor
+/// matches the fault plan, the learner and the guardrail are present
+/// exactly when the run carries them (a pending learner update inside
+/// the table, the guardrail on the strategy's ladder), and the records
+/// and counters agree with the epoch it resumes at. A state that passes
+/// cannot index out of bounds in [`EpochLoop::step`].
+pub(crate) fn check_state(
+    st: &LoopState,
+    cfg: &EngineConfig,
+    strategy: Strategy,
+    n_epochs: u64,
+) -> Result<(), String> {
+    let n = cfg.green.green_servers;
+    let thermals = if cfg.thermal == ThermalModel::Disabled {
+        0
     } else {
-        None
+        n
     };
-    let mut shadow_pmk: Option<Pmk> = guard.as_ref().map(|_| {
-        let mut p = Pmk::new(cfg.guardrail.fallback, profiles);
-        p.hysteresis = cfg.switch_hysteresis;
-        p
-    });
-    // The percentile latency has two readers: the learner's reward and the
-    // guardrail's detectors. A run with neither never bisects for it. Both
-    // are fixed for the run: a demotion rebuilds `pmk` with the same
-    // strategy, and the guardrail is never dropped.
-    let reads_latency = !pmk.is_learner_free() || guard.is_some();
-    // The demoted rung's controller, steering instead of `pmk` while the
-    // ladder level is above 0. Rebuilt from the guardrail level rather
-    // than persisted: every rung below the top is learner-free, so the
-    // strategy name is its entire state.
-    let mut fallback_pmk: Option<Pmk> = None;
-    // The guardrail's corruption verdict on `pmk`'s table, kept
-    // incrementally: set once a full scan finds no corrupt cell, and kept
-    // across clean `update`s by checking the one cell each writes. A
-    // poison, a quarantine reset, every ladder change, and run start or
-    // resume (it is never snapshotted) clear it, so the next check scans.
-    let mut table_known_clean = false;
-    let explosion_cap = cfg.guardrail.value_explosion_cap;
-    // Fault-injection state: the plan is replayed deterministically; the
-    // watchdog and safe-mode estimator run unconditionally (they are the
-    // production control path) but are inert while telemetry is clean and
-    // every command lands.
-    let fault_plan = cfg.fault_plan.as_ref();
-    let mut fade_done: Vec<bool> =
-        fault_plan.map_or_else(Vec::new, |p| vec![false; p.events.len()]);
-    let mut watchdog = ActuationWatchdog::with_threshold(n, cfg.watchdog_threshold);
-    let mut safe_supply = gs_power::pss::SafeSupplyEstimator::new();
-    // One-epoch telemetry delay line: the raw (meter-shaped) reading taken
-    // last epoch, which a TelemetryDelay fault serves instead of today's.
-    let mut last_raw_obs_w: Option<f64> = None;
-    let mut fault_epochs = 0usize;
-    let mut safe_mode_epochs = 0usize;
-    let mut watchdog_clamped_epochs = 0usize;
-    // Fleet fault state: per-server crash countdowns, rejoin-hysteresis
-    // health streaks, and the burst-level fleet accounting. A full fleet
-    // starts with every streak at the rejoin threshold — every server is
-    // trusted with load from epoch 0.
-    fleet.health_streak.fill(REJOIN_EPOCHS);
-    let mut dead_server_epochs = 0usize;
-    let mut straggler_epochs = 0usize;
-    let mut min_live_servers = n;
-    let mut fleet_events: Vec<String> = Vec::new();
-    let pss = PowerSourceSelector::new();
-    let mut meter = PowerMeter::new();
-    let mut monitor = Monitor::new();
-    let power_model = app.power_model();
-    // Invariant auditor: re-derives energy conservation from the settled
-    // flows each epoch. The breaker cap is every server at Normal mode
-    // full-tilt plus every charger at its C-rate limit — fades only ever
-    // lower the real draw below the cap computed from the fresh specs.
-    let mut auditor = cfg.audit.then(InvariantAuditor::new);
-    let grid_cap_w = n as f64 * power_model.power_w(ServerSetting::normal(), 1.0)
-        + batteries
-            .iter()
-            .flatten()
-            .map(|b| b.spec().max_charge_power_w())
-            .sum::<f64>();
-    let mut audited_grid_wh = 0.0;
-    let mut audited_curtailed_wh = 0.0;
-
-    let mut epochs = Vec::new();
-    let mut goodput_sum = 0.0;
-    let mut offered_sum = 0.0;
-    let grid_overload_wh = 0.0;
-    // Hybrid bookkeeping: the (state, action) each epoch's choice was made
-    // from, for the Bellman update once the epoch is measured.
-    let mut pending_q: Option<(QState, ServerSetting)> = None;
-    // Cumulative renewable production over the burst so far — the
-    // planners' estimate of the *future mean* supply (the reactive EWMA
-    // would thrash the sustainability test on every cloud flicker).
-    let mut re_sum_w = 0.0;
-    // Thermal packages, pre-warmed at Normal-mode load so the burst does
-    // not start from a cold heatsink.
-    let mut thermals: Vec<gs_thermal::ThermalPackage> = match cfg.thermal {
-        ThermalModel::Disabled => Vec::new(),
-        ThermalModel::PaperPcm => (0..n)
-            .map(|_| gs_thermal::ThermalPackage::paper_spec())
-            .collect(),
-        ThermalModel::NoPcm => (0..n)
-            .map(|_| gs_thermal::ThermalPackage::without_pcm())
-            .collect(),
-    };
-    for pkg in &mut thermals {
-        pkg.advance(100.0, SimDuration::from_hours(2));
-    }
-    let mut thermal_throttle_epochs = 0usize;
-    let mut peak_temp_c = thermals.first().map_or(0.0, |p| p.temp_c());
-
-    // Resume: overwrite every mutable local with the checkpointed state.
-    // `sims` stays fresh — snapshots are gated to analytic measurement,
-    // where the per-server DES sims are never touched — and the analytic
-    // cache is a pure memo that re-derives itself on demand.
-    let mut start_k = 0u64;
-    if let Some(st) = resume {
-        start_k = st.next_epoch;
-        rng = st.rng;
-        batteries = st.batteries;
-        grid_recharging = st.grid_recharging;
-        in_burst_grid_recharge_wh = st.in_burst_grid_recharge_wh;
-        predictor = st.predictor;
-        cs_predictor = st.cs_predictor;
-        // The learner still holds `q_base`, the delta's base.
-        if let (Some(delta), Some(l)) = (&st.learner, pmk.learner_mut()) {
-            l.apply_delta(delta);
-        }
-        pending_q = st.pending_q;
-        fleet.prev_settings.copy_from_slice(&st.prev_settings);
-        setting_transitions = st.setting_transitions;
-        fade_done = st.fade_done;
-        watchdog = st.watchdog;
-        safe_supply = st.safe_supply;
-        last_raw_obs_w = st.last_raw_obs_w;
-        fault_epochs = st.fault_epochs;
-        safe_mode_epochs = st.safe_mode_epochs;
-        watchdog_clamped_epochs = st.watchdog_clamped_epochs;
-        // Pre-fleet snapshots carry empty vectors; keep the fresh
-        // full-fleet initialization for those.
-        if st.down_left.len() == n {
-            fleet.down_left.copy_from_slice(&st.down_left);
-        }
-        if st.health_streak.len() == n {
-            fleet.health_streak.copy_from_slice(&st.health_streak);
-        }
-        dead_server_epochs = st.dead_server_epochs;
-        straggler_epochs = st.straggler_epochs;
-        min_live_servers = st.min_live_servers.min(n);
-        fleet_events = st.fleet_events;
-        meter = st.meter;
-        monitor = st.monitor;
-        epochs = st.epochs;
-        goodput_sum = st.goodput_sum;
-        offered_sum = st.offered_sum;
-        re_sum_w = st.re_sum_w;
-        thermals = st.thermals;
-        thermal_throttle_epochs = st.thermal_throttle_epochs;
-        peak_temp_c = st.peak_temp_c;
-        auditor = cfg
-            .audit
-            .then(|| InvariantAuditor::with_violations(st.audit_violations));
-        audited_grid_wh = st.audited_grid_wh;
-        audited_curtailed_wh = st.audited_curtailed_wh;
-        if let (true, Some(saved)) = (cfg.guardrail.enabled, st.guardrail) {
-            let g = Guardrail::restore(cfg.guardrail.clone(), saved);
-            if g.level() > 0 {
-                let mut p = Pmk::new(g.active_strategy(), profiles);
-                p.hysteresis = cfg.switch_hysteresis;
-                fallback_pmk = Some(p);
-            }
-            guard = Some(g);
+    let events = cfg.fault_plan.as_ref().map_or(0, |p| p.events.len());
+    for (name, len, want) in [
+        ("prev_settings", st.prev_settings.len(), n),
+        ("batteries", st.batteries.len(), n),
+        ("grid_recharging", st.grid_recharging.len(), n),
+        ("down_left", st.down_left.len(), n),
+        ("health_streak", st.health_streak.len(), n),
+        ("thermals", st.thermals.len(), thermals),
+        ("fade_done", st.fade_done.len(), events),
+    ] {
+        if len != want {
+            return Err(format!(
+                "loop state {name} has {len} entries where this {n}-server configuration needs {want}"
+            ));
         }
     }
+    if !st.watchdog.tracks(n) {
+        return Err(format!(
+            "loop state watchdog does not track exactly {n} servers"
+        ));
+    }
+    let presence = |want: bool| if want { "missing" } else { "unexpected" };
+    // Only Hybrid carries a learner (`Pmk::new`).
+    let learned = strategy == Strategy::Hybrid;
+    if st.learner.is_some() != learned {
+        return Err(format!(
+            "loop state learner is {} for a {strategy} run",
+            presence(learned)
+        ));
+    }
+    if let Some((s, _)) = st.pending_q.filter(|(s, _)| !s.in_range()) {
+        return Err(format!(
+            "loop state pending learner update is from state ({}, {}), outside the table",
+            s.power_level, s.load_level
+        ));
+    }
+    // An enabled guardrail supervises every strategy with a ladder
+    // (`GuardrailState::new`), and its level indexes that ladder.
+    match (
+        &st.guardrail,
+        ladder_for(strategy).filter(|_| cfg.guardrail.enabled),
+    ) {
+        (None, None) => {}
+        (Some(g), Some(ladder)) if g.ladder == ladder && g.level < ladder.len() => {}
+        (Some(g), Some(_)) => {
+            return Err(format!(
+                "loop state guardrail level {} of ladder {:?} is off a {strategy} run's ladder",
+                g.level, g.ladder
+            ))
+        }
+        (g, _) => {
+            return Err(format!(
+                "loop state guardrail is {} for this configuration",
+                presence(g.is_none())
+            ))
+        }
+    }
+    if st.epochs.len() as u64 != st.next_epoch || st.next_epoch > n_epochs {
+        return Err(format!(
+            "loop state holds {} epoch records but resumes at epoch {} of {n_epochs}",
+            st.epochs.len(),
+            st.next_epoch
+        ));
+    }
+    if st.min_live_servers > n {
+        return Err(format!(
+            "loop state saw {} live servers on a {n}-server rack",
+            st.min_live_servers
+        ));
+    }
+    Ok(())
+}
 
-    let n_epochs = window
-        .duration
-        .div_duration(cfg.epoch)
-        .expect("validated in Engine::new");
-    let epoch_hours = cfg.epoch.as_hours_f64();
-    // Pre-size the per-epoch append targets (capacity only — none of it
-    // is serialized) so the loop never reallocates them.
-    let epochs_left = n_epochs.saturating_sub(start_k) as usize;
-    epochs.reserve(epochs_left);
-    monitor.reserve_epochs(n, epochs_left);
+/// The scheduling-epoch loop of one run, advanced one epoch per
+/// [`EpochLoop::step`]: Monitor, Predictor, PSS and PMK, then measure,
+/// settle and observe (paper Fig. 3).
+///
+/// The run's persistent state is its [`LoopState`], which `step` reads
+/// and writes in place: [`EpochLoop::snapshot`] is a clone of it plus the
+/// learner's delta from the table it started from, and
+/// [`EpochLoop::resume`] installs one. Everything else here is fixed for
+/// the run, is rebuilt from the state (the controllers), or is scratch the
+/// next epoch overwrites.
+pub(crate) struct EpochLoop<'a> {
+    cfg: &'a EngineConfig,
+    strategy: Strategy,
+    profiles: &'static ProfileTable,
+    window: &'a RunWindow,
+    app: AppProfile,
+    power_model: PowerModel,
+    pv: PvArray,
+    /// Servers in the rack.
+    n: usize,
+    /// Epochs in the window.
+    n_epochs: u64,
+    /// The auditor's breaker cap: every server at Normal mode full-tilt
+    /// plus every charger at its C-rate limit — fades only ever lower the
+    /// real draw below the cap computed from the fresh specs.
+    grid_cap_w: f64,
+    /// The percentile latency has two readers: the learner's reward and
+    /// the guardrail's detectors. A run with neither never bisects for
+    /// it. Both are fixed for the run: a quarantine rebuilds `pmk` with
+    /// the same strategy, and the guardrail is never dropped.
+    reads_latency: bool,
+    /// The table Hybrid's learner starts from: the warm policy, else the
+    /// profile bootstrap `Pmk::new` installed (borrowed from the
+    /// process-wide cache). Snapshots store the learner as its delta from
+    /// this table, and a resume rebuilds the table the same way before
+    /// applying the delta.
+    q_base: Option<Cow<'static, QLearner>>,
+    /// The configured strategy's controller.
+    pmk: Pmk,
+    /// The guardrail's certified fallback, scored in shadow every epoch.
+    shadow_pmk: Option<Pmk>,
+    /// The demoted rung's controller, steering instead of `pmk` while the
+    /// ladder level is above 0. Rebuilt from the guardrail level rather
+    /// than persisted: every rung below the top is learner-free, so the
+    /// strategy name is its entire state.
+    fallback_pmk: Option<Pmk>,
+    /// The guardrail's corruption verdict on `pmk`'s table, kept
+    /// incrementally: set once a full scan finds no corrupt cell, and kept
+    /// across clean `update`s by checking the one cell each writes. A
+    /// poison, a quarantine reset, every ladder change, and run start or
+    /// resume (it is never snapshotted) clear it, so the next check scans.
+    table_known_clean: bool,
+    /// Per-server request-level simulators; empty under analytic
+    /// measurement, which is the only mode that snapshots.
+    sims: Vec<ServerSim>,
+    /// The run's borrowed scratch arena, split into its two parts.
+    fleet: &'a mut FleetState,
+    analytic_cache: &'a mut AnalyticCache,
+    st: LoopState,
+}
 
-    // One literal for the full mutable-local capture, expanded at the
-    // periodic boundary and at a drain stop — the two must never drift
-    // apart, or resume byte-identity silently breaks.
-    macro_rules! capture_state {
-        ($next:expr) => {
-            LoopState {
-                next_epoch: $next,
-                rng: rng.clone(),
-                batteries: batteries.clone(),
-                grid_recharging: grid_recharging.clone(),
-                in_burst_grid_recharge_wh,
-                predictor: predictor.clone(),
-                cs_predictor: cs_predictor.clone(),
-                learner: pmk
-                    .learner_mut()
-                    .zip(q_base.as_deref())
-                    .map(|(l, base)| l.delta_from(base)),
-                pending_q,
-                prev_settings: fleet.prev_settings.clone(),
-                setting_transitions,
-                fade_done: fade_done.clone(),
-                watchdog: watchdog.clone(),
-                safe_supply: safe_supply.clone(),
-                last_raw_obs_w,
-                fault_epochs,
-                safe_mode_epochs,
-                watchdog_clamped_epochs,
-                meter: meter.clone(),
-                monitor: monitor.clone(),
-                epochs: epochs.clone(),
-                goodput_sum,
-                offered_sum,
-                re_sum_w,
-                thermals: thermals.clone(),
-                thermal_throttle_epochs,
-                peak_temp_c,
-                audit_violations: auditor
-                    .as_ref()
-                    .map_or_else(Vec::new, |a| a.violations().to_vec()),
-                audited_grid_wh,
-                audited_curtailed_wh,
-                guardrail: guard.as_ref().map(|g| g.state().clone()),
-                down_left: fleet.down_left.clone(),
-                health_streak: fleet.health_streak.clone(),
-                dead_server_epochs,
-                straggler_epochs,
-                min_live_servers,
-                fleet_events: fleet_events.clone(),
+/// One epoch's intermediates, handed from phase to phase. Never
+/// serialized: the next epoch rebuilds all of it.
+#[derive(Default)]
+struct Epoch {
+    k: u64,
+    t: SimTime,
+    /// Planning lookahead: the time to the window's end, capped at an
+    /// hour (a campaign's controller cannot know a day ahead when load
+    /// will subside).
+    remaining: SimDuration,
+    faults: ActiveFaults,
+    /// What the bus physically delivers from the renewable side (W).
+    re_actual_w: f64,
+    /// Servers carrying load, and the capacity the plan divides by.
+    live_count: usize,
+    plan_n: usize,
+    /// The representative server for reward scoring: the first live
+    /// (else first up) one.
+    rep: Option<usize>,
+    /// This epoch's sensor reading, and the one the controller sees.
+    fresh_obs_w: Option<f64>,
+    obs_w: Option<f64>,
+    re_believed_w: f64,
+    offered: f64,
+    re_pred_w: f64,
+    load_pred: f64,
+    /// The ladder level steering this epoch (0 = the configured strategy).
+    steering_level: usize,
+    waterfall: bool,
+    use_instant: bool,
+    /// The learner state the representative server decided from.
+    q_state: Option<QState>,
+    /// Per-server offered load once redistributed onto the live fleet.
+    served_rps: f64,
+    re_used_w: f64,
+    battery_w: f64,
+    charged_w: f64,
+    /// Source-side deliveries into servers, settled independently of the
+    /// meters so the auditor can balance the books against them.
+    settled_server_wh: f64,
+    dead_server_wh: f64,
+    epoch_grid_recharge_wh: f64,
+    goodput: f64,
+    soc: f64,
+}
+
+impl<'a> EpochLoop<'a> {
+    /// A fresh run of `strategy` over `window`, measured against the
+    /// application's process-wide profile table. The run begins by
+    /// resetting `scratch`.
+    pub(crate) fn new(
+        cfg: &'a EngineConfig,
+        strategy: Strategy,
+        window: &'a RunWindow,
+        scratch: &'a mut EngineScratch,
+    ) -> Self {
+        let profiles = ProfileTable::cached(cfg.app);
+        let app = cfg.app.profile();
+        let n = cfg.green.green_servers;
+        // Analytic measurements are pure in (app, setting, rps) on the
+        // application's cached table, so runs of the same application may
+        // share the scratch's cache.
+        scratch.begin_run(n, Some(cfg.app));
+        let mut rng = SimRng::seed_from_u64(cfg.seed ^ strategy_salt(strategy));
+        // Forking the per-server DES streams is part of the pinned master rng
+        // sequence whether or not the run is analytic; only DES mode pays to
+        // materialize the simulators themselves.
+        let sims: Vec<ServerSim> = match cfg.measurement {
+            MeasurementMode::Des => (0..n).map(|_| ServerSim::new(rng.fork())).collect(),
+            MeasurementMode::Analytic => {
+                for _ in 0..n {
+                    let _ = rng.fork();
+                }
+                Vec::new()
             }
         };
+        let batteries: Vec<Option<Battery>> = (0..n)
+            .map(|_| cfg.green.battery_spec().map(Battery::new_full))
+            .collect();
+        let pv = cfg.green.pv_array();
+        let mut pmk = pmk_for(cfg, strategy, profiles);
+        let q_base: Option<Cow<'static, QLearner>> =
+            pmk.learner_mut()
+                .map(|learner| match &cfg.warm_policy_json {
+                    Some(json) => match QLearner::from_json(json) {
+                        Ok(warm) => {
+                            *learner = warm.clone();
+                            Cow::Owned(warm)
+                        }
+                        Err(e) => panic!("invalid warm_policy_json: {e}"),
+                    },
+                    None => QLearner::bootstrapped(profiles),
+                });
+        // Policy guardrail: shadow-score a certified fallback each epoch and
+        // demote down the failover ladder when the active policy misbehaves.
+        // Normal has no ladder, so the baseline run is never supervised.
+        let guardrail = if cfg.guardrail.enabled {
+            GuardrailState::new(strategy)
+        } else {
+            None
+        };
+        let shadow_pmk = guardrail
+            .as_ref()
+            .map(|_| pmk_for(cfg, cfg.guardrail.fallback, profiles));
+        let reads_latency = !pmk.is_learner_free() || guardrail.is_some();
+        let power_model = app.power_model();
+        let grid_cap_w = n as f64 * power_model.power_w(ServerSetting::normal(), 1.0)
+            + batteries
+                .iter()
+                .flatten()
+                .map(|b| b.spec().max_charge_power_w())
+                .sum::<f64>();
+        // Thermal packages, pre-warmed at Normal-mode load so the burst does
+        // not start from a cold heatsink.
+        let mut thermals: Vec<gs_thermal::ThermalPackage> = match cfg.thermal {
+            ThermalModel::Disabled => Vec::new(),
+            ThermalModel::PaperPcm => (0..n)
+                .map(|_| gs_thermal::ThermalPackage::paper_spec())
+                .collect(),
+            ThermalModel::NoPcm => (0..n)
+                .map(|_| gs_thermal::ThermalPackage::without_pcm())
+                .collect(),
+        };
+        for pkg in &mut thermals {
+            pkg.advance(100.0, SimDuration::from_hours(2));
+        }
+        let n_epochs = window
+            .duration
+            .div_duration(cfg.epoch)
+            .expect("validated in Engine::new");
+        let mut st = LoopState {
+            next_epoch: 0,
+            rng,
+            batteries,
+            // Paper case 3: "Recharging is activated when battery depth of
+            // discharge reaches the set goal (40% DoD)" — a latch per
+            // battery; once triggered, the grid tops the unit back up
+            // whenever its server is not sprinting, until full.
+            grid_recharging: vec![false; n],
+            in_burst_grid_recharge_wh: 0.0,
+            predictor: Predictor::new(),
+            cs_predictor: crate::predictor::ClearSkyIndexedPredictor::new(pv.peak_ac_watts()),
+            learner: None,
+            pending_q: None,
+            prev_settings: vec![ServerSetting::normal(); n],
+            setting_transitions: 0,
+            fade_done: cfg
+                .fault_plan
+                .as_ref()
+                .map_or_else(Vec::new, |p| vec![false; p.events.len()]),
+            watchdog: ActuationWatchdog::with_threshold(n, cfg.watchdog_threshold),
+            safe_supply: gs_power::pss::SafeSupplyEstimator::new(),
+            last_raw_obs_w: None,
+            fault_epochs: 0,
+            safe_mode_epochs: 0,
+            watchdog_clamped_epochs: 0,
+            meter: PowerMeter::new(),
+            monitor: Monitor::new(),
+            // Pre-sized (capacity only — none of it is serialized) so the
+            // loop never reallocates it; the monitor likewise below.
+            epochs: Vec::with_capacity(n_epochs as usize),
+            goodput_sum: 0.0,
+            offered_sum: 0.0,
+            re_sum_w: 0.0,
+            peak_temp_c: thermals.first().map_or(0.0, |p| p.temp_c()),
+            thermals,
+            thermal_throttle_epochs: 0,
+            audit_violations: Vec::new(),
+            audited_grid_wh: 0.0,
+            audited_curtailed_wh: 0.0,
+            guardrail,
+            // A full fleet starts with every health streak at the rejoin
+            // threshold: every server is trusted with load from epoch 0.
+            down_left: vec![0; n],
+            health_streak: vec![REJOIN_EPOCHS; n],
+            dead_server_epochs: 0,
+            straggler_epochs: 0,
+            min_live_servers: n,
+            fleet_events: Vec::new(),
+        };
+        st.monitor.reserve_epochs(n, n_epochs as usize);
+        let EngineScratch {
+            fleet,
+            analytic_cache,
+            ..
+        } = scratch;
+        EpochLoop {
+            cfg,
+            strategy,
+            profiles,
+            window,
+            app,
+            power_model,
+            pv,
+            n,
+            n_epochs,
+            grid_cap_w,
+            reads_latency,
+            q_base,
+            pmk,
+            shadow_pmk,
+            fallback_pmk: None,
+            table_known_clean: false,
+            sims,
+            fleet,
+            analytic_cache,
+            st,
+        }
     }
 
-    for k in start_k..n_epochs {
-        // Capture at the epoch boundary: nothing of epoch k has happened
-        // yet, so a resume from this state replays epoch k first. The
-        // resume boundary itself is not re-captured (`k > start_k`).
-        if snapshot_every > 0 && k > start_k && k % snapshot_every == 0 {
-            let state = capture_state!(k);
-            hooks.on_snapshot(&state);
-            snap(state);
+    /// Continue this fresh loop from a snapshot's state instead: the
+    /// inverse of [`EpochLoop::snapshot`]. Refuses a state that does not
+    /// fit the run ([`check_state`]).
+    pub(crate) fn resume(mut self, mut state: LoopState) -> Result<Self, String> {
+        check_state(&state, self.cfg, self.strategy, self.n_epochs)?;
+        // The learner still holds `q_base`, the delta's base.
+        if let (Some(delta), Some(l)) = (state.learner.take(), self.pmk.learner_mut()) {
+            l.apply_delta(&delta);
         }
-        let t = start + SimDuration::from_micros(cfg.epoch.as_micros() * k);
-        // The driver's per-tick directive: live supply override, declared
-        // telemetry staleness, or a forced degrade. Batch runs (NoHooks)
-        // always get the default no-op directive.
-        let dir = hooks.before_epoch(k, t);
+        self.fallback_pmk = state
+            .guardrail
+            .as_ref()
+            .filter(|g| g.level > 0)
+            .map(|g| pmk_for(self.cfg, g.active_strategy(), self.profiles));
+        let left = (self.n_epochs - state.next_epoch) as usize;
+        state.epochs.reserve(left);
+        state.monitor.reserve_epochs(self.n, left);
+        self.st = state;
+        Ok(self)
+    }
+
+    /// The index of the next epoch [`EpochLoop::step`] runs.
+    pub(crate) fn next_epoch(&self) -> u64 {
+        self.st.next_epoch
+    }
+
+    /// Whether every epoch of the window has run.
+    pub(crate) fn done(&self) -> bool {
+        self.st.next_epoch >= self.n_epochs
+    }
+
+    /// The per-server settings the last epoch applied.
+    pub(crate) fn settings(&self) -> &[ServerSetting] {
+        &self.st.prev_settings
+    }
+
+    /// The loop's state at this epoch boundary: resuming from it replays
+    /// the next epoch first and finishes byte-identically.
+    pub(crate) fn snapshot(&self) -> LoopState {
+        let mut state = self.st.clone();
+        state.learner = self
+            .pmk
+            .learner()
+            .zip(self.q_base.as_deref())
+            .map(|(l, base)| l.delta_from(base));
+        state
+    }
+
+    /// Run the next epoch under `dir` and return its record.
+    pub(crate) fn step(&mut self, dir: &TickDirective) -> EpochRecord {
+        let k = self.st.next_epoch;
+        debug_assert!(k < self.n_epochs, "stepped past the window");
+        let t = self.window.start + SimDuration::from_micros(self.cfg.epoch.as_micros() * k);
         if let Some(reason) = &dir.demote {
-            if let Some(g) = guard.as_mut() {
-                if g.force_demote(k, reason) {
-                    table_known_clean = false;
-                    let mut p = Pmk::new(g.active_strategy(), profiles);
-                    p.hysteresis = cfg.switch_hysteresis;
-                    fallback_pmk = Some(p);
-                    // The learner is not suspect (the trigger was a
-                    // deadline overrun, not corruption), so it is benched
-                    // rather than quarantined — but a Bellman update
-                    // graded on an epoch the fallback steered would be
-                    // bogus, so the pending update is dropped.
-                    pending_q = None;
-                }
-            }
+            self.forced_demotion(k, reason);
         }
-        // Planning lookahead: within a single burst this is the time to
-        // the burst's end; campaigns cap it at an hour (the controller
-        // cannot know a day ahead when load will subside).
+        let mut e = self.faults_and_health(k, t, dir);
+        self.sense_and_predict(&mut e, dir);
+        self.battery_budgets(&e);
+        let case = self.decide(&mut e);
+        self.actuate(&e);
+        self.measure(&mut e);
+        self.settle(&mut e);
+        self.grid_recharge(&mut e);
+        self.audit(&e);
+        self.thermal(&e);
+        self.observe(&mut e);
+        self.learn_and_guard(&e);
+        self.record(&e, case)
+    }
+
+    /// A driver-forced demotion (serve's `--overrun degrade`), applied
+    /// before the epoch plans.
+    fn forced_demotion(&mut self, k: u64, reason: &str) {
+        let Some(g) = self.st.guardrail.as_mut() else {
+            return;
+        };
+        if g.force_demote(k, reason) {
+            self.table_known_clean = false;
+            self.fallback_pmk = Some(pmk_for(self.cfg, g.active_strategy(), self.profiles));
+            // The learner is not suspect (the trigger was a deadline
+            // overrun, not corruption), so it is benched rather than
+            // quarantined — but a Bellman update graded on an epoch the
+            // fallback steered would be bogus, so the pending update is
+            // dropped.
+            self.st.pending_q = None;
+        }
+    }
+
+    /// Faults and fleet health: which injected faults are in force, what
+    /// the bus physically delivers, and which servers are up and carry
+    /// load.
+    fn faults_and_health(&mut self, k: u64, t: SimTime, dir: &TickDirective) -> Epoch {
+        let cfg = self.cfg;
+        let n = self.n;
+        let st = &mut self.st;
+        let fleet = &mut self.fleet;
+        let end = self.window.start + self.window.duration;
         let remaining = (end - t).min(SimDuration::from_mins(60));
-        let faults =
-            fault_plan.map_or_else(ActiveFaults::default, |p| p.active_during(t, t + cfg.epoch));
+        let faults = cfg
+            .fault_plan
+            .as_ref()
+            .map_or_else(ActiveFaults::default, |p| p.active_during(t, t + cfg.epoch));
         if faults.any() {
-            fault_epochs += 1;
+            st.fault_epochs += 1;
         }
         // Supply faults are physical: the inverter/breaker shapes what the
         // bus actually delivers, before any sensor sees it. A live-feed
         // directive replaces the trace-derived input, not the fault layer.
         let re_actual_w = match dir.supply_w {
             Some(w) => w.max(0.0) * faults.supply_factor,
-            None => pv.ac_output(trace.window_mean(t, t + cfg.epoch)) * faults.supply_factor,
+            None => {
+                self.pv
+                    .ac_output(self.window.trace.window_mean(t, t + cfg.epoch))
+                    * faults.supply_factor
+            }
         };
         // Battery fade is permanent; each fade event applies exactly once,
         // when it first overlaps an epoch.
         for &(idx, factor) in &faults.fades {
-            if !fade_done[idx] {
-                fade_done[idx] = true;
-                for b in batteries.iter_mut().flatten() {
+            if !st.fade_done[idx] {
+                st.fade_done[idx] = true;
+                for b in st.batteries.iter_mut().flatten() {
                     b.fade_capacity(factor);
                 }
             }
@@ -1284,12 +1310,12 @@ pub(crate) fn run_window_resumable(
         // policy is steering, once per event. While a learner-free ladder
         // level steers there is nothing to poison and the event is spent.
         for &(idx, magnitude) in &faults.poisons {
-            if !fade_done[idx] {
-                fade_done[idx] = true;
-                let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
+            if !st.fade_done[idx] {
+                st.fade_done[idx] = true;
+                let steering = self.fallback_pmk.as_mut().unwrap_or(&mut self.pmk);
                 if let Some(l) = steering.learner_mut() {
                     l.poison(magnitude);
-                    table_known_clean = false;
+                    self.table_known_clean = false;
                 }
             }
         }
@@ -1300,107 +1326,124 @@ pub(crate) fn run_window_resumable(
         // consecutive healthy epochs.
         for &(idx, server, crash_epochs) in &faults.crashes {
             let i = usize::from(server);
-            if i < n && !fade_done[idx] {
-                fade_done[idx] = true;
-                fleet.down_left[i] = fleet.down_left[i].max(crash_epochs);
-                fleet_events.push(format!(
+            if i < n && !st.fade_done[idx] {
+                st.fade_done[idx] = true;
+                st.down_left[i] = st.down_left[i].max(crash_epochs);
+                st.fleet_events.push(format!(
                     "epoch {k}: server {i} crashed for {crash_epochs} epoch(s)"
                 ));
             }
         }
         for i in 0..n {
-            fleet.up[i] = fleet.down_left[i] == 0 && !faults.flap_down(i, t, cfg.epoch);
+            fleet.up[i] = st.down_left[i] == 0 && !faults.flap_down(i, t, cfg.epoch);
         }
         for i in 0..n {
             if fleet.up[i] {
-                if fleet.health_streak[i] + 1 == REJOIN_EPOCHS {
-                    fleet_events.push(format!("epoch {k}: server {i} rejoined the plan"));
+                if st.health_streak[i] + 1 == REJOIN_EPOCHS {
+                    st.fleet_events
+                        .push(format!("epoch {k}: server {i} rejoined the plan"));
                 }
-                fleet.health_streak[i] = (fleet.health_streak[i] + 1).min(REJOIN_EPOCHS);
+                st.health_streak[i] = (st.health_streak[i] + 1).min(REJOIN_EPOCHS);
             } else {
-                if fleet.health_streak[i] > 0 {
-                    fleet_events.push(format!("epoch {k}: server {i} went down"));
+                if st.health_streak[i] > 0 {
+                    st.fleet_events
+                        .push(format!("epoch {k}: server {i} went down"));
                 }
-                fleet.health_streak[i] = 0;
-                dead_server_epochs += 1;
+                st.health_streak[i] = 0;
+                st.dead_server_epochs += 1;
                 // A dead server's control state is gone with it: the
                 // watchdog forgets its streaks and the hysteresis
                 // incumbent resets to Normal (it reboots into Normal).
-                watchdog.reset(i);
-                fleet.prev_settings[i] = ServerSetting::normal();
-                if fleet.down_left[i] > 0 {
-                    fleet.down_left[i] -= 1;
+                st.watchdog.reset(i);
+                st.prev_settings[i] = ServerSetting::normal();
+                if st.down_left[i] > 0 {
+                    st.down_left[i] -= 1;
                 }
             }
         }
         // `live` servers carry load and are sprint-planned; `up` servers
         // that have not yet served their rejoin probation idle at Normal.
         for i in 0..n {
-            fleet.live[i] = fleet.up[i] && fleet.health_streak[i] >= REJOIN_EPOCHS;
+            fleet.live[i] = fleet.up[i] && st.health_streak[i] >= REJOIN_EPOCHS;
         }
         let live_count = fleet.live.iter().filter(|&&l| l).count();
-        min_live_servers = min_live_servers.min(live_count);
-        // Plan against the believed live capacity; the representative
-        // server for reward scoring is the first live (else first up) one.
-        let plan_n = live_count.max(1);
-        let rep: Option<usize> = fleet
-            .live
-            .iter()
-            .position(|&l| l)
-            .or_else(|| fleet.up.iter().position(|&u| u));
+        st.min_live_servers = st.min_live_servers.min(live_count);
+        Epoch {
+            k,
+            t,
+            remaining,
+            faults,
+            re_actual_w,
+            live_count,
+            // Plan against the believed live capacity.
+            plan_n: live_count.max(1),
+            rep: fleet
+                .live
+                .iter()
+                .position(|&l| l)
+                .or_else(|| fleet.up.iter().position(|&u| u)),
+            ..Epoch::default()
+        }
+    }
+
+    /// Sensing and prediction: what the controller believes the supply
+    /// is, the offered load, and the Predictor's forecasts.
+    fn sense_and_predict(&mut self, e: &mut Epoch, dir: &TickDirective) {
+        let st = &mut self.st;
         // Telemetry faults shape what the controller *believes*: a dropout
         // yields no reading at all; a delay serves last epoch's raw
         // reading; meter bias scales whatever the sensor outputs. A
         // driver-declared stale feed is indistinguishable from a dropout.
-        let fresh_obs_w = (!faults.sensor_dropout && !dir.telemetry_stale)
-            .then_some(re_actual_w * faults.meter_factor);
-        let obs_w = if faults.telemetry_delay {
-            last_raw_obs_w
+        e.fresh_obs_w = (!e.faults.sensor_dropout && !dir.telemetry_stale)
+            .then_some(e.re_actual_w * e.faults.meter_factor);
+        e.obs_w = if e.faults.telemetry_delay {
+            st.last_raw_obs_w
         } else {
-            fresh_obs_w
+            e.fresh_obs_w
         };
-        let in_safe_mode = obs_w.is_none();
-        let re_believed_w = match obs_w {
+        let in_safe_mode = e.obs_w.is_none();
+        e.re_believed_w = match e.obs_w {
             Some(w) => {
-                safe_supply.observe_good(w);
+                st.safe_supply.observe_good(w);
                 w
             }
             None => {
                 // Safe mode: never plan against unverified supply — assume
                 // the worst recent verified observation, decayed.
-                safe_supply.mark_stale();
-                predictor.mark_re_stale();
-                safe_mode_epochs += 1;
-                safe_supply.planning_supply_w()
+                st.safe_supply.mark_stale();
+                st.predictor.mark_re_stale();
+                st.safe_mode_epochs += 1;
+                st.safe_supply.planning_supply_w()
             }
         };
         // The broker's routing seam: a driver-supplied load factor scales
         // the nominal offered stream (None — every batch path — is exactly
         // the nominal stream, so routing-free runs stay byte-identical).
         let route_factor = dir.load_factor.map(|f| f.max(0.0));
-        let offered = (window.offered_rps)(t) * route_factor.unwrap_or(1.0);
+        e.offered = (self.window.offered_rps)(e.t) * route_factor.unwrap_or(1.0);
         if let Some(f) = route_factor {
-            monitor.record_route(t, f);
+            st.monitor.record_route(e.t, f);
         }
 
         // Predictions (fall back to the live observation on the first
         // epoch — the Monitor publishes it either way). In safe mode every
         // prediction is capped by the safe-mode supply estimate.
-        let re_pred_w = match cfg.predictor {
+        let re_believed_w = e.re_believed_w;
+        e.re_pred_w = match self.cfg.predictor {
             PredictorKind::PaperEwma => {
                 if in_safe_mode {
-                    predictor
+                    st.predictor
                         .re_supply_conservative(re_believed_w)
                         .min(re_believed_w)
                 } else {
-                    predictor.re_supply_w(re_believed_w)
+                    st.predictor.re_supply_w(re_believed_w)
                 }
             }
             PredictorKind::ClearSkyIndexed => {
-                let p = if k == 0 {
+                let p = if e.k == 0 {
                     re_believed_w
                 } else {
-                    cs_predictor.predict_w(t)
+                    st.cs_predictor.predict_w(e.t)
                 };
                 if in_safe_mode {
                     p.min(re_believed_w)
@@ -1409,158 +1452,95 @@ pub(crate) fn run_window_resumable(
                 }
             }
         };
-        let load_pred = predictor.workload_rps(offered);
+        e.load_pred = st.predictor.workload_rps(e.offered);
+    }
 
-        // Battery budgets: what survives this epoch vs the horizon.
-        let horizon = remaining.min(cfg.planning_horizon).max(cfg.epoch);
-        for (slot, b) in fleet.instant_w.iter_mut().zip(&*batteries) {
+    /// Battery budgets: what each pack can sustain for this epoch, over
+    /// the planning horizon, and over the rest of the window.
+    fn battery_budgets(&mut self, e: &Epoch) {
+        let cfg = self.cfg;
+        let batteries = &self.st.batteries;
+        let fleet = &mut self.fleet;
+        let horizon = e.remaining.min(cfg.planning_horizon).max(cfg.epoch);
+        for (slot, b) in fleet.instant_w.iter_mut().zip(batteries) {
             *slot = b.as_ref().map_or(0.0, |b| {
                 sustainable_power_memo(&mut fleet.budget_memo[0], b, cfg.epoch)
             });
         }
-        for (slot, b) in fleet.sustained_horizon_w.iter_mut().zip(&*batteries) {
+        for (slot, b) in fleet.sustained_horizon_w.iter_mut().zip(batteries) {
             *slot = b.as_ref().map_or(0.0, |b| {
                 sustainable_power_memo(&mut fleet.budget_memo[1], b, horizon)
             });
         }
-        for (slot, b) in fleet.sustained_remaining_w.iter_mut().zip(&*batteries) {
+        for (slot, b) in fleet.sustained_remaining_w.iter_mut().zip(batteries) {
             *slot = b.as_ref().map_or(0.0, |b| {
-                sustainable_power_memo(&mut fleet.budget_memo[2], b, remaining.max(cfg.epoch))
+                sustainable_power_memo(&mut fleet.budget_memo[2], b, e.remaining.max(cfg.epoch))
             });
         }
         // SoC misreport scales the *controller's view* of every battery
         // budget; the physical packs (and settlement) are untouched.
-        if faults.soc_report_factor != 1.0 {
+        if e.faults.soc_report_factor != 1.0 {
             for v in fleet
                 .instant_w
                 .iter_mut()
                 .chain(fleet.sustained_horizon_w.iter_mut())
                 .chain(fleet.sustained_remaining_w.iter_mut())
             {
-                *v *= faults.soc_report_factor;
+                *v *= e.faults.soc_report_factor;
             }
         }
+    }
 
-        // PMK decision per green server, approximating the paper's
-        // per-server optimization (Eq. 2–3):
-        //
-        // * If every battery can cover its share of the full-sprint
-        //   deficit for the *whole remaining burst*, the optimum is the
-        //   uniform one — everyone sprints, renewable split evenly,
-        //   batteries topping up (the budget below then uses the
-        //   remaining-burst sustainable power).
-        // * Otherwise scarce green power is allocated *waterfall*-style:
-        //   earlier servers claim what they need and later ones plan with
-        //   the remainder, concentrating supply on a subset of full-sprint
-        //   servers instead of spreading it below the idle floor.
-        //
-        // Greedy is uniform by definition ("simply activate all cores")
-        // and always splits the supply evenly.
+    /// The PMK decision per green server with the PSS check, approximating
+    /// the paper's per-server optimization (Eq. 2–3):
+    ///
+    /// * If every battery can cover its share of the full-sprint deficit
+    ///   for the *whole remaining burst*, the optimum is the uniform one —
+    ///   everyone sprints, renewable split evenly, batteries topping up
+    ///   (the budget then uses the remaining-burst sustainable power).
+    /// * Otherwise scarce green power is allocated *waterfall*-style:
+    ///   earlier servers claim what they need and later ones plan with the
+    ///   remainder, concentrating supply on a subset of full-sprint servers
+    ///   instead of spreading it below the idle floor.
+    ///
+    /// Greedy is uniform by definition ("simply activate all cores") and
+    /// always splits the supply evenly. Returns the epoch's supply case.
+    fn decide(&mut self, e: &mut Epoch) -> SupplyCase {
+        let n = self.n;
         // A demoted ladder level plans as the strategy actually steering.
-        let steering_strategy = guard.as_ref().map_or(strategy, |g| g.active_strategy());
+        let guard = self.st.guardrail.as_ref();
+        let steering_strategy = guard.map_or(self.strategy, |g| g.active_strategy());
+        e.steering_level = guard.map_or(0, |g| g.level);
         let planning = matches!(
             steering_strategy,
             Strategy::Parallel | Strategy::Pacing | Strategy::Hybrid
         );
-        re_sum_w += re_believed_w;
-        let re_mean_w = re_sum_w / (k + 1) as f64;
-        let full_sprint_w = profiles.planned_power_w(ServerSetting::max_sprint(), load_pred);
+        // Cumulative renewable production over the burst so far — the
+        // planners' estimate of the *future mean* supply (the reactive
+        // EWMA would thrash the sustainability test on every cloud
+        // flicker).
+        self.st.re_sum_w += e.re_believed_w;
+        let re_mean_w = self.st.re_sum_w / (e.k + 1) as f64;
+        let full_sprint_w = self
+            .profiles
+            .planned_power_w(ServerSetting::max_sprint(), e.load_pred);
         // Capacity re-plan: the deficit and the sustainability test are
         // taken over the *live* fleet — dead servers neither claim supply
         // nor owe battery coverage. `plan_n == n` on a healthy fleet, so
         // the arithmetic (and its float bits) is unchanged there.
-        let deficit_share = (full_sprint_w - re_mean_w / plan_n as f64).max(0.0);
+        let deficit_share = (full_sprint_w - re_mean_w / e.plan_n as f64).max(0.0);
+        let fleet = &self.fleet;
         let uniform_sustainable = deficit_share <= 1e-9
             || (0..n).all(|i| !fleet.live[i] || fleet.sustained_remaining_w[i] >= deficit_share);
-        let waterfall = planning && !uniform_sustainable;
+        e.waterfall = planning && !uniform_sustainable;
         // When the whole remaining burst is energetically covered, sprint
         // freely (instantaneous battery budget); otherwise hedge with the
         // planning-horizon sustainable power.
-        let use_instant = planning && uniform_sustainable;
-        let decide = |re_plan_w: f64,
-                      pmk: &mut Pmk,
-                      rng: &mut SimRng,
-                      capture_state: &mut Option<QState>,
-                      fleet: &mut FleetState| {
-            // Learner-free strategies decide as a pure function of
-            // (renewable share, battery budgets, hysteresis incumbent) —
-            // everything else is epoch-constant — so one memo entry serves
-            // every server presenting the same inputs. Hybrid consumes rng
-            // inside `choose`, so it is never memoized.
-            let memoize = pmk.is_learner_free();
-            let mut re_unclaimed = re_plan_w;
-            for i in 0..n {
-                if !fleet.live[i] {
-                    // Dead and rejoin-probation servers take no part in
-                    // sprint planning — and consume no decision
-                    // randomness, so liveness alone steers the stream.
-                    fleet.settings[i] = ServerSetting::normal();
-                    continue;
-                }
-                let re_share = if waterfall {
-                    re_unclaimed
-                } else {
-                    re_plan_w / plan_n as f64
-                };
-                let sustained = if use_instant {
-                    fleet.instant_w[i]
-                } else {
-                    fleet.sustained_horizon_w[i]
-                };
-                let key = (
-                    re_share.to_bits(),
-                    fleet.instant_w[i].to_bits(),
-                    sustained.to_bits(),
-                    fleet.prev_settings[i],
-                );
-                let memo_hit = if memoize {
-                    fleet.decision_memo.get(key)
-                } else {
-                    None
-                };
-                let s = match memo_hit {
-                    Some(s) => s,
-                    None => {
-                        let ctx = PmkContext {
-                            predicted_load_rps: load_pred,
-                            re_share_w: re_share,
-                            battery_instant_w: fleet.instant_w[i],
-                            battery_sustained_w: sustained,
-                        };
-                        if Some(i) == rep {
-                            if let Some(learner) = pmk.learner_mut() {
-                                *capture_state = Some(
-                                    learner.state(ctx.instant_budget_w(), ctx.predicted_load_rps),
-                                );
-                            }
-                        }
-                        let s = pmk.choose(profiles, &ctx, rng);
-                        let s = pmk.apply_hysteresis(profiles, &ctx, fleet.prev_settings[i], s);
-                        if memoize {
-                            fleet.decision_memo.insert(key, s);
-                        }
-                        s
-                    }
-                };
-                if waterfall && s.is_sprinting() {
-                    re_unclaimed = (re_unclaimed - profiles.planned_power_w(s, load_pred)).max(0.0);
-                }
-                fleet.settings[i] = s;
-            }
-        };
-        let sprint_demand = |settings: &[ServerSetting]| -> f64 {
-            (0..n)
-                .filter(|&i| settings[i].is_sprinting())
-                .map(|i| profiles.planned_power_w(settings[i], load_pred))
-                .sum()
-        };
+        e.use_instant = planning && uniform_sustainable;
 
-        fleet.begin_epoch();
-        let mut q_state = None;
-        {
-            let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
-            decide(re_pred_w, steering, &mut rng, &mut q_state, fleet);
-        }
+        self.fleet.begin_epoch();
+        let re_pred_w = e.re_pred_w;
+        self.plan_settings(e, re_pred_w);
 
         // Rack-level PSS check against the *observed* renewable supply
         // (identical to the physical supply while telemetry is clean; the
@@ -1570,7 +1550,9 @@ pub(crate) fn run_window_resumable(
         // power supply" (paper §II): when the prediction overshot, the PMK
         // re-plans against the power the sensors can vouch for before the
         // epoch commits.
-        let batt_accept: f64 = batteries
+        let batt_accept: f64 = self
+            .st
+            .batteries
             .iter()
             .map(|b| {
                 b.as_ref().map_or(0.0, |b| {
@@ -1582,57 +1564,129 @@ pub(crate) fn run_window_resumable(
                 })
             })
             .sum();
-        let batt_avail = |settings: &[ServerSetting], instant_w: &[f64]| -> f64 {
-            (0..n)
-                .filter(|&i| settings[i].is_sprinting())
-                .map(|i| instant_w[i])
-                .sum()
-        };
-        let mut plan = pss.plan(
-            sprint_demand(&fleet.settings),
-            re_believed_w,
-            batt_avail(&fleet.settings, &fleet.instant_w),
-            batt_accept,
-            0.0,
-        );
+        let mut plan = self.pss_plan(e, batt_accept);
         if plan.unmet_w > 1.0 {
-            {
-                let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
-                decide(re_believed_w, steering, &mut rng, &mut q_state, fleet);
-            }
-            plan = pss.plan(
-                sprint_demand(&fleet.settings),
-                re_believed_w,
-                batt_avail(&fleet.settings, &fleet.instant_w),
-                batt_accept,
-                0.0,
-            );
+            let re_believed_w = e.re_believed_w;
+            self.plan_settings(e, re_believed_w);
+            plan = self.pss_plan(e, batt_accept);
             if plan.unmet_w > 1.0 {
                 // Genuine power emergency: finish sprinting (paper §III-B).
-                for s in &mut fleet.settings {
+                for s in &mut self.fleet.settings {
                     *s = ServerSetting::normal();
                 }
             }
         }
+        plan.case
+    }
 
-        // Actuation: what the control plane *applies* can differ from what
-        // the PMK commanded. Servers the watchdog has clamped are
-        // commanded Normal (the only setting needing no actuation); lost
-        // commands and stuck servers keep their previous setting; a
-        // core-activation failure caps how many cores can come up
-        // (deactivation always works and Normal's cores are already
-        // active, so the effective cap never drops below Normal).
-        for i in 0..n {
-            fleet.commanded[i] = if watchdog.is_clamped(i) {
+    /// The steering controller's setting for every live server, planned
+    /// against `re_plan_w` of renewable supply.
+    fn plan_settings(&mut self, e: &mut Epoch, re_plan_w: f64) {
+        let profiles = self.profiles;
+        let pmk = self.fallback_pmk.as_mut().unwrap_or(&mut self.pmk);
+        let fleet = &mut self.fleet;
+        let st = &mut self.st;
+        // Learner-free strategies decide as a pure function of (renewable
+        // share, battery budgets, hysteresis incumbent) — everything else
+        // is epoch-constant — so one memo entry serves every server
+        // presenting the same inputs. Hybrid consumes rng inside
+        // `choose`, so it is never memoized.
+        let memoize = pmk.is_learner_free();
+        let mut re_unclaimed = re_plan_w;
+        for i in 0..self.n {
+            if !fleet.live[i] {
+                // Dead and rejoin-probation servers take no part in sprint
+                // planning — and consume no decision randomness, so
+                // liveness alone steers the stream.
+                fleet.settings[i] = ServerSetting::normal();
+                continue;
+            }
+            let re_share = if e.waterfall {
+                re_unclaimed
+            } else {
+                re_plan_w / e.plan_n as f64
+            };
+            let sustained = if e.use_instant {
+                fleet.instant_w[i]
+            } else {
+                fleet.sustained_horizon_w[i]
+            };
+            let key = (
+                re_share.to_bits(),
+                fleet.instant_w[i].to_bits(),
+                sustained.to_bits(),
+                st.prev_settings[i],
+            );
+            let memo_hit = if memoize {
+                fleet.decision_memo.get(key)
+            } else {
+                None
+            };
+            let s = match memo_hit {
+                Some(s) => s,
+                None => {
+                    let ctx = PmkContext {
+                        predicted_load_rps: e.load_pred,
+                        re_share_w: re_share,
+                        battery_instant_w: fleet.instant_w[i],
+                        battery_sustained_w: sustained,
+                    };
+                    if Some(i) == e.rep {
+                        if let Some(learner) = pmk.learner_mut() {
+                            e.q_state =
+                                Some(learner.state(ctx.instant_budget_w(), ctx.predicted_load_rps));
+                        }
+                    }
+                    let s = pmk.choose(profiles, &ctx, &mut st.rng);
+                    let s = pmk.apply_hysteresis(profiles, &ctx, st.prev_settings[i], s);
+                    if memoize {
+                        fleet.decision_memo.insert(key, s);
+                    }
+                    s
+                }
+            };
+            if e.waterfall && s.is_sprinting() {
+                re_unclaimed = (re_unclaimed - profiles.planned_power_w(s, e.load_pred)).max(0.0);
+            }
+            fleet.settings[i] = s;
+        }
+    }
+
+    /// The PSS plan for the sprinting servers' planned demand.
+    fn pss_plan(&self, e: &Epoch, batt_accept: f64) -> SupplyPlan {
+        let fleet = &self.fleet;
+        let sprinting = || (0..self.n).filter(|&i| fleet.settings[i].is_sprinting());
+        let demand: f64 = sprinting()
+            .map(|i| {
+                self.profiles
+                    .planned_power_w(fleet.settings[i], e.load_pred)
+            })
+            .sum();
+        let batt_avail: f64 = sprinting().map(|i| fleet.instant_w[i]).sum();
+        PowerSourceSelector::new().plan(demand, e.re_believed_w, batt_avail, batt_accept, 0.0)
+    }
+
+    /// Actuation: what the control plane *applies* can differ from what
+    /// the PMK commanded. Servers the watchdog has clamped are commanded
+    /// Normal (the only setting needing no actuation); lost commands and
+    /// stuck servers keep their previous setting; a core-activation
+    /// failure caps how many cores can come up (deactivation always works
+    /// and Normal's cores are already active, so the effective cap never
+    /// drops below Normal). A server at its junction limit cannot sprint.
+    fn actuate(&mut self, e: &Epoch) {
+        let st = &mut self.st;
+        let fleet = &mut self.fleet;
+        for i in 0..self.n {
+            fleet.commanded[i] = if st.watchdog.is_clamped(i) {
                 ServerSetting::normal()
             } else {
                 fleet.settings[i]
             };
         }
-        if watchdog.clamped_count() > 0 {
-            watchdog_clamped_epochs += 1;
+        if st.watchdog.clamped_count() > 0 {
+            st.watchdog_clamped_epochs += 1;
         }
-        for i in 0..n {
+        for i in 0..self.n {
             if !fleet.up[i] {
                 // A dead server applies nothing and the watchdog stays
                 // quiet (it was reset on the down transition); it reboots
@@ -1640,9 +1694,9 @@ pub(crate) fn run_window_resumable(
                 fleet.settings[i] = ServerSetting::normal();
                 continue;
             }
-            let applied = if faults.command_lost(i) || faults.is_stuck(i) {
-                fleet.prev_settings[i]
-            } else if let Some(cap) = faults.core_cap {
+            let applied = if e.faults.command_lost(i) || e.faults.is_stuck(i) {
+                st.prev_settings[i]
+            } else if let Some(cap) = e.faults.core_cap {
                 let cap = cap.clamp(gs_cluster::NORMAL_CORES, gs_cluster::MAX_CORES);
                 let c = fleet.commanded[i];
                 if c.cores > cap {
@@ -1653,7 +1707,7 @@ pub(crate) fn run_window_resumable(
             } else {
                 fleet.commanded[i]
             };
-            watchdog.observe(i, fleet.commanded[i], applied);
+            st.watchdog.observe(i, fleet.commanded[i], applied);
             fleet.settings[i] = applied;
         }
 
@@ -1661,23 +1715,26 @@ pub(crate) fn run_window_resumable(
         // whatever the power situation (paper §II assumes the PCM package
         // keeps this from ever firing during the evaluated bursts; the
         // NoPcm model shows why that assumption was needed).
-        if !thermals.is_empty() {
-            for (setting, th) in fleet.settings.iter_mut().zip(&*thermals) {
-                if setting.is_sprinting() && th.is_throttling() {
-                    *setting = ServerSetting::normal();
-                }
+        for (setting, th) in fleet.settings.iter_mut().zip(&st.thermals) {
+            if setting.is_sprinting() && th.is_throttling() {
+                *setting = ServerSetting::normal();
             }
         }
+    }
 
-        // Measure the epoch. The offered load redistributes onto the live
-        // servers (a shrunken fleet serves the same rack-level demand);
-        // the `live_count == n` guard keeps the healthy-fleet arithmetic
-        // bit-identical to the pre-fleet code path.
-        let served_rps = if live_count == n || live_count == 0 {
-            offered
+    /// Measure the epoch. The offered load redistributes onto the live
+    /// servers (a shrunken fleet serves the same rack-level demand); the
+    /// `live_count == n` guard keeps the healthy-fleet arithmetic
+    /// bit-identical to the pre-fleet code path.
+    fn measure(&mut self, e: &mut Epoch) {
+        let cfg = self.cfg;
+        let n = self.n;
+        e.served_rps = if e.live_count == n || e.live_count == 0 {
+            e.offered
         } else {
-            offered * n as f64 / live_count as f64
+            e.offered * n as f64 / e.live_count as f64
         };
+        let (fleet, analytic_cache) = (&mut *self.fleet, &mut *self.analytic_cache);
         // SoA walk over several parallel arrays; the index form is the
         // clearest way to touch them all in lockstep.
         #[allow(clippy::needless_range_loop)]
@@ -1691,10 +1748,14 @@ pub(crate) fn run_window_resumable(
             let setting = fleet.settings[i];
             let perf = match cfg.measurement {
                 MeasurementMode::Des => {
-                    let admit = profiles.get(setting).slo_capacity;
-                    ServerPerf::from(
-                        &sims[i].advance_epoch(&app, setting, served_rps, admit, cfg.epoch),
-                    )
+                    let admit = self.profiles.get(setting).slo_capacity;
+                    ServerPerf::from(&self.sims[i].advance_epoch(
+                        &self.app,
+                        setting,
+                        e.served_rps,
+                        admit,
+                        cfg.epoch,
+                    ))
                 }
                 // Within one epoch the served rate is constant, so the
                 // per-epoch memo (a short linear scan) answers repeats
@@ -1705,11 +1766,11 @@ pub(crate) fn run_window_resumable(
                         None => {
                             let p = cached_analytic(
                                 analytic_cache,
-                                &app,
-                                profiles,
+                                &self.app,
+                                self.profiles,
                                 setting,
-                                served_rps,
-                                reads_latency,
+                                e.served_rps,
+                                self.reads_latency,
                             );
                             fleet.perf_memo.push((setting, p));
                             p
@@ -1723,21 +1784,28 @@ pub(crate) fn run_window_resumable(
         // server (slow disk, thermal neighbor, NIC trouble) — applied
         // after measurement so power and latency stay those of the chosen
         // setting.
-        if !faults.stragglers.is_empty() {
+        if !e.faults.stragglers.is_empty() {
             for i in 0..n {
                 if fleet.up[i] {
-                    let factor = faults.straggler_factor(i);
+                    let factor = e.faults.straggler_factor(i);
                     if factor != 1.0 {
                         fleet.perfs[i].goodput_rps *= factor;
-                        straggler_epochs += 1;
+                        self.st.straggler_epochs += 1;
                     }
                 }
             }
         }
+    }
 
-        // Settle actual energy flows. `settled_server_wh` accumulates the
-        // source-side deliveries into servers, independently of the
-        // meters, so the auditor can balance the books against it.
+    /// Settle the actual energy flows: renewable and battery into the
+    /// sprinting servers, the grid into the rest, and surplus renewable
+    /// into the batteries or curtailment.
+    fn settle(&mut self, e: &mut Epoch) {
+        let cfg = self.cfg;
+        let n = self.n;
+        let epoch_hours = cfg.epoch.as_hours_f64();
+        let st = &mut self.st;
+        let (fleet, analytic_cache) = (&mut *self.fleet, &mut *self.analytic_cache);
         fleet.sprinting.clear();
         for i in 0..n {
             if fleet.settings[i].is_sprinting() {
@@ -1748,16 +1816,17 @@ pub(crate) fn run_window_resumable(
         // auditor checks the settled books agree.
         for i in 0..n {
             fleet.actual_power[i] = if fleet.up[i] {
-                power_model.power_w(fleet.settings[i], fleet.perfs[i].utilization)
+                self.power_model
+                    .power_w(fleet.settings[i], fleet.perfs[i].utilization)
             } else {
                 0.0
             };
         }
-        let dead_server_wh: f64 = (0..n)
+        e.dead_server_wh = (0..n)
             .filter(|&i| !fleet.up[i])
             .map(|i| fleet.actual_power[i] * epoch_hours)
             .sum();
-        let mut re_left = re_actual_w;
+        let mut re_left = e.re_actual_w;
         let mut re_used_w = 0.0;
         let mut battery_w = 0.0;
         let mut settled_server_wh = 0.0;
@@ -1765,10 +1834,10 @@ pub(crate) fn run_window_resumable(
             // Mirror the planning-time allocation: waterfall strategies
             // let earlier servers claim their full draw; uniform ones
             // split the supply evenly.
-            let re_share = if waterfall {
+            let re_share = if e.waterfall {
                 re_left
             } else {
-                re_left.min(re_actual_w / fleet.sprinting.len() as f64)
+                re_left.min(e.re_actual_w / fleet.sprinting.len() as f64)
             };
             let from_re = fleet.actual_power[i].min(re_share);
             re_left -= from_re;
@@ -1777,7 +1846,7 @@ pub(crate) fn run_window_resumable(
             let shortfall = fleet.actual_power[i] - from_re;
             if shortfall > 0.0 {
                 let drain_memo = &mut fleet.drain_memo;
-                let out = batteries[i]
+                let out = st.batteries[i]
                     .as_mut()
                     .map(|b| {
                         b.discharge_memoized(shortfall, cfg.epoch, &mut |spec, current| {
@@ -1802,27 +1871,30 @@ pub(crate) fn run_window_resumable(
                     let w = (out.sustained.as_secs_f64() / cfg.epoch.as_secs_f64()).clamp(0.0, 1.0);
                     let normal_perf = cached_analytic(
                         analytic_cache,
-                        &app,
-                        profiles,
+                        &self.app,
+                        self.profiles,
                         ServerSetting::normal(),
-                        served_rps,
-                        reads_latency,
+                        e.served_rps,
+                        self.reads_latency,
                     );
                     fleet.perfs[i] = fleet.perfs[i].blend(&normal_perf, w);
-                    let normal_power =
-                        power_model.power_w(ServerSetting::normal(), normal_perf.utilization);
-                    meter.record(Source::Grid, normal_power * (1.0 - w), epoch_hours);
+                    let normal_power = self
+                        .power_model
+                        .power_w(ServerSetting::normal(), normal_perf.utilization);
+                    st.meter
+                        .record(Source::Grid, normal_power * (1.0 - w), epoch_hours);
                     settled_server_wh += normal_power * (1.0 - w) * epoch_hours;
                 }
             }
         }
-        meter.record(Source::Renewable, re_used_w, epoch_hours);
-        meter.record(Source::Battery, battery_w, epoch_hours);
+        st.meter.record(Source::Renewable, re_used_w, epoch_hours);
+        st.meter.record(Source::Battery, battery_w, epoch_hours);
         // Normal-mode servers ride the grid budget; dead servers draw
         // nothing and are never metered.
         for i in 0..n {
             if !fleet.settings[i].is_sprinting() && fleet.up[i] {
-                meter.record(Source::Grid, fleet.actual_power[i], epoch_hours);
+                st.meter
+                    .record(Source::Grid, fleet.actual_power[i], epoch_hours);
                 settled_server_wh += fleet.actual_power[i] * epoch_hours;
             }
         }
@@ -1830,7 +1902,7 @@ pub(crate) fn run_window_resumable(
         let mut charged_w = 0.0;
         if re_left > 0.0 {
             fleet.open.clear();
-            for (i, b) in batteries.iter().enumerate() {
+            for (i, b) in st.batteries.iter().enumerate() {
                 if b.as_ref().is_some_and(|b| !b.is_full()) {
                     fleet.open.push(i);
                 }
@@ -1838,135 +1910,162 @@ pub(crate) fn run_window_resumable(
             if !fleet.open.is_empty() {
                 let share = re_left / fleet.open.len() as f64;
                 for &i in &fleet.open {
-                    let drawn = batteries[i]
+                    let drawn = st.batteries[i]
                         .as_mut()
                         .expect("filtered to Some")
                         .charge(share, cfg.epoch);
                     charged_w += drawn;
                 }
             }
-            meter.record_curtailment(re_left - charged_w, epoch_hours);
+            st.meter
+                .record_curtailment(re_left - charged_w, epoch_hours);
         }
+        e.re_used_w = re_used_w;
+        e.battery_w = battery_w;
+        e.settled_server_wh = settled_server_wh;
+        e.charged_w = charged_w;
+    }
 
-        // Grid recharge (paper case 3): once a battery reaches its DoD
-        // goal it recharges from the grid — but only "if the workload
-        // burst can be completed in this period", i.e. while no
-        // sprint-worthy demand is pending. Recharging *during* a burst
-        // would amortize grid energy into the sprint, exactly the budget
-        // overdraw the green bus exists to avoid.
-        let burst_pending = offered > profiles.get(ServerSetting::normal()).slo_capacity;
-        let mut epoch_grid_recharge_wh = 0.0;
-        for i in 0..n {
-            let Some(b) = batteries[i].as_mut() else {
+    /// Grid recharge (paper case 3): once a battery reaches its DoD goal
+    /// it recharges from the grid — but only "if the workload burst can be
+    /// completed in this period", i.e. while no sprint-worthy demand is
+    /// pending. Recharging *during* a burst would amortize grid energy
+    /// into the sprint, exactly the budget overdraw the green bus exists
+    /// to avoid.
+    fn grid_recharge(&mut self, e: &mut Epoch) {
+        let cfg = self.cfg;
+        let epoch_hours = cfg.epoch.as_hours_f64();
+        let st = &mut self.st;
+        let fleet = &self.fleet;
+        let burst_pending = e.offered > self.profiles.get(ServerSetting::normal()).slo_capacity;
+        for i in 0..self.n {
+            let Some(b) = st.batteries[i].as_mut() else {
                 continue;
             };
             // Trigger at (or within a whisker of) the DoD goal — exact
             // floor equality rarely happens because the PSS re-plan backs
             // off just before the last milliamp-hour.
             if b.dod_fraction() >= b.spec().max_dod - 0.02 {
-                grid_recharging[i] = true;
+                st.grid_recharging[i] = true;
             }
-            if grid_recharging[i] && !fleet.settings[i].is_sprinting() && !burst_pending {
+            if st.grid_recharging[i] && !fleet.settings[i].is_sprinting() && !burst_pending {
                 let drawn = b.charge(b.spec().max_charge_power_w(), cfg.epoch);
                 if drawn > 0.0 {
-                    meter.record(Source::Grid, drawn, epoch_hours);
-                    in_burst_grid_recharge_wh += drawn * epoch_hours;
-                    epoch_grid_recharge_wh += drawn * epoch_hours;
+                    st.meter.record(Source::Grid, drawn, epoch_hours);
+                    st.in_burst_grid_recharge_wh += drawn * epoch_hours;
+                    e.epoch_grid_recharge_wh += drawn * epoch_hours;
                 }
             }
             if b.is_full() {
-                grid_recharging[i] = false;
+                st.grid_recharging[i] = false;
             }
         }
+    }
 
-        // Audit the epoch's settled books before anything else runs.
-        if let Some(aud) = auditor.as_mut() {
-            let grid_now = meter.energy_wh(Source::Grid);
-            let curtailed_now = meter.curtailed_wh();
-            fleet.socs.clear();
-            fleet.socs.extend(
-                batteries
-                    .iter()
-                    .flatten()
-                    .map(|b| (b.soc_fraction(), b.spec().max_dod)),
-            );
-            let mut flows = EpochFlows {
-                epoch_index: k as usize,
-                supply_wh: re_actual_w * epoch_hours,
-                battery_discharge_wh: battery_w * epoch_hours,
-                grid_wh: grid_now - audited_grid_wh,
-                server_wh: settled_server_wh,
-                charge_wh: charged_w * epoch_hours + epoch_grid_recharge_wh,
-                curtailed_wh: curtailed_now - audited_curtailed_wh,
-                socs: std::mem::take(&mut fleet.socs),
-                grid_cap_w,
-                epoch_hours,
-                // While a demoted ladder level steers, the rack must never
-                // serve below the Normal floor — failover is a degradation
-                // bound, not a license to collapse. The floor is owed by
-                // the *live* fleet: a dead server serves nothing and owes
-                // nothing. The tolerance absorbs blend rounding (and DES
-                // stochasticity vs the analytic floor estimate).
-                failover_floor: match guard.as_ref() {
-                    Some(g) if g.level() > 0 => {
-                        // The floor reads goodput only.
-                        let normal_perf = cached_analytic(
-                            analytic_cache,
-                            &app,
-                            profiles,
-                            ServerSetting::normal(),
-                            served_rps,
-                            false,
-                        );
-                        let tol = match cfg.measurement {
-                            MeasurementMode::Analytic => 0.99,
-                            MeasurementMode::Des => 0.85,
-                        };
-                        // A straggler degrades Normal-mode serving just as
-                        // much as demoted serving; weight its share of the
-                        // floor accordingly (1.0 per healthy server).
-                        let live_weight: f64 = (0..n)
-                            .filter(|&i| fleet.live[i])
-                            .map(|i| faults.straggler_factor(i))
-                            .sum();
-                        Some((
-                            fleet.perfs.iter().map(|p| p.goodput_rps).sum::<f64>(),
-                            normal_perf.goodput_rps * live_weight * tol,
-                        ))
-                    }
-                    _ => None,
-                },
-                live_servers: live_count,
-                dead_server_wh,
-                // The capacity ceiling is exact only on the analytic
-                // plane; DES queue drain can legitimately complete a few
-                // requests above the per-epoch steady-state capacity.
-                goodput_capacity: matches!(cfg.measurement, MeasurementMode::Analytic).then(|| {
-                    (
-                        fleet.perfs.iter().map(|p| p.goodput_rps).sum::<f64>(),
-                        live_count as f64 * profiles.get(ServerSetting::max_sprint()).slo_capacity,
-                    )
-                }),
-            };
-            aud.check_epoch(&flows);
-            // Reclaim the SoC list's allocation for the next epoch.
-            fleet.socs = std::mem::take(&mut flows.socs);
-            audited_grid_wh = grid_now;
-            audited_curtailed_wh = curtailed_now;
+    /// Audit the epoch's settled books before anything else runs.
+    fn audit(&mut self, e: &Epoch) {
+        if !self.cfg.audit {
+            return;
         }
+        let cfg = self.cfg;
+        let n = self.n;
+        let epoch_hours = cfg.epoch.as_hours_f64();
+        let st = &mut self.st;
+        let (fleet, analytic_cache) = (&mut *self.fleet, &mut *self.analytic_cache);
+        let grid_now = st.meter.energy_wh(Source::Grid);
+        let curtailed_now = st.meter.curtailed_wh();
+        fleet.socs.clear();
+        fleet.socs.extend(
+            st.batteries
+                .iter()
+                .flatten()
+                .map(|b| (b.soc_fraction(), b.spec().max_dod)),
+        );
+        let mut flows = EpochFlows {
+            epoch_index: e.k as usize,
+            supply_wh: e.re_actual_w * epoch_hours,
+            battery_discharge_wh: e.battery_w * epoch_hours,
+            grid_wh: grid_now - st.audited_grid_wh,
+            server_wh: e.settled_server_wh,
+            charge_wh: e.charged_w * epoch_hours + e.epoch_grid_recharge_wh,
+            curtailed_wh: curtailed_now - st.audited_curtailed_wh,
+            socs: std::mem::take(&mut fleet.socs),
+            grid_cap_w: self.grid_cap_w,
+            epoch_hours,
+            // While a demoted ladder level steers, the rack must never
+            // serve below the Normal floor — failover is a degradation
+            // bound, not a license to collapse. The floor is owed by the
+            // *live* fleet: a dead server serves nothing and owes nothing.
+            // The tolerance absorbs blend rounding (and DES stochasticity
+            // vs the analytic floor estimate).
+            failover_floor: match st.guardrail.as_ref() {
+                Some(g) if g.level > 0 => {
+                    // The floor reads goodput only.
+                    let normal_perf = cached_analytic(
+                        analytic_cache,
+                        &self.app,
+                        self.profiles,
+                        ServerSetting::normal(),
+                        e.served_rps,
+                        false,
+                    );
+                    let tol = match cfg.measurement {
+                        MeasurementMode::Analytic => 0.99,
+                        MeasurementMode::Des => 0.85,
+                    };
+                    // A straggler degrades Normal-mode serving just as much
+                    // as demoted serving; weight its share of the floor
+                    // accordingly (1.0 per healthy server).
+                    let live_weight: f64 = (0..n)
+                        .filter(|&i| fleet.live[i])
+                        .map(|i| e.faults.straggler_factor(i))
+                        .sum();
+                    Some((
+                        fleet.perfs.iter().map(|p| p.goodput_rps).sum::<f64>(),
+                        normal_perf.goodput_rps * live_weight * tol,
+                    ))
+                }
+                _ => None,
+            },
+            live_servers: e.live_count,
+            dead_server_wh: e.dead_server_wh,
+            // The capacity ceiling is exact only on the analytic plane;
+            // DES queue drain can legitimately complete a few requests
+            // above the per-epoch steady-state capacity.
+            goodput_capacity: matches!(cfg.measurement, MeasurementMode::Analytic).then(|| {
+                (
+                    fleet.perfs.iter().map(|p| p.goodput_rps).sum::<f64>(),
+                    e.live_count as f64
+                        * self.profiles.get(ServerSetting::max_sprint()).slo_capacity,
+                )
+            }),
+        };
+        let mut auditor =
+            InvariantAuditor::with_violations(std::mem::take(&mut st.audit_violations));
+        auditor.check_epoch(&flows);
+        st.audit_violations = auditor.into_violations();
+        // Reclaim the SoC list's allocation for the next epoch.
+        fleet.socs = std::mem::take(&mut flows.socs);
+        st.audited_grid_wh = grid_now;
+        st.audited_curtailed_wh = curtailed_now;
+    }
 
-        // Advance the thermal state under the power actually drawn. A
-        // sprint that crosses the junction limit mid-epoch throttles to
-        // Normal for the remainder (hardware DVFS reacts in milliseconds)
-        // and the epoch's performance is blended accordingly.
+    /// Advance the thermal state under the power actually drawn. A sprint
+    /// that crosses the junction limit mid-epoch throttles to Normal for
+    /// the remainder (hardware DVFS reacts in milliseconds) and the
+    /// epoch's performance is blended accordingly.
+    fn thermal(&mut self, e: &Epoch) {
+        let epoch = self.cfg.epoch;
+        let st = &mut self.st;
+        let (fleet, analytic_cache) = (&mut *self.fleet, &mut *self.analytic_cache);
         let mut any_thermal_throttle = false;
-        for (i, pkg) in thermals.iter_mut().enumerate() {
+        for (i, pkg) in st.thermals.iter_mut().enumerate() {
             if !fleet.settings[i].is_sprinting() {
-                pkg.advance(fleet.actual_power[i], cfg.epoch);
-                peak_temp_c = peak_temp_c.max(pkg.temp_c());
+                pkg.advance(fleet.actual_power[i], epoch);
+                st.peak_temp_c = st.peak_temp_c.max(pkg.temp_c());
                 continue;
             }
-            let total_s = cfg.epoch.as_secs().max(1);
+            let total_s = epoch.as_secs().max(1);
             let mut crossed_at: Option<u64> = None;
             for s in 0..total_s {
                 if pkg.is_throttling() {
@@ -1980,319 +2079,350 @@ pub(crate) fn run_window_resumable(
                 let w = s as f64 / total_s as f64;
                 let normal_perf = cached_analytic(
                     analytic_cache,
-                    &app,
-                    profiles,
+                    &self.app,
+                    self.profiles,
                     ServerSetting::normal(),
-                    served_rps,
-                    reads_latency,
+                    e.served_rps,
+                    self.reads_latency,
                 );
                 fleet.perfs[i] = fleet.perfs[i].blend(&normal_perf, w);
-                let normal_power =
-                    power_model.power_w(ServerSetting::normal(), normal_perf.utilization);
+                let normal_power = self
+                    .power_model
+                    .power_w(ServerSetting::normal(), normal_perf.utilization);
                 pkg.advance(normal_power, SimDuration::from_secs(total_s - s));
             }
-            peak_temp_c = peak_temp_c.max(pkg.temp_c());
+            st.peak_temp_c = st.peak_temp_c.max(pkg.temp_c());
         }
         if any_thermal_throttle {
-            thermal_throttle_epochs += 1;
+            st.thermal_throttle_epochs += 1;
         }
+    }
 
-        // Observations → Monitor → Predictor. The Monitor (and everything
-        // downstream of it) sees what the *sensors* report — held-over
-        // last-good values during dropout, biased readings under meter
-        // faults — with quality flags saying which readings to trust. The
-        // EpochRecord below keeps the physical values for energy audits.
-        let goodput: f64 = fleet.perfs.iter().map(|p| p.goodput_rps).sum();
-        let soc = mean_soc(&batteries);
-        let soc_reported = (soc * faults.soc_report_factor).min(1.0);
-        monitor.record_q(
-            t,
+    /// Observations → Monitor → Predictor. The Monitor (and everything
+    /// downstream of it) sees what the *sensors* report — held-over
+    /// last-good values during dropout, biased readings under meter faults
+    /// — with quality flags saying which readings to trust. The
+    /// EpochRecord keeps the physical values for energy audits.
+    fn observe(&mut self, e: &mut Epoch) {
+        let st = &mut self.st;
+        let fleet = &self.fleet;
+        e.goodput = fleet.perfs.iter().map(|p| p.goodput_rps).sum();
+        e.soc = mean_soc(&st.batteries);
+        let soc_reported = (e.soc * e.faults.soc_report_factor).min(1.0);
+        st.monitor.record_q(
+            e.t,
             Observation {
-                re_supply_w: obs_w.unwrap_or(0.0),
+                re_supply_w: e.obs_w.unwrap_or(0.0),
                 demand_w: fleet.actual_power.iter().sum(),
-                battery_w,
+                battery_w: e.battery_w,
                 battery_soc: soc_reported,
-                goodput_rps: goodput,
-                offered_rps: offered,
+                goodput_rps: e.goodput,
+                offered_rps: e.offered,
             },
             ObservationQuality {
-                re_fresh: obs_w.is_some(),
-                soc_trusted: faults.soc_report_factor == 1.0,
+                re_fresh: e.obs_w.is_some(),
+                soc_trusted: e.faults.soc_report_factor == 1.0,
             },
         );
         // The EWMA holds its last-good state through dropouts: only
         // verified readings are fed.
-        if let Some(w) = obs_w {
-            predictor.observe_re_supply(w);
-            cs_predictor.observe(t, w);
+        if let Some(w) = e.obs_w {
+            st.predictor.observe_re_supply(w);
+            st.cs_predictor.observe(e.t, w);
         }
-        predictor.observe_workload(offered);
+        st.predictor.observe_workload(e.offered);
         // The telemetry delay line advances every epoch; a reading lost to
         // a dropout stays lost (a delayed read of nothing is nothing).
-        last_raw_obs_w = fresh_obs_w;
+        st.last_raw_obs_w = e.fresh_obs_w;
 
-        monitor.record_fleet(t, &fleet.up);
+        st.monitor.record_fleet(e.t, &fleet.up);
+    }
 
-        // The representative server for reward scoring — the first live
-        // (else first up) server: the Hybrid Bellman update and the
-        // guardrail's shadow comparison both grade the epoch with
-        // Algorithm 1's reward on it. With the whole fleet down there is
-        // nothing to score and no detector has signal.
-        let steering_level = guard.as_ref().map_or(0, |g| g.level());
-        if let Some(r0) = rep {
-            let supply0_w = re_believed_w / plan_n as f64 + fleet.instant_w[r0];
-            // Algorithm 1's reward on the representative server, built
-            // only for its two readers below.
-            let active_reward = || {
-                reward(&reward_inputs(
-                    &app,
-                    supply0_w,
-                    fleet.actual_power[r0],
-                    &fleet.perfs[r0],
-                ))
-            };
-
-            // Hybrid: reward and Bellman update on the representative server.
-            // While a demoted ladder level steers, `pending_q` stays `None`
-            // (the steering controller is learner-free), so no update fires.
-            if let Some(learner) = pmk.learner_mut() {
-                let r = active_reward();
-                let next_state = learner.state(supply0_w, offered);
-                if let Some((s_prev, a_prev)) = pending_q {
-                    let written = learner.update(s_prev, a_prev, r, next_state);
-                    table_known_clean &= !corrupt_value(written, explosion_cap);
-                }
-                pending_q = q_state.map(|s| (s, fleet.settings[r0]));
-            }
-
-            // Guardrail: score the shadow fallback on the same planning
-            // context, feed the detectors, and act on the ladder verdict.
-            // Demotions and promotions take effect from the next epoch.
-            if let Some(g) = guard.as_mut() {
-                // Shadow decision for the representative server. The fallback
-                // strategies are rng-free by construction (GuardrailConfig
-                // validation rejects Hybrid), so the throwaway rng preserves
-                // the run's main stream byte-for-byte.
-                let shadow = shadow_pmk.as_mut().expect("guardrail carries a shadow");
-                let shadow_ctx = PmkContext {
-                    predicted_load_rps: load_pred,
-                    re_share_w: re_believed_w / plan_n as f64,
-                    battery_instant_w: fleet.instant_w[r0],
-                    battery_sustained_w: if use_instant {
-                        fleet.instant_w[r0]
-                    } else {
-                        fleet.sustained_horizon_w[r0]
-                    },
-                };
-                let mut throwaway = SimRng::seed_from_u64(0);
-                let chosen = shadow.choose(profiles, &shadow_ctx, &mut throwaway);
-                let shadow_setting =
-                    shadow.apply_hysteresis(profiles, &shadow_ctx, g.shadow_prev(), chosen);
-                g.set_shadow_prev(shadow_setting);
-                let shadow_perf = cached_analytic(
-                    analytic_cache,
-                    &app,
-                    profiles,
-                    shadow_setting,
-                    served_rps,
-                    true,
-                );
-                let shadow_inputs = reward_inputs(
-                    &app,
-                    supply0_w,
-                    power_model.power_w(shadow_setting, shadow_perf.utilization),
-                    &shadow_perf,
-                );
-                let slo_ok = |p: &ServerPerf| {
-                    p.latency_s() <= app.slo_deadline_s
-                        && (p.offered_rps <= 0.0 || p.goodput_rps >= 0.9 * p.offered_rps)
-                };
-                // Corruption check on whichever policy is steering; a
-                // learner-free rung has no table to corrupt, so a table
-                // here is `pmk`'s and `table_known_clean` speaks for it.
-                let table_corrupt = {
-                    let steering = fallback_pmk.as_mut().unwrap_or(&mut pmk);
-                    steering.learner_mut().is_some_and(|l| {
-                        if !table_known_clean {
-                            table_known_clean = !l.any_corrupt(explosion_cap);
-                        }
-                        debug_assert_eq!(
-                            table_known_clean,
-                            !l.any_corrupt(explosion_cap),
-                            "the kept corruption verdict drifted from a full scan"
-                        );
-                        !table_known_clean || pending_q.is_some_and(|(s, _)| !s.in_range())
-                    })
-                };
-                monitor.record_ladder(t, steering_level);
-                match g.observe(&EpochSignals {
-                    epoch_index: k,
-                    active_reward: active_reward(),
-                    shadow_reward: reward(&shadow_inputs),
-                    active_slo_ok: slo_ok(&fleet.perfs[r0]),
-                    shadow_slo_ok: slo_ok(&shadow_perf),
-                    battery_discharge_w: battery_w,
-                    planned_battery_w: if use_instant {
-                        fleet.instant_w.iter().sum()
-                    } else {
-                        fleet.sustained_horizon_w.iter().sum()
-                    },
-                    table_corrupt,
-                    live_fraction: live_count as f64 / n as f64,
-                }) {
-                    GuardrailAction::Demote { reason } => {
-                        table_known_clean = false;
-                        // Quarantine the learner the demoted rung steered
-                        // with; rungs below the top are learner-free.
-                        if fallback_pmk.is_none() {
-                            if let Some(l) = pmk.learner_mut() {
-                                let rec = QuarantineRecord::new(k, &reason, l.to_json());
-                                let detail = match g.config().quarantine_dir.clone() {
-                                    Some(dir) => match rec.write_to(&dir) {
-                                        Ok(path) => format!(" -> {path}"),
-                                        Err(e) => format!(" (sidecar write failed: {e})"),
-                                    },
-                                    None => String::new(),
-                                };
-                                g.note_quarantine(k, &rec.checksum, &detail);
-                                // The quarantined table never steers again: a
-                                // future re-promotion restarts from the
-                                // deterministic profile bootstrap.
-                                pmk = Pmk::new(strategy, profiles);
-                                pmk.hysteresis = cfg.switch_hysteresis;
-                                pending_q = None;
-                            }
-                        }
-                        let mut p = Pmk::new(g.active_strategy(), profiles);
-                        p.hysteresis = cfg.switch_hysteresis;
-                        fallback_pmk = Some(p);
-                    }
-                    GuardrailAction::Promote => {
-                        table_known_clean = false;
-                        if g.level() == 0 {
-                            fallback_pmk = None;
-                        } else {
-                            let mut p = Pmk::new(g.active_strategy(), profiles);
-                            p.hysteresis = cfg.switch_hysteresis;
-                            fallback_pmk = Some(p);
-                        }
-                        pending_q = None;
-                    }
-                    GuardrailAction::Hold => {}
-                }
-            }
-        } else {
+    /// The learner's Bellman update and the guardrail's verdict, both
+    /// graded with Algorithm 1's reward on the representative server. With
+    /// the whole fleet down there is nothing to score and no detector has
+    /// signal.
+    fn learn_and_guard(&mut self, e: &Epoch) {
+        let EpochLoop {
+            cfg,
+            strategy,
+            profiles,
+            app,
+            power_model,
+            n,
+            pmk,
+            shadow_pmk,
+            fallback_pmk,
+            table_known_clean,
+            fleet,
+            analytic_cache,
+            st,
+            ..
+        } = self;
+        let (cfg, profiles, strategy, n) = (*cfg, *profiles, *strategy, *n);
+        let (app, power_model, fleet): (&AppProfile, &PowerModel, &FleetState) =
+            (app, power_model, fleet);
+        let Some(r0) = e.rep else {
             // Whole fleet down: drop any pending Bellman update (there is
             // no epoch to grade it against) and keep the ladder stream
             // continuous for the Monitor.
-            pending_q = None;
-            if let Some(g) = guard.as_ref() {
-                monitor.record_ladder(t, g.level());
+            st.pending_q = None;
+            if let Some(g) = st.guardrail.as_ref() {
+                st.monitor.record_ladder(e.t, g.level);
             }
+            return;
+        };
+        let explosion_cap = cfg.guardrail.value_explosion_cap;
+        let supply0_w = e.re_believed_w / e.plan_n as f64 + fleet.instant_w[r0];
+        // Algorithm 1's reward on the representative server, built only
+        // for its two readers below.
+        let active_reward = || {
+            reward(&reward_inputs(
+                app,
+                supply0_w,
+                fleet.actual_power[r0],
+                &fleet.perfs[r0],
+            ))
+        };
+
+        // Hybrid: reward and Bellman update on the representative server.
+        // While a demoted ladder level steers, `pending_q` stays `None`
+        // (the steering controller is learner-free), so no update fires.
+        if let Some(learner) = pmk.learner_mut() {
+            let r = active_reward();
+            let next_state = learner.state(supply0_w, e.offered);
+            if let Some((s_prev, a_prev)) = st.pending_q {
+                let written = learner.update(s_prev, a_prev, r, next_state);
+                *table_known_clean &= !corrupt_value(written, explosion_cap);
+            }
+            st.pending_q = e.q_state.map(|s| (s, fleet.settings[r0]));
         }
 
+        // Guardrail: score the shadow fallback on the same planning
+        // context, feed the detectors, and act on the ladder verdict.
+        // Demotions and promotions take effect from the next epoch.
+        let Some(g) = st.guardrail.as_mut() else {
+            return;
+        };
+        // Shadow decision for the representative server. The fallback
+        // strategies are rng-free by construction (GuardrailConfig
+        // validation rejects Hybrid), so the throwaway rng preserves the
+        // run's main stream byte-for-byte.
+        let shadow = shadow_pmk.as_mut().expect("guardrail carries a shadow");
+        let shadow_ctx = PmkContext {
+            predicted_load_rps: e.load_pred,
+            re_share_w: e.re_believed_w / e.plan_n as f64,
+            battery_instant_w: fleet.instant_w[r0],
+            battery_sustained_w: if e.use_instant {
+                fleet.instant_w[r0]
+            } else {
+                fleet.sustained_horizon_w[r0]
+            },
+        };
+        let mut throwaway = SimRng::seed_from_u64(0);
+        let chosen = shadow.choose(profiles, &shadow_ctx, &mut throwaway);
+        let shadow_setting = shadow.apply_hysteresis(profiles, &shadow_ctx, g.shadow_prev, chosen);
+        g.shadow_prev = shadow_setting;
+        let shadow_perf = cached_analytic(
+            analytic_cache,
+            app,
+            profiles,
+            shadow_setting,
+            e.served_rps,
+            true,
+        );
+        let shadow_inputs = reward_inputs(
+            app,
+            supply0_w,
+            power_model.power_w(shadow_setting, shadow_perf.utilization),
+            &shadow_perf,
+        );
+        let slo_ok = |p: &ServerPerf| {
+            p.latency_s() <= app.slo_deadline_s
+                && (p.offered_rps <= 0.0 || p.goodput_rps >= 0.9 * p.offered_rps)
+        };
+        // Corruption check on whichever policy is steering; a learner-free
+        // rung has no table to corrupt, so a table here is `pmk`'s and
+        // `table_known_clean` speaks for it.
+        let table_corrupt = {
+            let steering = fallback_pmk.as_mut().unwrap_or(&mut *pmk);
+            steering.learner_mut().is_some_and(|l| {
+                if !*table_known_clean {
+                    *table_known_clean = !l.any_corrupt(explosion_cap);
+                }
+                debug_assert_eq!(
+                    *table_known_clean,
+                    !l.any_corrupt(explosion_cap),
+                    "the kept corruption verdict drifted from a full scan"
+                );
+                !*table_known_clean || st.pending_q.is_some_and(|(s, _)| !s.in_range())
+            })
+        };
+        st.monitor.record_ladder(e.t, e.steering_level);
+        let signals = EpochSignals {
+            epoch_index: e.k,
+            active_reward: active_reward(),
+            shadow_reward: reward(&shadow_inputs),
+            active_slo_ok: slo_ok(&fleet.perfs[r0]),
+            shadow_slo_ok: slo_ok(&shadow_perf),
+            battery_discharge_w: e.battery_w,
+            planned_battery_w: if e.use_instant {
+                fleet.instant_w.iter().sum()
+            } else {
+                fleet.sustained_horizon_w.iter().sum()
+            },
+            table_corrupt,
+            live_fraction: e.live_count as f64 / n as f64,
+        };
+        match g.observe(&cfg.guardrail, &signals) {
+            GuardrailAction::Demote { reason } => {
+                *table_known_clean = false;
+                // Quarantine the learner the demoted rung steered with;
+                // rungs below the top are learner-free.
+                if fallback_pmk.is_none() {
+                    if let Some(l) = pmk.learner_mut() {
+                        let rec = QuarantineRecord::new(e.k, &reason, l.to_json());
+                        let detail = match cfg.guardrail.quarantine_dir.as_deref() {
+                            Some(dir) => match rec.write_to(dir) {
+                                Ok(path) => format!(" -> {path}"),
+                                Err(err) => format!(" (sidecar write failed: {err})"),
+                            },
+                            None => String::new(),
+                        };
+                        g.note_quarantine(e.k, &rec.checksum, &detail);
+                        // The quarantined table never steers again: a
+                        // future re-promotion restarts from the
+                        // deterministic profile bootstrap.
+                        *pmk = pmk_for(cfg, strategy, profiles);
+                        st.pending_q = None;
+                    }
+                }
+                *fallback_pmk = Some(pmk_for(cfg, g.active_strategy(), profiles));
+            }
+            GuardrailAction::Promote => {
+                *table_known_clean = false;
+                *fallback_pmk = (g.level > 0).then(|| pmk_for(cfg, g.active_strategy(), profiles));
+                st.pending_q = None;
+            }
+            GuardrailAction::Hold => {}
+        }
+    }
+
+    /// Record the epoch: knob transitions, the hysteresis incumbents for
+    /// the next epoch, the accumulators, and the epoch's record.
+    fn record(&mut self, e: &Epoch, case: SupplyCase) -> EpochRecord {
+        let n = self.n;
+        let st = &mut self.st;
+        let fleet = &self.fleet;
         for i in 0..n {
-            if fleet.settings[i] != fleet.prev_settings[i] {
-                setting_transitions += 1;
+            if fleet.settings[i] != st.prev_settings[i] {
+                st.setting_transitions += 1;
             }
         }
-        let (prev, cur) = (&mut fleet.prev_settings, &fleet.settings);
-        prev.copy_from_slice(cur);
-
-        goodput_sum += goodput / n as f64;
-        offered_sum += offered;
-        epochs.push(EpochRecord {
-            t,
-            setting: rep.map_or_else(ServerSetting::normal, |r| fleet.settings[r]),
-            case: plan.case,
-            re_supply_w: re_actual_w,
-            re_used_w,
-            battery_w,
+        st.prev_settings.copy_from_slice(&fleet.settings);
+        st.goodput_sum += e.goodput / n as f64;
+        st.offered_sum += e.offered;
+        let rec = EpochRecord {
+            t: e.t,
+            setting: e
+                .rep
+                .map_or_else(ServerSetting::normal, |r| fleet.settings[r]),
+            case,
+            re_supply_w: e.re_actual_w,
+            re_used_w: e.re_used_w,
+            battery_w: e.battery_w,
             demand_w: fleet.actual_power.iter().sum(),
-            battery_soc: soc,
-            offered_rps: offered,
-            goodput_rps: goodput,
+            battery_soc: e.soc,
+            offered_rps: e.offered,
+            goodput_rps: e.goodput,
             sprinting_servers: fleet.settings.iter().filter(|s| s.is_sprinting()).count() as u8,
-            safe_mode: in_safe_mode,
-            ladder_level: steering_level as u8,
-            live_servers: live_count as u8,
-        });
-        let keep_going = hooks.after_epoch(k, epochs.last().expect("just pushed"), &fleet.settings);
-        if !keep_going {
-            // Graceful drain: the driver asked to stop at this boundary.
-            // Capture the would-be-next state exactly as a periodic
-            // snapshot of epoch k+1 would, so a restart resumes with the
-            // next unexecuted epoch and zero warmup.
-            let state = capture_state!(k + 1);
-            hooks.on_snapshot(&state);
-            break;
+            safe_mode: e.obs_w.is_none(),
+            ladder_level: e.steering_level as u8,
+            live_servers: e.live_count as u8,
+        };
+        st.epochs.push(rec);
+        st.next_epoch += 1;
+        rec
+    }
+
+    /// End the run: recharge the batteries from the grid (paper case 3:
+    /// "we charge the battery with grid power in anticipation of future
+    /// sprints") and assemble the outcome, the Monitor streams and the
+    /// learner's exported policy.
+    pub(crate) fn finish(self) -> (BurstOutcome, Monitor, Option<String>) {
+        let epoch_hours = self.cfg.epoch.as_hours_f64();
+        let policy = self.pmk.learner().map(QLearner::to_json);
+        let st = self.st;
+        let mut grid_recharge_wh = st.in_burst_grid_recharge_wh;
+        for b in st.batteries.iter().flatten() {
+            let missing_ah = (1.0 - b.soc_fraction()) * b.spec().capacity_ah;
+            grid_recharge_wh += missing_ah * b.spec().voltage_v / b.spec().charge_efficiency;
         }
+        // Completed-epoch count, not the window's nominal count: identical
+        // (`== n_epochs`) for every run that finishes the window, and the
+        // honest divisor for a drain-stopped serve run.
+        let completed = st.epochs.len().max(1) as u64;
+        let mean_goodput = st.goodput_sum / completed as f64;
+        let (failover_epochs, ladder_level, quarantined_tables, guardrail_events) =
+            match st.guardrail {
+                Some(g) => (
+                    g.failover_epochs,
+                    g.peak_level,
+                    g.quarantined_tables,
+                    g.events,
+                ),
+                None => (0, 0, 0, Vec::new()),
+            };
+        let outcome = BurstOutcome {
+            mean_goodput_rps: mean_goodput,
+            normal_baseline_rps: mean_goodput, // replaced by judge()
+            speedup_vs_normal: 1.0,
+            slo_attainment: if st.offered_sum > 0.0 {
+                mean_goodput / (st.offered_sum / completed as f64)
+            } else {
+                1.0
+            },
+            re_used_wh: st.meter.energy_wh(Source::Renewable),
+            re_charged_wh: {
+                // Charged energy is tracked inside the batteries; report the
+                // drawn side of it (what left the green bus).
+                let used = st.meter.energy_wh(Source::Renewable);
+                let avail = used + st.meter.curtailed_wh();
+                // Anything produced, not used and not curtailed went to charge.
+                let produced: f64 = st.epochs.iter().map(|e| e.re_supply_w * epoch_hours).sum();
+                (produced - avail).max(0.0)
+            },
+            curtailed_wh: st.meter.curtailed_wh(),
+            battery_used_wh: st.meter.energy_wh(Source::Battery),
+            grid_overload_wh: 0.0,
+            grid_recharge_wh,
+            battery_cycles: st
+                .batteries
+                .iter()
+                .flatten()
+                .map(Battery::equivalent_cycles)
+                .sum::<f64>()
+                / st.batteries.iter().flatten().count().max(1) as f64,
+            setting_transitions: st.setting_transitions,
+            thermal_throttle_epochs: st.thermal_throttle_epochs,
+            peak_temp_c: st.peak_temp_c,
+            fault_epochs: st.fault_epochs,
+            safe_mode_epochs: st.safe_mode_epochs,
+            watchdog_clamped_epochs: st.watchdog_clamped_epochs,
+            floor_held: true, // judged against Normal by judge()
+            audit_violations: st.audit_violations,
+            failover_epochs,
+            ladder_level,
+            quarantined_tables,
+            guardrail_events,
+            dead_server_epochs: st.dead_server_epochs,
+            straggler_epochs: st.straggler_epochs,
+            min_live_servers: st.min_live_servers,
+            fleet_events: st.fleet_events,
+            epochs: st.epochs,
+        };
+        (outcome, st.monitor, policy)
     }
-
-    // Post-burst grid recharge back to full (paper case 3: "we charge the
-    // battery with grid power in anticipation of future sprints").
-    let mut grid_recharge_wh = in_burst_grid_recharge_wh;
-    for b in batteries.iter().flatten() {
-        let missing_ah = (1.0 - b.soc_fraction()) * b.spec().capacity_ah;
-        grid_recharge_wh += missing_ah * b.spec().voltage_v / b.spec().charge_efficiency;
-    }
-
-    // Completed-epoch count, not the window's nominal count: identical
-    // (`== n_epochs`) for every run that finishes the window, and the
-    // honest divisor for a drain-stopped serve run.
-    let completed = epochs.len().max(1) as u64;
-    let mean_goodput = goodput_sum / completed as f64;
-    let outcome = BurstOutcome {
-        mean_goodput_rps: mean_goodput,
-        normal_baseline_rps: mean_goodput, // replaced by Engine::run
-        speedup_vs_normal: 1.0,
-        slo_attainment: if offered_sum > 0.0 {
-            mean_goodput / (offered_sum / completed as f64)
-        } else {
-            1.0
-        },
-        re_used_wh: meter.energy_wh(Source::Renewable),
-        re_charged_wh: {
-            // Charged energy is tracked inside the batteries; report the
-            // drawn side of it (what left the green bus).
-            let used = meter.energy_wh(Source::Renewable);
-            let avail = used + meter.curtailed_wh();
-            // Anything produced, not used and not curtailed went to charge.
-            let produced: f64 = epochs.iter().map(|e| e.re_supply_w * epoch_hours).sum();
-            (produced - avail).max(0.0)
-        },
-        curtailed_wh: meter.curtailed_wh(),
-        battery_used_wh: meter.energy_wh(Source::Battery),
-        grid_overload_wh,
-        grid_recharge_wh,
-        battery_cycles: batteries
-            .iter()
-            .flatten()
-            .map(Battery::equivalent_cycles)
-            .sum::<f64>()
-            / batteries.iter().flatten().count().max(1) as f64,
-        setting_transitions,
-        thermal_throttle_epochs,
-        peak_temp_c,
-        fault_epochs,
-        safe_mode_epochs,
-        watchdog_clamped_epochs,
-        floor_held: default_floor_held(), // judged against Normal in run_full
-        audit_violations: auditor.map_or_else(Vec::new, InvariantAuditor::into_violations),
-        failover_epochs: guard.as_ref().map_or(0, |g| g.state().failover_epochs),
-        ladder_level: guard.as_ref().map_or(0, |g| g.state().peak_level),
-        quarantined_tables: guard.as_ref().map_or(0, |g| g.state().quarantined_tables),
-        guardrail_events: guard
-            .as_ref()
-            .map_or_else(Vec::new, |g| g.state().events.clone()),
-        dead_server_epochs,
-        straggler_epochs,
-        min_live_servers,
-        fleet_events,
-        epochs,
-    };
-    let policy = pmk.learner_mut().map(|l| l.to_json());
-    (outcome, monitor, policy)
 }
 
 /// Deterministic analytic measurement of one epoch: both solves, the
@@ -3192,6 +3322,103 @@ mod tests {
             }
             other => panic!("expected SnapshotMismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn resume_refuses_every_cut_loop_state_vector() {
+        // Guarded Hybrid with a fault plan and thermals on: every vector
+        // and presence the check covers is populated.
+        let cfg = EngineConfig {
+            fault_plan: Some(poison_at_epoch_1()),
+            ..guarded_hybrid_cfg()
+        };
+        let mut snaps = Vec::new();
+        Engine::new(cfg)
+            .run_full_with_snapshots(2, &mut |s| snaps.push(s.clone()))
+            .unwrap();
+        let strategy = snaps
+            .iter()
+            .find(|s| s.phase == RunPhase::Strategy)
+            .unwrap();
+        let baseline = snaps
+            .iter()
+            .find(|s| s.phase == RunPhase::Baseline)
+            .unwrap();
+        type Cut = fn(&mut LoopState);
+        let cuts: [(&str, Cut); 17] = [
+            ("prev_settings", |s| {
+                s.prev_settings.pop();
+            }),
+            ("batteries", |s| {
+                s.batteries.pop();
+            }),
+            ("grid_recharging", |s| {
+                s.grid_recharging.pop();
+            }),
+            ("down_left", |s| {
+                s.down_left.pop();
+            }),
+            ("health_streak", |s| {
+                s.health_streak.pop();
+            }),
+            ("watchdog", |s| s.watchdog = ActuationWatchdog::new(2)),
+            ("thermals", |s| {
+                s.thermals.pop();
+            }),
+            ("thermals", |s| s.thermals.clear()),
+            ("fade_done", |s| s.fade_done.clear()),
+            ("learner", |s| s.learner = None),
+            ("guardrail", |s| s.guardrail = None),
+            ("epoch records", |s| {
+                s.epochs.pop();
+            }),
+            ("epoch records", |s| s.next_epoch += 1),
+            ("live servers", |s| s.min_live_servers = 4),
+            ("pending", |s| {
+                let state = crate::qlearning::QState {
+                    power_level: 999,
+                    load_level: 0,
+                };
+                s.pending_q = Some((state, ServerSetting::normal()));
+            }),
+            ("guardrail", |s| {
+                if let Some(g) = s.guardrail.as_mut() {
+                    g.level = 9;
+                }
+            }),
+            ("guardrail", |s| {
+                if let Some(g) = s.guardrail.as_mut() {
+                    g.ladder.clear();
+                }
+            }),
+        ];
+        for (name, cut) in cuts {
+            for snap in [strategy, baseline] {
+                if snap.phase == RunPhase::Baseline && matches!(name, "learner" | "guardrail") {
+                    continue;
+                }
+                let mut snap = snap.clone();
+                cut(&mut snap.state);
+                let snap = EngineSnapshot::from_json(&snap.to_json()).unwrap();
+                match resume_snapshot(snap, 0, &mut |_| {}) {
+                    Err(EngineError::SnapshotMismatch(m)) => assert!(m.contains(name), "{m}"),
+                    other => panic!("cut {name} resumed: {other:?}"),
+                }
+            }
+        }
+        // A Normal baseline carries neither a learner nor a guardrail.
+        let mut snap = baseline.clone();
+        snap.state.learner = strategy.state.learner.clone();
+        assert!(matches!(
+            resume_snapshot(snap, 0, &mut |_| {}),
+            Err(EngineError::SnapshotMismatch(m)) if m.contains("learner")
+        ));
+        let mut snap = baseline.clone();
+        snap.state.guardrail = strategy.state.guardrail.clone();
+        assert!(matches!(
+            resume_snapshot(snap, 0, &mut |_| {}),
+            Err(EngineError::SnapshotMismatch(m)) if m.contains("guardrail")
+        ));
     }
 
     // ---- fault injection ----

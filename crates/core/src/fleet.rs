@@ -3,11 +3,11 @@
 //! The epoch loop in [`crate::engine`] touches a dozen per-server
 //! quantities every epoch. Before this module existed each of them was a
 //! fresh `Vec` per epoch (or per decision): at 1000 servers × thousands of
-//! epochs the allocator dominated the profile. `FleetState` holds them
-//! all as parallel arrays — settings, liveness, crash countdowns, health
-//! streaks, battery budgets, power draws — sized once per run and
-//! overwritten in place each epoch, plus the per-epoch memo tables the
-//! hot loop uses to avoid recomputing pure functions.
+//! epochs the allocator dominated the profile. `FleetState` holds the
+//! ones the next epoch rebuilds as parallel arrays — settings, liveness,
+//! battery budgets, power draws — sized once per run and overwritten in
+//! place each epoch, plus the per-epoch memo tables the hot loop uses to
+//! avoid recomputing pure functions.
 //!
 //! [`EngineScratch`] wraps the fleet arrays together with the
 //! analytic-measurement cache into the arena a caller can thread through
@@ -26,11 +26,11 @@
 //! contract (byte-identical outcomes, snapshot/resume, jobs-invariance)
 //! is pinned by `tests/golden_outputs.rs`.
 //!
-//! None of this is serialized. Persistent loop state (batteries,
-//! predictors, the learner, …) still lives in
-//! [`crate::checkpoint::LoopState`]; the arrays here that *are* part of a
-//! snapshot (`prev_settings`, `down_left`, `health_streak`) are copied
-//! in/out of it at the capture/resume boundary.
+//! None of this is serialized, and none of it outlives an epoch's
+//! arithmetic. Everything that does — batteries, predictors, the
+//! hysteresis incumbents, crash countdowns and health streaks — lives in
+//! [`crate::checkpoint::LoopState`], which the epoch loop reads and
+//! writes in place and a snapshot clones.
 
 use gs_cluster::ServerSetting;
 use gs_workload::apps::Application;
@@ -150,17 +150,10 @@ impl From<&EpochPerf> for ServerPerf {
     }
 }
 
-/// Per-server state as parallel arrays, resized once per run and
+/// Per-server scratch as parallel arrays, resized once per run and
 /// overwritten in place every epoch.
 #[derive(Debug, Default)]
 pub(crate) struct FleetState {
-    // --- persistent across epochs (snapshot-carried) -------------------
-    /// Hysteresis incumbent per server (last epoch's applied setting).
-    pub prev_settings: Vec<ServerSetting>,
-    /// Crash countdown per server (epochs of outage left).
-    pub down_left: Vec<u32>,
-    /// Consecutive healthy epochs per server (rejoin probation).
-    pub health_streak: Vec<u32>,
     // --- rewritten every epoch -----------------------------------------
     /// Responding at all this epoch (not crashed/flapped down).
     pub up: Vec<bool>,
@@ -217,9 +210,6 @@ impl FleetState {
             v.clear();
             v.resize(n, fill);
         }
-        fit(&mut self.prev_settings, n, ServerSetting::normal());
-        fit(&mut self.down_left, n, 0);
-        fit(&mut self.health_streak, n, 0);
         fit(&mut self.up, n, true);
         fit(&mut self.live, n, true);
         fit(&mut self.settings, n, ServerSetting::normal());
@@ -434,7 +424,7 @@ mod tests {
     fn begin_run_sizes_every_array() {
         let mut s = EngineScratch::new();
         s.begin_run(7, None);
-        assert_eq!(s.fleet.prev_settings.len(), 7);
+        assert_eq!(s.fleet.settings.len(), 7);
         assert_eq!(s.fleet.perfs.len(), 7);
         assert_eq!(s.fleet.instant_w.len(), 7);
         s.fleet.sprinting.push(3);
@@ -449,7 +439,7 @@ mod tests {
         // A new run clears per-epoch lists and, off a cached table, the
         // analytic cache.
         s.begin_run(3, None);
-        assert_eq!(s.fleet.prev_settings.len(), 3);
+        assert_eq!(s.fleet.settings.len(), 3);
         assert!(s.fleet.sprinting.is_empty());
         assert!(s.fleet.decision_memo.is_empty());
         assert!(s.analytic_cache.is_empty());

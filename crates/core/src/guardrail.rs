@@ -32,9 +32,10 @@
 //!   re-promotion into Hybrid restarts from the deterministic profile
 //!   bootstrap, never the quarantined table.
 //!
-//! All ladder and detector state lives in [`GuardrailState`], which the
-//! engine persists inside `LoopState` snapshots — a resumed run replays
-//! failovers byte-identically.
+//! All ladder and detector state lives in [`GuardrailState`]. The engine's
+//! epoch loop reads and writes it in place inside its `LoopState`, which
+//! is what a snapshot stores, so a resumed run replays failovers
+//! byte-identically.
 
 use crate::checkpoint::fingerprint;
 use crate::pmk::Strategy;
@@ -247,22 +248,9 @@ impl Guardrail {
     /// A guardrail supervising `active`; `None` when there is no ladder
     /// (the Normal baseline).
     pub fn new(cfg: GuardrailConfig, active: Strategy) -> Option<Self> {
-        let ladder = ladder_for(active)?;
         Some(Guardrail {
             cfg,
-            state: GuardrailState {
-                ladder,
-                level: 0,
-                peak_level: 0,
-                slo_streak: 0,
-                reward_streak: 0,
-                soc_streak: 0,
-                clean_streak: 0,
-                failover_epochs: 0,
-                quarantined_tables: 0,
-                events: Vec::new(),
-                shadow_prev: ServerSetting::normal(),
-            },
+            state: GuardrailState::new(active)?,
         })
     }
 
@@ -288,7 +276,7 @@ impl Guardrail {
 
     /// The strategy steering at the current level.
     pub fn active_strategy(&self) -> Strategy {
-        self.state.ladder[self.state.level]
+        self.state.active_strategy()
     }
 
     /// The full ladder.
@@ -306,26 +294,10 @@ impl Guardrail {
         self.state.shadow_prev = s;
     }
 
-    /// Position of the fallback strategy on the ladder. The comparative
-    /// detectors (SLO streak, reward regression) only arm *above* this
-    /// level: at or below it the active controller is the fallback or
-    /// something strictly simpler, so "the shadow would have done better"
-    /// carries no signal and would pin the ladder down forever.
-    fn fallback_pos(&self) -> usize {
-        self.state
-            .ladder
-            .iter()
-            .position(|&s| s == self.cfg.fallback)
-            .unwrap_or(self.state.ladder.len() - 1)
-    }
-
     /// Record a quarantined table (the engine owns serialization and the
     /// sidecar write; `detail` carries the file path or write error).
     pub fn note_quarantine(&mut self, epoch: u64, checksum: &str, detail: &str) {
-        self.state.quarantined_tables += 1;
-        self.state.events.push(format!(
-            "epoch {epoch}: quarantined q-table {checksum}{detail}"
-        ));
+        self.state.note_quarantine(epoch, checksum, detail);
     }
 
     /// Demote one rung down the ladder for an externally detected reason
@@ -338,22 +310,7 @@ impl Guardrail {
     /// event line is recorded. Returns `true` if a rung remained to
     /// demote to; at the Normal floor it records nothing and holds.
     pub fn force_demote(&mut self, epoch_index: u64, reason: &str) -> bool {
-        let st = &mut self.state;
-        st.clean_streak = 0;
-        if st.level + 1 < st.ladder.len() {
-            st.level += 1;
-            st.peak_level = st.peak_level.max(st.level);
-            st.slo_streak = 0;
-            st.reward_streak = 0;
-            st.soc_streak = 0;
-            st.events.push(format!(
-                "epoch {epoch_index}: demoted to {} ({reason})",
-                st.ladder[st.level]
-            ));
-            true
-        } else {
-            false
-        }
+        self.state.force_demote(epoch_index, reason)
     }
 
     /// Feed one epoch's signals through the detectors and the ladder.
@@ -362,6 +319,78 @@ impl Guardrail {
     /// *clears* a streak by accident because every comparison is phrased
     /// so NaN counts as misbehavior where it plausibly is one.
     pub fn observe(&mut self, sig: &EpochSignals) -> GuardrailAction {
+        self.state.observe(&self.cfg, sig)
+    }
+}
+
+/// The ladder and detectors themselves, on the bare state. The engine's
+/// epoch loop keeps the state inside its `LoopState` and calls these with
+/// the run's configuration; [`Guardrail`] pairs the two.
+impl GuardrailState {
+    /// The state of a fresh guardrail supervising `active`; `None` when
+    /// there is no ladder (the Normal baseline).
+    pub(crate) fn new(active: Strategy) -> Option<Self> {
+        Some(GuardrailState {
+            ladder: ladder_for(active)?,
+            level: 0,
+            peak_level: 0,
+            slo_streak: 0,
+            reward_streak: 0,
+            soc_streak: 0,
+            clean_streak: 0,
+            failover_epochs: 0,
+            quarantined_tables: 0,
+            events: Vec::new(),
+            shadow_prev: ServerSetting::normal(),
+        })
+    }
+
+    /// As [`Guardrail::active_strategy`].
+    pub(crate) fn active_strategy(&self) -> Strategy {
+        self.ladder[self.level]
+    }
+
+    /// Position of the fallback strategy on the ladder. The comparative
+    /// detectors (SLO streak, reward regression) only arm *above* this
+    /// level: at or below it the active controller is the fallback or
+    /// something strictly simpler, so "the shadow would have done better"
+    /// carries no signal and would pin the ladder down forever.
+    fn fallback_pos(&self, cfg: &GuardrailConfig) -> usize {
+        self.ladder
+            .iter()
+            .position(|&s| s == cfg.fallback)
+            .unwrap_or(self.ladder.len() - 1)
+    }
+
+    /// As [`Guardrail::note_quarantine`].
+    pub(crate) fn note_quarantine(&mut self, epoch: u64, checksum: &str, detail: &str) {
+        self.quarantined_tables += 1;
+        self.events.push(format!(
+            "epoch {epoch}: quarantined q-table {checksum}{detail}"
+        ));
+    }
+
+    /// As [`Guardrail::force_demote`].
+    pub(crate) fn force_demote(&mut self, epoch_index: u64, reason: &str) -> bool {
+        self.clean_streak = 0;
+        if self.level + 1 < self.ladder.len() {
+            self.level += 1;
+            self.peak_level = self.peak_level.max(self.level);
+            self.slo_streak = 0;
+            self.reward_streak = 0;
+            self.soc_streak = 0;
+            self.events.push(format!(
+                "epoch {epoch_index}: demoted to {} ({reason})",
+                self.ladder[self.level]
+            ));
+            true
+        } else {
+            false
+        }
+    }
+
+    /// As [`Guardrail::observe`], under `cfg`.
+    pub(crate) fn observe(&mut self, cfg: &GuardrailConfig, sig: &EpochSignals) -> GuardrailAction {
         // While the fleet is degraded (live_fraction < 1), the shadow
         // comparison loses meaning in both directions — the active policy
         // and the shadow both serve redistributed load on fewer servers,
@@ -372,17 +401,17 @@ impl Guardrail {
         // keep full authority at any fleet size.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         let degraded = !(sig.live_fraction >= 1.0);
-        let comparative = self.state.level < self.fallback_pos() && !degraded;
-        let st = &mut self.state;
+        let comparative = self.level < self.fallback_pos(cfg) && !degraded;
+        let st = self;
         let corrupt = sig.table_corrupt;
         let slo_bad = comparative && !sig.active_slo_ok && sig.shadow_slo_ok;
         // NaN active reward compares false under `>=`, so the negated
         // phrasing counts it as a regression.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         let reward_bad =
-            comparative && !(sig.active_reward >= sig.shadow_reward - self.cfg.reward_margin);
+            comparative && !(sig.active_reward >= sig.shadow_reward - cfg.reward_margin);
         let soc_bad =
-            sig.battery_discharge_w > self.cfg.soc_divergence_factor * sig.planned_battery_w + 1.0;
+            sig.battery_discharge_w > cfg.soc_divergence_factor * sig.planned_battery_w + 1.0;
         st.slo_streak = if slo_bad {
             st.slo_streak + 1
         } else if degraded {
@@ -401,17 +430,17 @@ impl Guardrail {
 
         let trigger = if corrupt {
             Some("q-table corruption".to_string())
-        } else if st.slo_streak >= self.cfg.slo_streak_epochs {
+        } else if st.slo_streak >= cfg.slo_streak_epochs {
             Some(format!(
                 "SLO violated {} epochs while the shadow complied",
                 st.slo_streak
             ))
-        } else if st.reward_streak >= self.cfg.reward_regression_epochs {
+        } else if st.reward_streak >= cfg.reward_regression_epochs {
             Some(format!(
                 "reward regressed vs shadow for {} epochs",
                 st.reward_streak
             ))
-        } else if st.soc_streak >= self.cfg.soc_divergence_epochs {
+        } else if st.soc_streak >= cfg.soc_divergence_epochs {
             Some(format!(
                 "battery discharge exceeded plan for {} epochs",
                 st.soc_streak
@@ -447,7 +476,7 @@ impl Guardrail {
                 GuardrailAction::Hold
             } else {
                 st.clean_streak += 1;
-                if st.clean_streak >= self.cfg.probation_epochs {
+                if st.clean_streak >= cfg.probation_epochs {
                     st.level -= 1;
                     st.clean_streak = 0;
                     st.slo_streak = 0;

@@ -43,22 +43,6 @@ impl Default for ObservationQuality {
     }
 }
 
-fn re_quality_series() -> TimeSeries {
-    TimeSeries::new("re_quality")
-}
-
-fn ladder_series() -> TimeSeries {
-    TimeSeries::new("ladder_level")
-}
-
-fn fleet_series() -> TimeSeries {
-    TimeSeries::new("fleet_live")
-}
-
-fn route_series() -> TimeSeries {
-    TimeSeries::new("route_factor")
-}
-
 /// Time-series retention of every observation stream.
 ///
 /// Deserializes with container-level defaults so serialized monitors from
@@ -73,37 +57,26 @@ pub struct Monitor {
     goodput: TimeSeries,
     offered: TimeSeries,
     /// 1.0 where the supply reading was fresh, 0.0 where it was held over
-    /// from the last good epoch. Absent in pre-fault serialized monitors.
-    #[serde(default = "re_quality_series")]
+    /// from the last good epoch.
     re_quality: TimeSeries,
     /// Timestamp and value of the last *fresh* supply reading.
-    #[serde(default)]
     last_good_re: Option<(SimTime, f64)>,
     /// Timestamp and value of the last *trusted* SoC reading.
-    #[serde(default)]
     last_good_soc: Option<(SimTime, f64)>,
     /// Epochs recorded without a fresh supply reading.
-    #[serde(default)]
     stale_re_epochs: usize,
     /// Guardrail failover-ladder level per epoch (0 = active strategy).
-    /// Only populated when the guardrail is enabled; absent in older
-    /// serialized monitors.
-    #[serde(default = "ladder_series")]
+    /// Only populated when the guardrail is enabled.
     ladder: TimeSeries,
     /// Live-server count per epoch (the fleet-size stream). Only
-    /// populated when the engine tracks fleet faults; absent in older
-    /// serialized monitors.
-    #[serde(default = "fleet_series")]
+    /// populated when the engine tracks fleet faults.
     fleet_live: TimeSeries,
     /// Per-server liveness streams (1.0 live, 0.0 dead), one per green
     /// server, named `server<i>_live`. Empty until the first fleet
     /// recording.
-    #[serde(default)]
     server_live: Vec<TimeSeries>,
     /// The broker-routed load factor applied per epoch (1.0 = the nominal
-    /// stream). Only populated when a datacenter broker steers the rack;
-    /// absent in older serialized monitors.
-    #[serde(default = "route_series")]
+    /// stream). Only populated when a datacenter broker steers the rack.
     route_factor: TimeSeries,
 }
 
@@ -123,14 +96,14 @@ impl Monitor {
             battery_soc: TimeSeries::new("battery_soc"),
             goodput: TimeSeries::new("goodput_rps"),
             offered: TimeSeries::new("offered_rps"),
-            re_quality: re_quality_series(),
+            re_quality: TimeSeries::new("re_quality"),
             last_good_re: None,
             last_good_soc: None,
             stale_re_epochs: 0,
-            ladder: ladder_series(),
-            fleet_live: fleet_series(),
+            ladder: TimeSeries::new("ladder_level"),
+            fleet_live: TimeSeries::new("fleet_live"),
             server_live: Vec::new(),
-            route_factor: route_series(),
+            route_factor: TimeSeries::new("route_factor"),
         }
     }
 

@@ -177,6 +177,11 @@ impl Pmk {
         self.strategy
     }
 
+    /// Hybrid's learner, if this PMK carries one.
+    pub(crate) fn learner(&self) -> Option<&QLearner> {
+        self.learner.as_ref()
+    }
+
     /// Mutable access to Hybrid's learner for online updates.
     pub fn learner_mut(&mut self) -> Option<&mut QLearner> {
         self.learner.as_mut()
@@ -287,6 +292,15 @@ impl ActuationWatchdog {
     /// The configured mismatch threshold.
     pub fn threshold(&self) -> u32 {
         self.threshold
+    }
+
+    /// Whether every per-server vector has exactly `n` entries.
+    pub(crate) fn tracks(&self, n: usize) -> bool {
+        [
+            self.mismatch_streak.len(),
+            self.match_streak.len(),
+            self.clamped.len(),
+        ] == [n; 3]
     }
 
     /// Report one epoch's commanded and observed settings for server `i`.

@@ -20,8 +20,7 @@ pub struct Predictor {
     re_supply: Ewma,
     workload: Ewma,
     /// Consecutive epochs the supply signal has been stale (no verified
-    /// observation fed). Absent in pre-fault serialized predictors.
-    #[serde(default)]
+    /// observation fed).
     stale_epochs: u32,
 }
 

@@ -425,34 +425,24 @@ pub struct ServeSummary {
     /// Mean goodput over executed epochs (rps per server).
     pub mean_goodput_rps: f64,
     /// Ticks the watchdog judged wedged.
-    #[serde(default)]
     pub watchdog_stalls: u64,
     /// Racks this daemon served.
-    #[serde(default)]
     pub racks: u32,
     /// Rack-worker restarts performed.
-    #[serde(default)]
     pub rack_restarts: u64,
     /// Rack-worker deaths classified as panics.
-    #[serde(default)]
     pub rack_panics: u64,
     /// Rack-worker deaths classified as stalls.
-    #[serde(default)]
     pub rack_stalls: u64,
     /// Racks quarantined after restart exhaustion.
-    #[serde(default)]
     pub racks_quarantined: u64,
     /// Epochs in which load was actively rerouted around a dead rack.
-    #[serde(default)]
     pub rerouted_epochs: u64,
     /// Final per-rack health ladder positions.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub rack_health: Vec<RackHealth>,
     /// Supervision event log (restarts, quarantines, re-admissions).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub rack_events: Vec<String>,
     /// Network-plane counters (`None` when no listener was configured).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub net: Option<NetSummary>,
 }
 
@@ -1659,7 +1649,10 @@ mod tests {
         let dir = std::env::temp_dir().join("gs_serve_truncated");
         let good = ServeSnapshot::from_json(&drained_snapshot(&dir, 2, 3)).unwrap();
         type Cut = fn(&mut ServeSnapshot);
-        let cuts: [(&str, Cut); 11] = [
+        fn rack1(s: &mut ServeSnapshot) -> &mut crate::checkpoint::LoopState {
+            s.racks[1].as_mut().expect("rack 1 is live")
+        }
+        let cuts: [(&str, Cut); 17] = [
             ("racks", |s| {
                 s.racks.pop();
             }),
@@ -1692,6 +1685,25 @@ mod tests {
                 if let Some(o) = s.options.as_mut() {
                     o.racks = 3;
                 }
+            }),
+            // Inside a rack's loop state.
+            ("rack prev_settings", |s| {
+                rack1(s).prev_settings.pop();
+            }),
+            ("rack batteries", |s| {
+                rack1(s).batteries.pop();
+            }),
+            ("rack grid_recharging", |s| {
+                rack1(s).grid_recharging.pop();
+            }),
+            ("rack down_left", |s| {
+                rack1(s).down_left.pop();
+            }),
+            ("rack thermals", |s| {
+                rack1(s).thermals.pop();
+            }),
+            ("rack fade_done", |s| {
+                rack1(s).fade_done.push(false);
             }),
         ];
         for (name, cut) in cuts {

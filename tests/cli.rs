@@ -1,6 +1,6 @@
 //! Smoke tests for the operator CLI (the `greensprint` binary).
 
-use greensprint_repro::prelude::SITE_SCHEMA;
+use greensprint_repro::prelude::{EngineSnapshot, SITE_SCHEMA};
 use std::process::Command;
 
 fn run(args: &[&str]) -> (String, String, bool) {
@@ -38,6 +38,42 @@ fn simulate_prints_a_result() {
         speedup_line.contains("4."),
         "expected ~4.6x: {speedup_line}"
     );
+}
+
+#[test]
+fn resume_refuses_a_cut_engine_snapshot_without_panicking() {
+    let ckpt = std::env::temp_dir().join(format!("gs-cli-cut-{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let path = ckpt.to_str().unwrap();
+    let (_, stderr, ok) = run(&[
+        "simulate",
+        "--app",
+        "jbb",
+        "--strategy",
+        "hybrid",
+        "--availability",
+        "med",
+        "--minutes",
+        "5",
+        "--analytic",
+        "--checkpoint",
+        path,
+        "--snapshot-every",
+        "2",
+    ]);
+    assert!(ok, "{stderr}");
+    let mut snap = EngineSnapshot::from_json(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
+    snap.state.prev_settings.pop();
+    std::fs::write(&ckpt, snap.to_json()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(["resume", path])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("prev_settings"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_file(&ckpt);
 }
 
 #[test]

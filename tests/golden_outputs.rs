@@ -27,8 +27,9 @@
 //!   `greensprint chaos` output format);
 //! * a routed datacenter site under a seeded site fault plan, one JSON
 //!   line per rack plus the site line, at `jobs = 1` and `jobs = 4`;
-//! * a snapshot/resume cycle of each burst family: the outcome resumed from
-//!   a mid-run snapshot must reproduce the same golden bytes.
+//! * a snapshot/resume cycle of each burst family at every seed: the
+//!   outcome resumed from the snapshot at any epoch boundary of either
+//!   phase must reproduce the same golden bytes.
 //!
 //! Regenerating fixtures is only legitimate when the *intended* output
 //! changes (never for an optimization): `GOLDEN_REGEN=1 cargo test --test
@@ -479,43 +480,48 @@ fn golden_des_sweep_is_byte_identical_at_any_jobs() {
 
 #[test]
 fn golden_outcomes_survive_snapshot_resume() {
-    // One seed per family: snapshot mid-run, resume from the captured
-    // state, and require the resumed outcome to hit the same golden bytes
-    // as the uninterrupted run.
+    // Every family at every seed: snapshot at every epoch boundary of both
+    // phases, resume from each captured state, and require the resumed
+    // outcome to hit the same golden bytes as the uninterrupted run. The
+    // guarded family's snapshots include mid-demotion and mid-quarantine
+    // states.
     for family in FAMILIES {
-        let cfg = family_cfg(family, SEEDS[0]);
-        let fixture = fixture_dir().join(format!("burst_{family}_seed{}.json", SEEDS[0]));
-        let mut snaps: Vec<EngineSnapshot> = Vec::new();
-        let (uninterrupted, _, _) = Engine::try_new(cfg)
-            .expect("valid golden config")
-            .run_full_with_snapshots(3, &mut |s| snaps.push(s.clone()))
-            .expect("analytic run snapshots");
-        let golden = serde_json::to_string(&uninterrupted).expect("outcome serializes");
-        if !regen() {
-            let expected = std::fs::read_to_string(&fixture)
-                .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", fixture.display()));
-            assert_eq!(
-                expected, golden,
-                "{family}: snapshotting run diverged from golden bytes"
-            );
-        }
-        assert!(
-            snaps.len() >= 2,
-            "{family}: expected multiple snapshots, got {}",
-            snaps.len()
-        );
-        // Through a JSON round trip, as an on-disk checkpoint resumes.
-        let mid = EngineSnapshot::from_json(&snaps[snaps.len() / 2].to_json())
-            .expect("snapshot parses back");
-        match resume_snapshot(mid, 3, &mut |_| {}).expect("resume") {
-            ResumedRun::Burst { outcome, .. } => {
-                let resumed = serde_json::to_string(&outcome).expect("outcome serializes");
+        for seed in SEEDS {
+            let cfg = family_cfg(family, seed);
+            let fixture = fixture_dir().join(format!("burst_{family}_seed{seed}.json"));
+            let mut snaps: Vec<EngineSnapshot> = Vec::new();
+            let (uninterrupted, _, _) = Engine::try_new(cfg)
+                .expect("valid golden config")
+                .run_full_with_snapshots(1, &mut |s| snaps.push(s.clone()))
+                .expect("analytic run snapshots");
+            let golden = serde_json::to_string(&uninterrupted).expect("outcome serializes");
+            if !regen() {
+                let expected = std::fs::read_to_string(&fixture).unwrap_or_else(|e| {
+                    panic!("missing golden fixture {}: {e}", fixture.display())
+                });
                 assert_eq!(
-                    golden, resumed,
-                    "{family}: resume from mid-run snapshot broke byte-identity"
+                    expected, golden,
+                    "{family}/{seed}: snapshotting run diverged from golden bytes"
                 );
             }
-            other => panic!("expected burst resume, got {other:?}"),
+            // Nine boundaries in each phase of a ten-epoch burst.
+            assert_eq!(snaps.len(), 18, "{family}/{seed}: snapshot count");
+            for snap in snaps {
+                let (phase, epoch) = (snap.phase, snap.state.next_epoch);
+                // Through a JSON round trip, as an on-disk checkpoint resumes.
+                let snap =
+                    EngineSnapshot::from_json(&snap.to_json()).expect("snapshot parses back");
+                match resume_snapshot(snap, 1, &mut |_| {}).expect("resume") {
+                    ResumedRun::Burst { outcome, .. } => {
+                        let resumed = serde_json::to_string(&outcome).expect("outcome serializes");
+                        assert_eq!(
+                            golden, resumed,
+                            "{family}/{seed}: resume from {phase:?} epoch {epoch} broke byte-identity"
+                        );
+                    }
+                    other => panic!("expected burst resume, got {other:?}"),
+                }
+            }
         }
     }
 }
