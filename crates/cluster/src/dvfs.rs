@@ -39,7 +39,7 @@ pub const MAX_FREQ_GHZ: f64 = 2.0;
 /// assert!(sprint.is_sprinting() && !normal.is_sprinting());
 /// ```
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ServerSetting {
     /// Active cores, `NORMAL_CORES ..= MAX_CORES`.
     pub cores: u8,
@@ -47,18 +47,43 @@ pub struct ServerSetting {
     pub freq_idx: u8,
 }
 
+/// Parsing validates as [`ServerSetting::new`] does, so a snapshot
+/// naming a setting outside the space is refused at load instead of
+/// indexing the frequency table or a Q-table row with it later.
+impl Deserialize for ServerSetting {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            cores: u8,
+            freq_idx: u8,
+        }
+        let raw = Raw::from_value(v)?;
+        ServerSetting::check(raw.cores, raw.freq_idx).map_err(serde::Error::msg)?;
+        Ok(ServerSetting {
+            cores: raw.cores,
+            freq_idx: raw.freq_idx,
+        })
+    }
+}
+
 impl ServerSetting {
     /// Construct a setting, validating the ranges.
     pub fn new(cores: u8, freq_idx: u8) -> Self {
-        assert!(
-            (NORMAL_CORES..=MAX_CORES).contains(&cores),
-            "core count {cores} out of range"
-        );
-        assert!(
-            (freq_idx as usize) < NUM_FREQ_LEVELS,
-            "frequency index {freq_idx} out of range"
-        );
+        if let Err(e) = Self::check(cores, freq_idx) {
+            panic!("{e}");
+        }
         ServerSetting { cores, freq_idx }
+    }
+
+    /// Whether `(cores, freq_idx)` names a setting in the space.
+    fn check(cores: u8, freq_idx: u8) -> Result<(), String> {
+        if !(NORMAL_CORES..=MAX_CORES).contains(&cores) {
+            return Err(format!("core count {cores} out of range"));
+        }
+        if freq_idx as usize >= NUM_FREQ_LEVELS {
+            return Err(format!("frequency index {freq_idx} out of range"));
+        }
+        Ok(())
     }
 
     /// `S0`: Normal mode — 6 cores at the lowest frequency (1.2 GHz).
@@ -225,6 +250,33 @@ mod tests {
     #[should_panic(expected = "frequency index")]
     fn rejects_bad_freq() {
         ServerSetting::new(6, 9);
+    }
+
+    #[test]
+    fn parsing_refuses_settings_outside_the_space() {
+        for s in ServerSetting::all() {
+            assert_eq!(ServerSetting::from_value(&s.to_value()).unwrap(), s);
+        }
+        let raw = |cores: u64, freq_idx: u64| {
+            serde::Value::Object(vec![
+                (
+                    "cores".to_string(),
+                    serde::Value::Number(serde::Number::from_u64(cores)),
+                ),
+                (
+                    "freq_idx".to_string(),
+                    serde::Value::Number(serde::Number::from_u64(freq_idx)),
+                ),
+            ])
+        };
+        for (cores, freq_idx, want) in [
+            (200, 0, "core count 200 out of range"),
+            (5, 0, "core count 5 out of range"),
+            (6, 9, "frequency index 9 out of range"),
+        ] {
+            let err = ServerSetting::from_value(&raw(cores, freq_idx)).expect_err(want);
+            assert_eq!(err.to_string(), want);
+        }
     }
 
     #[test]

@@ -60,17 +60,45 @@ pub const SITE_SCHEMA: &str = "gs-site-2";
 
 /// FNV-1a over the given parts, rendered as a compact hex tag.
 pub fn fingerprint(parts: &[&str]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv::new();
     for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Separate the parts so ("ab","c") != ("a","bc").
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.write(part.as_bytes());
+        h.end_part();
     }
-    format!("{h:016x}")
+    h.finish()
+}
+
+/// The incremental FNV-1a hasher behind [`fingerprint`]: feeding a
+/// part's bytes in any number of [`Fnv::write`] calls and then
+/// [`Fnv::end_part`] gives the same tag as passing the part whole. A
+/// copy is a saved position in the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// The hasher before any byte.
+    pub(crate) const fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Hash `bytes`.
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// End a part, so the parts ("ab","c") and ("a","bc") differ.
+    pub(crate) fn end_part(&mut self) {
+        self.write(&[0xff]);
+    }
+
+    /// The tag, as [`fingerprint`] renders it.
+    pub(crate) fn finish(self) -> String {
+        format!("{:016x}", self.0)
+    }
 }
 
 /// The compatibility fingerprint a checkpoint is stamped with: schema tag,

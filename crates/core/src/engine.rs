@@ -108,6 +108,28 @@ pub enum ThermalModel {
     Disabled,
 }
 
+impl ThermalModel {
+    /// One server's package under this model, pre-warmed for 2 h at
+    /// Normal-mode load (100 W) so a burst does not start from a cold
+    /// heatsink; `None` when thermal simulation is off. The warm-up
+    /// depends on the model alone, so it runs once per process and every
+    /// loop clones the result.
+    fn prewarmed_package(self) -> Option<&'static gs_thermal::ThermalPackage> {
+        static WARM: [std::sync::OnceLock<gs_thermal::ThermalPackage>; 2] =
+            [std::sync::OnceLock::new(), std::sync::OnceLock::new()];
+        let (slot, cold): (usize, fn() -> gs_thermal::ThermalPackage) = match self {
+            ThermalModel::PaperPcm => (0, gs_thermal::ThermalPackage::paper_spec),
+            ThermalModel::NoPcm => (1, gs_thermal::ThermalPackage::without_pcm),
+            ThermalModel::Disabled => return None,
+        };
+        Some(WARM[slot].get_or_init(|| {
+            let mut pkg = cold();
+            pkg.advance(100.0, SimDuration::from_hours(2));
+            pkg
+        }))
+    }
+}
+
 /// Which renewable-supply predictor the controller runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PredictorKind {
@@ -1081,20 +1103,10 @@ impl<'a> EpochLoop<'a> {
                 .flatten()
                 .map(|b| b.spec().max_charge_power_w())
                 .sum::<f64>();
-        // Thermal packages, pre-warmed at Normal-mode load so the burst does
-        // not start from a cold heatsink.
-        let mut thermals: Vec<gs_thermal::ThermalPackage> = match cfg.thermal {
-            ThermalModel::Disabled => Vec::new(),
-            ThermalModel::PaperPcm => (0..n)
-                .map(|_| gs_thermal::ThermalPackage::paper_spec())
-                .collect(),
-            ThermalModel::NoPcm => (0..n)
-                .map(|_| gs_thermal::ThermalPackage::without_pcm())
-                .collect(),
-        };
-        for pkg in &mut thermals {
-            pkg.advance(100.0, SimDuration::from_hours(2));
-        }
+        let thermals: Vec<gs_thermal::ThermalPackage> = cfg
+            .thermal
+            .prewarmed_package()
+            .map_or_else(Vec::new, |pkg| vec![pkg.clone(); n]);
         let n_epochs = window
             .duration
             .div_duration(cfg.epoch)
@@ -2150,6 +2162,7 @@ impl<'a> EpochLoop<'a> {
             app,
             power_model,
             n,
+            q_base,
             pmk,
             shadow_pmk,
             fallback_pmk,
@@ -2280,16 +2293,28 @@ impl<'a> EpochLoop<'a> {
                 // Quarantine the learner the demoted rung steered with;
                 // rungs below the top are learner-free.
                 if fallback_pmk.is_none() {
-                    if let Some(l) = pmk.learner_mut() {
-                        let rec = QuarantineRecord::new(e.k, &reason, l.to_json());
+                    if let Some(l) = pmk.learner() {
+                        // The event carries the checksum streamed from the
+                        // run's start table; the policy's full JSON is
+                        // built only for a sidecar.
+                        let base = q_base.as_deref().expect("a learner has a start table");
+                        let checksum = l.checksum_against(base);
+                        debug_assert_eq!(
+                            checksum,
+                            crate::checkpoint::fingerprint(&[&l.to_json()]),
+                            "the streamed quarantine checksum drifted from the full one"
+                        );
                         let detail = match cfg.guardrail.quarantine_dir.as_deref() {
-                            Some(dir) => match rec.write_to(dir) {
-                                Ok(path) => format!(" -> {path}"),
-                                Err(err) => format!(" (sidecar write failed: {err})"),
-                            },
+                            Some(dir) => {
+                                let rec = QuarantineRecord::new(e.k, &reason, l.to_json());
+                                match rec.write_to(dir) {
+                                    Ok(path) => format!(" -> {path}"),
+                                    Err(err) => format!(" (sidecar write failed: {err})"),
+                                }
+                            }
                             None => String::new(),
                         };
-                        g.note_quarantine(e.k, &rec.checksum, &detail);
+                        g.note_quarantine(e.k, &checksum, &detail);
                         // The quarantined table never steers again: a
                         // future re-promotion restarts from the
                         // deterministic profile bootstrap.

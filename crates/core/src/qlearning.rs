@@ -25,11 +25,13 @@
 //! the SLO percentile, and use the measured tail latency for the magnitude
 //! of the reward once it is.
 
+use crate::checkpoint::Fnv;
 use crate::profiler::ProfileTable;
 use gs_cluster::ServerSetting;
 use gs_sim::SimRng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// The paper's learning rate.
 pub const PAPER_LEARNING_RATE: f64 = 0.7;
@@ -332,6 +334,83 @@ pub(crate) fn corrupt_value(v: f64, cap: f64) -> bool {
     !v.is_finite() || v.abs() > cap
 }
 
+/// [`QLearner::bootstrapped_cached`]'s tables, one slot per paper
+/// application in `profiler::app_cache_index` order.
+static BOOTSTRAPPED: [OnceLock<QLearner>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+
+/// The [`BaseText`] of each [`BOOTSTRAPPED`] table, built at the first
+/// checksum against it — a quarantine — and never at set-up.
+static BOOTSTRAPPED_TEXT: [OnceLock<BaseText>; 3] =
+    [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+
+/// A base table's [`QLearner::to_json`] text, indexed so that
+/// [`QLearner::checksum_against`] can hash a learner's text while
+/// formatting only the cells and scalar fields whose bits differ from
+/// the base.
+struct BaseText {
+    json: String,
+    /// Where each cell's text starts, then one past the table's `]`:
+    /// cell `i` with the `,` (or `]`) after it is
+    /// `json[cell_at[i]..cell_at[i + 1]]`.
+    cell_at: Vec<u32>,
+    /// The FNV state after every byte before each row's first cell.
+    row_state: Vec<Fnv>,
+    /// The byte span of each scalar field's value, in
+    /// [`QLearner::scalars`] order.
+    scalar_at: [(usize, usize); 5],
+}
+
+impl BaseText {
+    /// One `to_json` and one scan. `table` is the first field, and no
+    /// number's text holds a `,`, `]` or `}`, so each of those bytes ends
+    /// a value.
+    fn new(base: &QLearner) -> Self {
+        let json = base.to_json();
+        let bytes = json.as_bytes();
+        let value_end = |from: usize| {
+            from + bytes[from..]
+                .iter()
+                .position(|b| matches!(b, b',' | b']' | b'}'))
+                .expect("every JSON value is followed by a delimiter")
+        };
+        let open = "{\"table\":[".len();
+        debug_assert!(json.starts_with("{\"table\":["), "table is the first field");
+        let offset = |at: usize| u32::try_from(at).expect("a Q-table's text fits in 4 GiB");
+        let mut cell_at = Vec::with_capacity(base.table.len() + 1);
+        let mut row_state = Vec::with_capacity(QState::COUNT);
+        let mut h = Fnv::new();
+        h.write(&bytes[..open]);
+        let mut at = open;
+        for i in 0..base.table.len() {
+            if i % ACTIONS == 0 {
+                row_state.push(h);
+            }
+            cell_at.push(offset(at));
+            let next = value_end(at) + 1;
+            h.write(&bytes[at..next]);
+            at = next;
+        }
+        cell_at.push(offset(at));
+        let mut scalar_at = [(0, 0); 5];
+        for span in &mut scalar_at {
+            let start = at
+                + bytes[at..]
+                    .iter()
+                    .position(|&b| b == b':')
+                    .expect("a scalar field follows the table")
+                + 1;
+            at = value_end(start);
+            *span = (start, at);
+        }
+        BaseText {
+            json,
+            cell_at,
+            row_state,
+            scalar_at,
+        }
+    }
+}
+
 impl QLearner {
     /// Cells in a table: one row of 63 actions per state.
     pub(crate) const CELLS: usize = QState::COUNT * ACTIONS;
@@ -357,11 +436,6 @@ impl QLearner {
     /// function of the profile table, so the clone is bit-identical to a
     /// fresh bootstrap.
     pub fn bootstrapped_cached(app: gs_workload::apps::Application) -> &'static QLearner {
-        static BOOTSTRAPPED: [std::sync::OnceLock<QLearner>; 3] = [
-            std::sync::OnceLock::new(),
-            std::sync::OnceLock::new(),
-            std::sync::OnceLock::new(),
-        ];
         BOOTSTRAPPED[crate::profiler::app_cache_index(app)]
             .get_or_init(|| Self::bootstrapped_fresh(ProfileTable::cached(app)))
     }
@@ -473,6 +547,82 @@ impl QLearner {
     /// complementing the paper's offline profiling bootstrap.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("QLearner serializes")
+    }
+
+    /// The scalar fields, in the order [`Self::to_json`] writes them
+    /// after the table.
+    fn scalars(&self) -> [f64; 5] {
+        [
+            self.learning_rate,
+            self.discount,
+            self.epsilon,
+            self.max_power_w,
+            self.max_load_rps,
+        ]
+    }
+
+    /// `checkpoint::fingerprint(&[&self.to_json()])`, the quarantine
+    /// checksum, streamed from `base`'s text without building this
+    /// learner's: hashing resumes at the row holding the first cell whose
+    /// bits differ from `base`, takes every unchanged cell and scalar
+    /// field's bytes from the base text, and formats only the rest. The
+    /// base text of a [`Self::bootstrapped_cached`] table is built once
+    /// per process; any other base's is built here, which costs about
+    /// what `to_json` does. `self` has `base`'s shape.
+    pub(crate) fn checksum_against(&self, base: &QLearner) -> String {
+        assert_eq!(
+            self.table.len(),
+            base.table.len(),
+            "a learner and its base share a shape"
+        );
+        let owned;
+        let text = match BOOTSTRAPPED
+            .iter()
+            .position(|slot| slot.get().is_some_and(|b| std::ptr::eq(b, base)))
+        {
+            Some(i) => BOOTSTRAPPED_TEXT[i].get_or_init(|| BaseText::new(base)),
+            None => {
+                owned = BaseText::new(base);
+                &owned
+            }
+        };
+        let bytes = text.json.as_bytes();
+        let text_of = |v: f64| serde_json::to_string(&v).expect("a float serializes");
+        let first = self
+            .table
+            .iter()
+            .zip(&base.table)
+            .position(|(v, b)| v.to_bits() != b.to_bits())
+            .unwrap_or(self.table.len() - 1);
+        let row = first / ACTIONS;
+        let mut h = text.row_state[row];
+        // Base bytes from the start of cell `copied_to` on are not hashed
+        // yet.
+        let mut copied_to = row * ACTIONS;
+        for (i, (v, b)) in self.table.iter().zip(&base.table).enumerate().skip(first) {
+            if v.to_bits() != b.to_bits() {
+                h.write(&bytes[text.cell_at[copied_to] as usize..text.cell_at[i] as usize]);
+                h.write(text_of(*v).as_bytes());
+                h.write(if i + 1 < self.table.len() { b"," } else { b"]" });
+                copied_to = i + 1;
+            }
+        }
+        let mut at = text.cell_at[copied_to] as usize;
+        for ((v, b), (start, end)) in self
+            .scalars()
+            .into_iter()
+            .zip(base.scalars())
+            .zip(text.scalar_at)
+        {
+            if v.to_bits() != b.to_bits() {
+                h.write(&bytes[at..start]);
+                h.write(text_of(v).as_bytes());
+                at = end;
+            }
+        }
+        h.write(&bytes[at..]);
+        h.end_part();
+        h.finish()
     }
 
     /// Restore a learner saved with [`Self::to_json`], rejecting any
@@ -1111,6 +1261,108 @@ mod tests {
                 assert_eq!(q.any_corrupt(cap), stats_verdict(q, cap), "cap {cap}");
             }
         }
+    }
+
+    /// Every learner's streamed checksum against `base` equals the
+    /// fingerprint of its full JSON.
+    fn assert_checksums_stream(base: &QLearner, learners: &[(String, QLearner)]) {
+        for (case, q) in learners {
+            assert_eq!(
+                q.checksum_against(base),
+                crate::checkpoint::fingerprint(&[&q.to_json()]),
+                "{case}"
+            );
+        }
+    }
+
+    /// Learners that differ from `base` in the ways a quarantine can meet:
+    /// no cell, an edge cell, every cell, seeded subsets holding every
+    /// kind of float the writer special-cases, and each scalar field
+    /// alone.
+    fn checksum_cases(base: &QLearner, seed: u64) -> Vec<(String, QLearner)> {
+        let last = QLearner::CELLS - 1;
+        let mut cases = vec![("unchanged".to_string(), base.clone())];
+        for (name, cell) in [("first cell", 0), ("last cell", last)] {
+            let mut q = base.clone();
+            q.table[cell] += 1.5;
+            cases.push((name.to_string(), q));
+        }
+        let mut every = base.clone();
+        every.poison(1e9);
+        cases.push(("every cell".to_string(), every));
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 3.0,
+            -5e-324,
+            1e300,
+            -1e300,
+            3.0,
+            0.1,
+        ];
+        let mut rng = SimRng::seed_from_u64(seed);
+        for round in 0..24 {
+            let mut q = base.clone();
+            // Dense subsets (up to 2,000 cells) and sparse ones (up to 12).
+            let changes = 1 + rng.index(if round % 3 == 0 { 2_000 } else { 12 });
+            for _ in 0..changes {
+                let cell = rng.index(QLearner::CELLS);
+                q.table[cell] = if rng.chance(0.5) {
+                    specials[rng.index(specials.len())]
+                } else {
+                    rng.uniform_range(-1e6, 1e6)
+                };
+            }
+            cases.push((format!("seeded subset {round}"), q));
+        }
+        for field in 0..5 {
+            let mut q = base.clone();
+            let slot = match field {
+                0 => &mut q.learning_rate,
+                1 => &mut q.discount,
+                2 => &mut q.epsilon,
+                3 => &mut q.max_power_w,
+                _ => &mut q.max_load_rps,
+            };
+            *slot = if field == 2 {
+                f64::NAN
+            } else {
+                *slot * 0.5 + 1.0
+            };
+            cases.push((format!("scalar field {field}"), q));
+        }
+        cases
+    }
+
+    #[test]
+    fn streamed_checksum_equals_the_full_json_fingerprint() {
+        for app in [Application::SpecJbb, Application::Memcached] {
+            let base = QLearner::bootstrapped_cached(app);
+            assert_checksums_stream(base, &checksum_cases(base, 11));
+            // The second pass reads the process-wide base text.
+            assert_checksums_stream(base, &checksum_cases(base, 12));
+        }
+    }
+
+    #[test]
+    fn streamed_checksum_holds_against_an_owned_warm_policy_base() {
+        // A trained policy round-tripped through its JSON, as a
+        // `warm_policy_json` run loads it.
+        let mut trained = QLearner::bootstrapped_cached(Application::SpecJbb).clone();
+        let mut rng = SimRng::seed_from_u64(5);
+        for _ in 0..400 {
+            let s = QState {
+                power_level: rng.index(LEVELS),
+                load_level: rng.index(LEVELS),
+            };
+            let a = ServerSetting::from_action_index(rng.index(ACTIONS));
+            trained.update(s, a, rng.uniform_range(-3.0, 6.0), s);
+        }
+        let warm = QLearner::from_json(&trained.to_json()).expect("a trained policy loads");
+        assert_checksums_stream(&warm, &checksum_cases(&warm, 13));
     }
 
     #[test]

@@ -1722,6 +1722,14 @@ mod tests {
             matches!(resume_error(&dir, &tampered), ServeError::Snapshot(m) if m.contains("27783")),
             "tampered delta resumed"
         );
+        // A setting outside the sprint-setting space.
+        let mut snap = good.clone();
+        rack1(&mut snap).prev_settings[0].cores = 200;
+        assert!(
+            matches!(resume_error(&dir, &snap.to_json().unwrap()),
+                ServeError::Snapshot(m) if m.contains("core count 200 out of range")),
+            "out-of-range setting resumed"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -111,7 +111,9 @@ impl ThermalPackage {
     /// the melt point, spare cooling capacity refreezes the buffer.
     pub fn advance(&mut self, power_w: f64, dt: SimDuration) {
         // Sub-step for the piecewise regimes (1 s is far below τ = 120 s;
-        // each sub-step still uses the exact RC solution).
+        // each sub-step still uses the exact RC solution). Every whole
+        // second shares one decay factor.
+        let decay_1s = self.node.decay(1.0);
         let mut remaining = dt.as_secs_f64();
         while remaining > 0.0 {
             let step = remaining.min(1.0);
@@ -134,7 +136,11 @@ impl ThermalPackage {
                     self.node.set_temp_c(melt);
                 }
             } else {
-                self.node.advance(power_w, step);
+                if step == 1.0 {
+                    self.node.advance_decayed(power_w, decay_1s);
+                } else {
+                    self.node.advance(power_w, step);
+                }
                 // Refreeze opportunistically when below the melt point.
                 if self.node.temp_c() < melt {
                     let spare_w = self.node.dissipation_w() - power_w;

@@ -61,8 +61,19 @@ impl RcNode {
     /// Advance by `dt_s` seconds under constant `power_w`, using the exact
     /// exponential solution. Returns the new temperature.
     pub fn advance(&mut self, power_w: f64, dt_s: f64) -> f64 {
+        self.advance_decayed(power_w, self.decay(dt_s))
+    }
+
+    /// The factor by which the gap to steady state shrinks over `dt_s`
+    /// seconds: `exp(−dt_s / τ)`.
+    pub(crate) fn decay(&self, dt_s: f64) -> f64 {
+        (-dt_s / self.time_constant_s()).exp()
+    }
+
+    /// [`Self::advance`] over the step whose [`Self::decay`] is `decay`,
+    /// for callers that take many steps of one length.
+    pub(crate) fn advance_decayed(&mut self, power_w: f64, decay: f64) -> f64 {
         let t_ss = self.steady_state_c(power_w);
-        let decay = (-dt_s / self.time_constant_s()).exp();
         self.temp_c = t_ss + (self.temp_c - t_ss) * decay;
         self.temp_c
     }

@@ -77,6 +77,37 @@ fn resume_refuses_a_cut_engine_snapshot_without_panicking() {
 }
 
 #[test]
+fn resume_refuses_an_out_of_range_setting_without_panicking() {
+    let ckpt = std::env::temp_dir().join(format!("gs-cli-setting-{}.ckpt", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    let path = ckpt.to_str().unwrap();
+    let (_, stderr, ok) = run(&[
+        "campaign",
+        "--days",
+        "1",
+        "--analytic",
+        "--checkpoint",
+        path,
+        "--snapshot-every",
+        "100",
+    ]);
+    assert!(ok, "{stderr}");
+    let mut snap = EngineSnapshot::from_json(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
+    snap.state.prev_settings[0].cores = 200;
+    std::fs::write(&ckpt, snap.to_json()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(["resume", path])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("core count 200 out of range"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a refused snapshot printed a result");
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
 fn trace_roundtrips_through_simulate() {
     let dir = std::env::temp_dir();
     let trace = dir.join(format!("gs-cli-trace-{}.csv", std::process::id()));
@@ -367,23 +398,62 @@ fn guardrail_chaos_fails_over_and_exits_clean() {
         assert!(line.contains("\"audit_violations\":[]"), "{line}");
     }
     assert!(stderr.contains("all held the Normal floor"), "{stderr}");
-    // The quarantine sidecars landed and carry the corrupt table.
+    // Each run's quarantine event carries the checksum streamed from the
+    // run's start table, and names the sidecar written from the policy's
+    // full JSON, whose file name carries that JSON's checksum: the two
+    // must agree.
+    let mut streamed = Vec::new();
+    for line in &lines {
+        let v: serde_json::Value = serde_json::from_str(line).unwrap();
+        let events = ["outcome", "Burst", "guardrail_events"]
+            .iter()
+            .try_fold(&v, |v, key| v.get(key))
+            .and_then(|v| v.as_array())
+            .unwrap_or_else(|| panic!("no guardrail_events: {line}"));
+        let event = events
+            .iter()
+            .filter_map(|e| e.as_str())
+            .find_map(|e| e.split_once("quarantined q-table "))
+            .map(|(_, rest)| rest)
+            .unwrap_or_else(|| panic!("no quarantine event: {line}"));
+        let (checksum, path) = event
+            .split_once(" -> ")
+            .expect("the event names its sidecar");
+        let name = std::path::Path::new(path)
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap();
+        assert!(name.ends_with(&format!("-{checksum}.json")), "{event}");
+        assert!(std::path::Path::new(path).exists(), "{event}");
+        streamed.push(checksum.to_string());
+    }
+    // Every sidecar landed, is one a run reported, and carries the
+    // corrupt table.
     let sidecars: Vec<_> = std::fs::read_dir(&quarantine)
         .expect("quarantine dir created")
         .map(|e| e.unwrap().path())
         .collect();
     assert!(!sidecars.is_empty(), "no sidecars in {quarantine:?}");
-    let (stdout, _, ok) = run(&["qtable", "dump", sidecars[0].to_str().unwrap()]);
-    assert!(ok, "{stdout}");
-    assert!(stdout.contains("quarantine sidecar"), "{stdout}");
-    assert!(stdout.contains("checksum ok"), "{stdout}");
-    assert!(stdout.contains("verdict: CORRUPT"), "{stdout}");
-    // validate refuses the same table with exit 2.
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_greensprint"))
-        .args(["qtable", "validate", sidecars[0].to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
+    for sidecar in &sidecars {
+        let name = sidecar.file_stem().unwrap().to_str().unwrap();
+        let checksum = name.rsplit('-').next().unwrap();
+        assert!(
+            streamed.iter().any(|c| c == checksum),
+            "{name} vs {streamed:?}"
+        );
+        let (stdout, _, ok) = run(&["qtable", "dump", sidecar.to_str().unwrap()]);
+        assert!(ok, "{stdout}");
+        assert!(stdout.contains("quarantine sidecar"), "{stdout}");
+        assert!(stdout.contains("checksum ok"), "{stdout}");
+        assert!(stdout.contains("verdict: CORRUPT"), "{stdout}");
+        // validate refuses the same table with exit 2.
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_greensprint"))
+            .args(["qtable", "validate", sidecar.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2));
+    }
     std::fs::remove_file(plan).ok();
     std::fs::remove_dir_all(quarantine).ok();
 }
