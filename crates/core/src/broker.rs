@@ -14,12 +14,12 @@
 //!
 //! # Architecture
 //!
-//! Each rack runs the unmodified engine epoch loop on its own OS thread
-//! behind `catch_unwind`, stepping it one epoch per directive: the worker
-//! blocks on a directive (the epoch's applied load factor plus the site
-//! tick's supply override, staleness verdict and demotion), calls
-//! `EpochLoop::step`, and reports the settled record back. Once per epoch
-//! the broker:
+//! Each rack runs the unmodified engine experiment — its strategy loop
+//! beside its Normal floor — on its own OS thread behind `catch_unwind`,
+//! stepping it one epoch per directive: the worker blocks on a directive
+//! (the epoch's applied load factor plus the site tick's supply override,
+//! staleness verdict and demotion), calls `Experiment::step`, and reports
+//! the strategy loop's settled record back. Once per epoch the broker:
 //!
 //! 1. runs the site tick through its site hooks (serve's telemetry,
 //!    deadlines and heartbeat; a no-op for a batch `datacenter` run);
@@ -33,13 +33,17 @@
 //!    The resulting *applied* factor rides the directive, and both factors
 //!    land in the directive log;
 //! 4. collects the reports in rack-index order, restarting a dead worker
-//!    from its last captured [`LoopState`] (or ending the run, for a batch
-//!    datacenter), and audits the settled epoch with
+//!    from its last captured [`ExperimentState`] (or ending the run, for a
+//!    batch datacenter), and audits the settled epoch with
 //!    [`crate::audit::InvariantAuditor::check_site_epoch`].
 //!
+//! A worker that finishes the window judges its strategy loop against its
+//! floor, which ran the identical applied factors, supply and staleness
+//! (not the demotions: no ladder supervises Normal).
+//!
 //! A partitioned rack keeps running its held factor, which keeps it at or
-//! above the Normal floor (the Normal baseline replays the identical
-//! applied factors). After the link heals the rack stays pinned for
+//! above the Normal floor (the floor runs the identical applied factors).
+//! After the link heals the rack stays pinned for
 //! [`crate::engine::REJOIN_EPOCHS`] probationary epochs — mirroring the
 //! fleet's server-rejoin hysteresis — before fresh allocations resume.
 //!
@@ -49,8 +53,9 @@
 //! how many racks compute an epoch simultaneously (a counting gate), while
 //! every RNG draw and every aggregation happens on the broker thread in
 //! rack-index order. A [`SiteSnapshot`] captures the [`SiteState`] plus
-//! every rack's [`LoopState`] at the same epoch boundary, so a run killed
-//! mid-partition or mid-rack-outage resumes to a byte-identical result.
+//! every rack's [`ExperimentState`] at the same epoch boundary, so a run
+//! killed mid-partition or mid-rack-outage resumes to a byte-identical
+//! result, floor verdict included.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -61,15 +66,14 @@ use gs_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::audit::{InvariantAuditor, SiteFlows};
-use crate::checkpoint::{fingerprint, LoopState, SITE_SCHEMA};
+use crate::checkpoint::{fingerprint, ExperimentState, SITE_SCHEMA};
 use crate::datacenter::{DatacenterConfig, DatacenterOutcome};
 use crate::engine::{
-    check_state, judge, BurstOutcome, EngineConfig, EpochLoop, EpochRecord, MeasurementMode,
+    check_experiment, judge, BurstOutcome, EngineConfig, EpochRecord, Experiment, MeasurementMode,
     RunWindow, TickDirective, REJOIN_EPOCHS,
 };
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 use crate::fleet::EngineScratch;
-use crate::pmk::Strategy;
 use crate::serve::{ServeOptions, ServeSideState};
 use crate::supervisor::{backoff_ms, panic_message, RackHealth, RackSupervisor};
 
@@ -153,8 +157,7 @@ pub struct RackRouteStats {
 }
 
 /// One epoch's broker directive, logged so a restarted (or resumed) rack
-/// worker can deterministically replay the epochs it missed, and so the
-/// Normal baseline replays exactly what each rack ran.
+/// worker can deterministically replay the epochs it missed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DirectiveRow {
     /// Live supply override handed to every rack (None = trace).
@@ -183,8 +186,8 @@ impl DirectiveRow {
 }
 
 /// Every piece of mutable state the broker carries across epochs.
-/// Snapshotting it alongside each rack's [`LoopState`] and restoring both
-/// later continues the run byte-identically.
+/// Snapshotting it alongside each rack's [`ExperimentState`] and restoring
+/// both later continues the run byte-identically.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SiteState {
     /// The next epoch index to execute. Explicit rather than derived from
@@ -207,8 +210,13 @@ pub struct SiteState {
     pub restarts_used: Vec<u32>,
     /// Per-rack clean epochs left before a restarted worker is live again.
     pub probation_left: Vec<u32>,
-    /// The directive log from epoch 0, one row per executed epoch.
+    /// The directive log, one row per executed epoch from `rows_from`.
+    /// A run that keeps its history keeps every row (`rows_from` is 0);
+    /// one that does not keeps the rows a restart or re-admission can
+    /// replay, from the oldest rack capture, plus the last row.
     pub rows: Vec<DirectiveRow>,
+    /// The epoch of `rows[0]`.
+    pub rows_from: u64,
     /// Per-rack epochs spent partitioned.
     pub partition_epochs: Vec<usize>,
     /// Per-rack epochs spent degraded (partition + probation + lost
@@ -260,6 +268,7 @@ impl SiteState {
             restarts_used: vec![0; n],
             probation_left: vec![0; n],
             rows: Vec::new(),
+            rows_from: 0,
             partition_epochs: vec![0; n],
             degraded_epochs: vec![0; n],
             blackout_epochs: 0,
@@ -274,6 +283,31 @@ impl SiteState {
             racks_quarantined: 0,
             events: Vec::new(),
             site_audit_violations: Vec::new(),
+        }
+    }
+
+    /// Epoch `k`'s logged row, if it is still kept.
+    fn row_at(&self, k: u64) -> Option<&DirectiveRow> {
+        let i = k.checked_sub(self.rows_from)?;
+        self.rows.get(usize::try_from(i).ok()?)
+    }
+
+    /// Epoch `k`'s logged row, which every replay and audit of a kept epoch
+    /// reads.
+    fn row(&self, k: u64) -> &DirectiveRow {
+        self.row_at(k)
+            .unwrap_or_else(|| panic!("directive row {k} is not kept"))
+    }
+
+    /// Drop the rows before epoch `keep_from`, keeping the last row, whose
+    /// applied factors routing holds through a partition or a lost
+    /// directive. Only serve drops rows, and it has no site fault plan, so
+    /// no link delay ever reads a dropped one.
+    fn drop_rows_before(&mut self, keep_from: u64) {
+        let keep_from = keep_from.min(self.next_epoch.saturating_sub(1));
+        if keep_from > self.rows_from {
+            self.rows.drain(..(keep_from - self.rows_from) as usize);
+            self.rows_from = keep_from;
         }
     }
 
@@ -341,12 +375,9 @@ impl SiteState {
                     }
                 } else if let Some(d) = site.link_delay(k, r) {
                     self.stale_factor_epochs += 1;
-                    if k >= u64::from(d) {
-                        let row = (k - u64::from(d)) as usize;
-                        self.rows.get(row).map_or(1.0, |c| c.factors[r])
-                    } else {
-                        1.0
-                    }
+                    k.checked_sub(u64::from(d))
+                        .and_then(|j| self.row_at(j))
+                        .map_or(1.0, |c| c.factors[r])
                 } else {
                     computed[r]
                 }
@@ -357,7 +388,7 @@ impl SiteState {
 
 /// A resumable checkpoint of a site run — `datacenter` or `serve` —
 /// captured at an epoch boundary: the configuration, the broker's
-/// [`SiteState`], and every rack's engine [`LoopState`]. Serve snapshots
+/// [`SiteState`], and every rack's [`ExperimentState`]. Serve snapshots
 /// also carry the daemon's options and its own counters, so `--resume`
 /// needs no other flag.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -370,9 +401,10 @@ pub struct SiteSnapshot {
     pub cfg: DatacenterConfig,
     /// The broker's state as of the snapshot epoch.
     pub site: SiteState,
-    /// Each rack's engine loop state, in rack order (`None` for a rack
-    /// quarantined before its first capture).
-    pub racks: Vec<Option<LoopState>>,
+    /// Each rack's experiment state — its strategy loop and its Normal
+    /// floor — in rack order (`None` for a rack quarantined before its
+    /// first capture).
+    pub racks: Vec<Option<ExperimentState>>,
     /// The serve daemon's deterministic options (`None` for `datacenter`).
     pub options: Option<ServeOptions>,
     /// The serve daemon's own counters and feed cursor (`None` for
@@ -417,10 +449,12 @@ impl SiteSnapshot {
 
     /// The resume validator: schema and fingerprint match this build, the
     /// configuration is valid, every per-rack vector has one entry per
-    /// configured rack, the directive log covers exactly the executed
-    /// epochs, and every live rack's state sits at the resume epoch and
-    /// fits its rack (the engine's loop-state check). A snapshot that
-    /// passes cannot index out of bounds on resume.
+    /// configured rack, the directive log ends at the last executed epoch
+    /// and starts at or before every rack's capture (at epoch 0 for a
+    /// datacenter, which reports every row), and every live rack's
+    /// experiment sits at the resume epoch and fits its rack (the engine's
+    /// experiment check: both loops, and the floor at the same epoch). A
+    /// snapshot that passes cannot index out of bounds on resume.
     pub fn validate(&self) -> Result<(), String> {
         if self.schema != SITE_SCHEMA {
             return Err(format!(
@@ -456,11 +490,22 @@ impl SiteSnapshot {
                 ));
             }
         }
-        if st.rows.len() as u64 != st.next_epoch {
+        // A datacenter reports every row; serve keeps its history nowhere.
+        let history = self.options.is_none();
+        if st.rows_from + st.rows.len() as u64 != st.next_epoch || (history && st.rows_from != 0) {
             return Err(format!(
-                "snapshot directive log has {} rows but resumes at epoch {}",
+                "snapshot directive log has {} rows from epoch {} but resumes at epoch {}",
                 st.rows.len(),
+                st.rows_from,
                 st.next_epoch
+            ));
+        }
+        if let Some(r) =
+            (0..n).find(|&r| self.racks[r].as_ref().map_or(0, |s| s.main.next_epoch) < st.rows_from)
+        {
+            return Err(format!(
+                "snapshot directive log starts at epoch {} after rack {r}'s capture",
+                st.rows_from
             ));
         }
         if let Some(k) = st
@@ -481,14 +526,14 @@ impl SiteSnapshot {
             if st.health[r] == RackHealth::Quarantined {
                 continue;
             }
-            let Some(s) = s.as_ref().filter(|s| s.next_epoch == st.next_epoch) else {
+            let Some(s) = s.as_ref().filter(|s| s.main.next_epoch == st.next_epoch) else {
                 return Err(format!(
                     "rack {r} state is not aligned with the snapshot epoch {}",
                     st.next_epoch
                 ));
             };
             let cfg = rack_engine_config(&self.cfg, r);
-            check_state(s, &cfg, cfg.strategy, n_epochs).map_err(|e| format!("rack {r} {e}"))?;
+            check_experiment(s, &cfg, n_epochs, history).map_err(|e| format!("rack {r} {e}"))?;
         }
         match (&self.options, &self.serve) {
             (None, None) => Ok(()),
@@ -697,8 +742,8 @@ struct WorkerDirective {
 
 /// What a rack worker sends back on its message channel.
 enum WorkerMsg {
-    /// A boundary (or drain) [`LoopState`] capture.
-    Snapshot(Box<LoopState>),
+    /// A boundary (or drain) [`ExperimentState`] capture.
+    Snapshot(Box<ExperimentState>),
     /// The epoch settled: its record plus the applied settings.
     Report(Box<EpochRecord>, Vec<ServerSetting>),
     /// The worker is dying with this panic payload.
@@ -708,28 +753,28 @@ enum WorkerMsg {
 /// A settled epoch's record and applied per-server settings for one rack.
 pub(crate) type RackReport = (EpochRecord, Vec<ServerSetting>);
 
-/// A finished rack worker: its strategy-run outcome and the scratch arena
-/// its baseline replay reuses.
-type WorkerResult = Option<(BurstOutcome, EngineScratch)>;
-
-/// The broker's handle on one rack worker thread.
+/// The broker's handle on one rack worker thread. The thread returns the
+/// rack's outcome — judged against its floor once the window finished,
+/// raw after a drain — or `None` if it died.
 struct RackWorker {
     dir_tx: mpsc::Sender<WorkerDirective>,
     msg_rx: mpsc::Receiver<WorkerMsg>,
-    handle: std::thread::JoinHandle<WorkerResult>,
+    handle: std::thread::JoinHandle<Option<BurstOutcome>>,
 }
 
-/// Spawn a rack worker: the rack's engine loop on its own thread behind
-/// `catch_unwind`, resuming from `resume` when given. Every epoch the
-/// worker waits for a directive, takes a gate permit, steps the loop and
-/// reports the settled record; captures ride the same channel, so the
-/// broker sees them in stream order. A panic anywhere inside becomes a
-/// [`WorkerMsg::Died`] on the message channel — the broker's recv loop is
-/// the only place deaths surface.
+/// Spawn a rack worker: the rack's engine experiment on its own thread
+/// behind `catch_unwind`, resuming from `resume` when given and keeping
+/// the strategy loop's history when `history`. Every epoch the worker
+/// waits for a directive, takes a gate permit, steps both loops and
+/// reports the strategy loop's settled record; captures ride the same
+/// channel, so the broker sees them in stream order. A panic anywhere
+/// inside becomes a [`WorkerMsg::Died`] on the message channel — the
+/// broker's recv loop is the only place deaths surface.
 fn spawn_worker(
     cfg: &EngineConfig,
-    resume: Option<LoopState>,
+    resume: Option<ExperimentState>,
     snapshot_every: u64,
+    history: bool,
     gate: &Arc<JobGate>,
 ) -> RackWorker {
     let (dir_tx, dir_rx) = mpsc::channel::<WorkerDirective>();
@@ -740,19 +785,20 @@ fn spawn_worker(
         let mut scratch = EngineScratch::new();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let window = RunWindow::burst(&cfg);
-            let mut lp = EpochLoop::new(&cfg, cfg.strategy, &window, &mut scratch);
+            let mut ex = Experiment::new(&cfg, &window, history, &mut scratch);
             if let Some(state) = resume {
-                lp = lp
+                ex = ex
                     .resume(state)
                     .unwrap_or_else(|e| panic!("unresumable rack state: {e}"));
             }
-            let start = lp.next_epoch();
-            while !lp.done() {
+            let start = ex.next_epoch();
+            let mut drained = false;
+            while !ex.done() {
                 // The boundary capture goes out before the worker waits for
                 // epoch k's directive; the resume boundary is not re-sent.
-                let k = lp.next_epoch();
+                let k = ex.next_epoch();
                 if snapshot_every > 0 && k > start && k.is_multiple_of(snapshot_every) {
-                    let _ = msg_tx.send(WorkerMsg::Snapshot(Box::new(lp.snapshot())));
+                    let _ = msg_tx.send(WorkerMsg::Snapshot(Box::new(ex.snapshot())));
                 }
                 // A vanished broker (its run ended in error) leaves the
                 // worker nothing to do: unwind quietly, without the panic
@@ -764,21 +810,28 @@ fn spawn_worker(
                 if let Some(msg) = d.panic_with {
                     panic!("{msg}");
                 }
-                let rec = lp.step(&d.tick);
+                let rec = ex.step(&d.tick);
                 drop(permit);
-                let _ = msg_tx.send(WorkerMsg::Report(Box::new(rec), lp.settings().to_vec()));
+                let _ = msg_tx.send(WorkerMsg::Report(Box::new(rec), ex.settings().to_vec()));
                 if d.last {
                     // Graceful drain: capture the would-be-next state
                     // exactly as the next boundary would, so a restart
                     // resumes with the next unexecuted epoch.
-                    let _ = msg_tx.send(WorkerMsg::Snapshot(Box::new(lp.snapshot())));
+                    let _ = msg_tx.send(WorkerMsg::Snapshot(Box::new(ex.snapshot())));
+                    drained = true;
                     break;
                 }
             }
-            lp.finish().0
+            let (main, _, floor) = ex.finish();
+            // A drained run's truncated window has no comparable floor.
+            if drained {
+                main
+            } else {
+                judge(&cfg, main, floor)
+            }
         }));
         match result {
-            Ok(outcome) => Some((outcome, scratch)),
+            Ok(outcome) => Some(outcome),
             Err(p) => {
                 let _ = msg_tx.send(WorkerMsg::Died(panic_message(p.as_ref())));
                 None
@@ -808,10 +861,18 @@ fn directive_from_row(
 
 /// The per-epoch site work around the rack driver. Every method defaults
 /// to a no-op, which is a batch `datacenter` run: no site tick, a sim
-/// clock, no admin plane, and a rack death that ends the run. `serve`
-/// overrides them with its live telemetry, actuation, metrics, snapshot
-/// file and pacing.
+/// clock, no admin plane, a rack death that ends the run, and every
+/// epoch's history kept for the outcome. `serve` overrides them with its
+/// live telemetry, actuation, metrics, snapshot file and pacing.
 pub(crate) trait SiteHooks {
+    /// Whether the run keeps its per-epoch history: each rack's epoch
+    /// records and Monitor streams, and every directive row. A batch run
+    /// reports them. A run that keeps none holds each rack's scalars and
+    /// only the rows a restart or re-admission replays, so its state, and
+    /// each snapshot of it, stays the same size however long it runs.
+    fn keeps_history(&self) -> bool {
+        true
+    }
     /// Restarts each rack worker may consume before it is quarantined and
     /// its load rerouted. `None` (batch): any rack death ends the run with
     /// an error naming the rack.
@@ -855,8 +916,7 @@ pub(crate) trait SiteHooks {
     fn on_snapshot(&mut self, _snap: SiteSnapshot) {}
     /// Pace the tick before the next one starts.
     fn pace(&mut self) {}
-    /// The epoch loop is over and every worker joined (the floor replays
-    /// have not run yet).
+    /// The epoch loop is over and every worker joined.
     fn finish(&mut self) {}
 }
 
@@ -896,9 +956,11 @@ enum DeathPhase {
 struct Fleet {
     rack_cfgs: Vec<EngineConfig>,
     every: u64,
+    /// Whether the workers keep their strategy loops' history.
+    history: bool,
     gate: Arc<JobGate>,
     workers: Vec<Option<RackWorker>>,
-    rack_states: Vec<Option<LoopState>>,
+    rack_states: Vec<Option<ExperimentState>>,
     sup: RackSupervisor,
     st: SiteState,
     /// False for a batch run: exhausting the restart budget ends the run
@@ -912,7 +974,7 @@ struct Fleet {
 /// errors) and store it in `slot`. `Err` carries the death message.
 fn recv_capture(
     w: &RackWorker,
-    slot: &mut Option<LoopState>,
+    slot: &mut Option<ExperimentState>,
     r: usize,
     what: &str,
 ) -> Result<(), String> {
@@ -933,7 +995,7 @@ fn recv_capture(
 /// first in `slot`. `Err` carries the death message.
 fn recv_report(
     w: &RackWorker,
-    slot: &mut Option<LoopState>,
+    slot: &mut Option<ExperimentState>,
     r: usize,
     epoch: u64,
 ) -> Result<RackReport, String> {
@@ -965,11 +1027,14 @@ impl Fleet {
             &self.rack_cfgs[r],
             self.rack_states[r].clone(),
             self.every,
+            self.history,
             &self.gate,
         );
-        let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
+        let from = self.rack_states[r]
+            .as_ref()
+            .map_or(0, |s| s.main.next_epoch);
         for j in from..k {
-            let d = directive_from_row(&self.st.rows[j as usize], r, false, None);
+            let d = directive_from_row(self.st.row(j), r, false, None);
             w.dir_tx
                 .send(d)
                 .map_err(|_| format!("rack {r} worker exited during its epoch {j} replay"))?;
@@ -994,13 +1059,13 @@ impl Fleet {
             }
             DeathPhase::PreTick => {}
             DeathPhase::Tick { last } => {
-                let d = directive_from_row(&self.st.rows[k as usize], r, last, None);
+                let d = directive_from_row(self.st.row(k), r, last, None);
                 w.dir_tx.send(d).map_err(|_| {
                     format!("rack {r} worker exited before its re-sent epoch {k} directive")
                 })?;
             }
             DeathPhase::DrainCapture => {
-                let d = directive_from_row(&self.st.rows[k as usize], r, true, None);
+                let d = directive_from_row(self.st.row(k), r, true, None);
                 w.dir_tx.send(d).map_err(|_| {
                     format!("rack {r} worker exited before its re-sent drain directive")
                 })?;
@@ -1014,7 +1079,7 @@ impl Fleet {
     }
 
     /// A worker for rack `r` died at epoch `k`: classify the death,
-    /// restart from the rack's last captured [`LoopState`] within the
+    /// restart from the rack's last captured [`ExperimentState`] within the
     /// budget (deterministically replaying every epoch it missed), or
     /// quarantine it and zero its belief so the next factor computation
     /// reroutes its share to the survivors. A batch run has no budget and
@@ -1056,7 +1121,9 @@ impl Fleet {
                 return false;
             }
             self.st.rack_restarts += 1;
-            let from = self.rack_states[r].as_ref().map_or(0, |s| s.next_epoch);
+            let from = self.rack_states[r]
+                .as_ref()
+                .map_or(0, |s| s.main.next_epoch);
             self.st.events.push(format!(
                 "epoch {k}: rack {r} worker died ({msg}); restart {}/{} from snapshot epoch {from}",
                 self.sup.restarts_used[r], self.sup.max_restarts
@@ -1073,7 +1140,9 @@ impl Fleet {
 
     /// Collect every live rack's epoch-`k` boundary capture — or, at a
     /// drain, its final capture after epoch `k` — restarting a dead
-    /// worker (whose replay re-takes the capture) or quarantining it.
+    /// worker (whose replay re-takes the capture) or quarantining it. A
+    /// run without history then drops the directive rows no capture can
+    /// replay: those before the oldest (epoch 0 for a rack without one).
     fn collect_captures(&mut self, k: u64, phase: DeathPhase) {
         let what = match phase {
             DeathPhase::DrainCapture => "drain capture".to_string(),
@@ -1086,6 +1155,15 @@ impl Fleet {
             if let Err(m) = recv_capture(w, &mut self.rack_states[r], r, &what) {
                 let _ = self.handle_death(r, k, m, phase);
             }
+        }
+        if !self.history {
+            let oldest = self
+                .rack_states
+                .iter()
+                .map(|s| s.as_ref().map_or(0, |s| s.main.next_epoch))
+                .min()
+                .unwrap_or(0);
+            self.st.drop_rows_before(oldest);
         }
     }
 
@@ -1158,7 +1236,7 @@ impl Fleet {
             InvariantAuditor::with_violations(std::mem::take(&mut st.site_audit_violations));
         aud.check_site_epoch(&SiteFlows {
             epoch_index: k as usize,
-            factors: st.rows[k as usize].factors.clone(),
+            factors: st.row(k).factors.clone(),
             dark: (0..st.beliefs.len())
                 .map(|r| site.blackout_active(k, r) && !st.beliefs[r].stale)
                 .collect(),
@@ -1172,17 +1250,18 @@ impl Fleet {
 pub(crate) struct SiteRun {
     /// The final broker state (supervision ladder synced).
     pub(crate) st: SiteState,
-    /// Per-rack outcomes in rack order — judged against their Normal
-    /// replay unless the run drained; `None` for a quarantined rack.
+    /// Per-rack outcomes in rack order — judged against their Normal floor
+    /// unless the run drained; `None` for a quarantined rack.
     pub(crate) racks: Vec<Option<BurstOutcome>>,
     /// True if the run stopped at a drain boundary instead of finishing.
     pub(crate) drained: bool,
 }
 
-/// The rack driver: step every rack of `cfg` in lockstep from epoch 0 (or
-/// from `resume`'s state and rack captures) to the end of the window or
-/// a drain, then judge each rack against a Normal replay of its directive
-/// log. `jobs` bounds how many racks compute at once; `snapshot_every`
+/// The rack driver: step every rack of `cfg` — its strategy loop beside
+/// its Normal floor — in lockstep from epoch 0 (or from `resume`'s state
+/// and rack captures) to the end of the window, where each rack is judged
+/// against its floor, or to a drain. `jobs` bounds how many racks compute
+/// at once; `snapshot_every`
 /// (0 = never) is the boundary-capture cadence, which requires analytic
 /// measurement. `hooks` supply the per-epoch site work. See DESIGN.md
 /// §6e/§8b for the thread and ownership picture.
@@ -1190,7 +1269,7 @@ pub(crate) fn run_site(
     cfg: &DatacenterConfig,
     jobs: usize,
     snapshot_every: u64,
-    resume: Option<(SiteState, Vec<Option<LoopState>>)>,
+    resume: Option<(SiteState, Vec<Option<ExperimentState>>)>,
     hooks: &mut dyn SiteHooks,
 ) -> Result<SiteRun, String> {
     if snapshot_every > 0 && cfg.template.measurement != MeasurementMode::Analytic {
@@ -1223,16 +1302,25 @@ pub(crate) fn run_site(
         std::mem::take(&mut st.probation_left),
     );
     let gate = JobGate::new(jobs);
+    let history = hooks.keeps_history();
     let rack_cfgs: Vec<EngineConfig> = (0..n).map(|i| rack_engine_config(cfg, i)).collect();
     let workers = (0..n)
         .map(|r| {
-            (!sup.quarantined(r))
-                .then(|| spawn_worker(&rack_cfgs[r], rack_states[r].clone(), snapshot_every, &gate))
+            (!sup.quarantined(r)).then(|| {
+                spawn_worker(
+                    &rack_cfgs[r],
+                    rack_states[r].clone(),
+                    snapshot_every,
+                    history,
+                    &gate,
+                )
+            })
         })
         .collect();
     let mut fleet = Fleet {
         rack_cfgs,
         every: snapshot_every,
+        history,
         gate,
         workers,
         rack_states,
@@ -1254,7 +1342,7 @@ pub(crate) fn run_site(
     let mut drained = false;
     for k in start_k..n_epochs {
         hooks.begin_tick();
-        // Boundary: every live rack captured its LoopState at the top of
+        // Boundary: every live rack captured its experiment at the top of
         // epoch k; pair those captures with the broker's pre-epoch-k state.
         if snapshot_every > 0 && k > start_k && k % snapshot_every == 0 {
             fleet.collect_captures(k, DeathPhase::Boundary);
@@ -1290,8 +1378,8 @@ pub(crate) fn run_site(
         let last = hooks.drain_at(k);
 
         // Conserved routing from the last settled beliefs, through the
-        // control links, into the directive row every restart replay and
-        // the baseline replays reproduce.
+        // control links, into the directive row every restart replay
+        // reproduces.
         let factors = conserved_factors(&fleet.st.beliefs, &rack_servers, fleet.st.has_telemetry);
         if factors.iter().any(|&f| f <= REROUTE_EPS)
             && factors.iter().any(|&f| f > 1.0 + REROUTE_EPS)
@@ -1312,7 +1400,7 @@ pub(crate) fn run_site(
         // the restart replays it identically and the stream never forks.
         for (r, inject) in inject.into_iter().enumerate() {
             if let Some(w) = fleet.workers[r].as_ref() {
-                let d = directive_from_row(&fleet.st.rows[k as usize], r, last, inject);
+                let d = directive_from_row(fleet.st.row(k), r, last, inject);
                 // A send to a just-died worker surfaces at collection.
                 let _ = w.dir_tx.send(d);
             }
@@ -1325,7 +1413,7 @@ pub(crate) fn run_site(
 
         fleet.settle_beliefs(k, &reports, &site);
         fleet.audit(k, &site);
-        hooks.settled(k, &reports, &fleet.sup, &fleet.st.rows[k as usize]);
+        hooks.settled(k, &reports, &fleet.sup, fleet.st.row(k));
         fleet.st.next_epoch = k + 1;
         if last {
             fleet.collect_captures(k, DeathPhase::DrainCapture);
@@ -1342,7 +1430,7 @@ pub(crate) fn run_site(
     // Join the fleet for its outcomes (quarantined racks have none). A
     // failed run drops the directive senders first, releasing every
     // worker still waiting for its next epoch.
-    let outs: Vec<WorkerResult> = fleet
+    let racks: Vec<Option<BurstOutcome>> = fleet
         .workers
         .iter_mut()
         .map(|w| {
@@ -1357,76 +1445,10 @@ pub(crate) fn run_site(
         return Err(e);
     }
     fleet.sync_supervisor();
-    let racks = if drained {
-        // A drained run's truncated window has no comparable baseline.
-        outs.into_iter().map(|o| o.map(|(main, _)| main)).collect()
-    } else {
-        judge_racks(&fleet.rack_cfgs, &fleet.st.rows, outs, jobs)?
-    };
     Ok(SiteRun {
         st: fleet.st,
         racks,
         drained,
-    })
-}
-
-/// The floor judgment: replay each rack's directive log under
-/// `Strategy::Normal` — in parallel, bounded by `jobs`, each replay
-/// reusing its rack's strategy-pass scratch (and so its analytic cache) —
-/// and judge the strategy run against it. The replay steps a Normal loop
-/// once per row, with the row's applied load factor, supply override and
-/// staleness verdict (ladder demotions don't apply at the floor), so the
-/// judgment compares like-for-like. A Normal rack is its own baseline. A
-/// resumed run is judged like an uninterrupted one: each rack's
-/// [`LoopState`] and the directive log both cover the window from epoch 0.
-fn judge_racks(
-    rack_cfgs: &[EngineConfig],
-    rows: &[DirectiveRow],
-    outs: Vec<WorkerResult>,
-    jobs: usize,
-) -> Result<Vec<Option<BurstOutcome>>, String> {
-    let gate = JobGate::new(jobs);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = outs
-            .into_iter()
-            .enumerate()
-            .map(|(r, out)| {
-                let cfg = &rack_cfgs[r];
-                let gate = &gate;
-                scope.spawn(move || {
-                    let (main, mut scratch) = out?;
-                    if cfg.strategy == Strategy::Normal {
-                        return Some(judge(cfg, main, None));
-                    }
-                    let _permit = gate.acquire();
-                    let window = RunWindow::burst(cfg);
-                    let mut lp = EpochLoop::new(cfg, Strategy::Normal, &window, &mut scratch);
-                    for row in rows {
-                        lp.step(&TickDirective {
-                            demote: None,
-                            ..row.tick(r)
-                        });
-                    }
-                    Some(judge(cfg, main, Some(lp.finish().0)))
-                })
-            })
-            .collect();
-        let mut outs = Vec::with_capacity(handles.len());
-        let mut panics: Vec<String> = Vec::new();
-        for (r, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(out) => outs.push(out),
-                Err(p) => panics.push(format!(
-                    "rack {r} baseline panicked: {}",
-                    panic_message(p.as_ref())
-                )),
-            }
-        }
-        if panics.is_empty() {
-            Ok(outs)
-        } else {
-            Err(panics.join("; "))
-        }
     })
 }
 
@@ -1580,8 +1602,10 @@ pub fn resume_datacenter_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::LoopState;
     use crate::config::{AvailabilityLevel, GreenConfig};
     use crate::datacenter::{DatacenterConfig, RackSpec};
+    use crate::pmk::Strategy;
     use gs_workload::apps::Application;
 
     fn template() -> EngineConfig {
@@ -1902,9 +1926,9 @@ mod tests {
         good.validate().expect("a real snapshot validates");
         type Cut = fn(&mut SiteSnapshot);
         fn rack1(s: &mut SiteSnapshot) -> &mut LoopState {
-            s.racks[1].as_mut().expect("rack 1 is live")
+            &mut s.racks[1].as_mut().expect("rack 1 is live").main
         }
-        let cuts: [(&str, Cut); 19] = [
+        let cuts: [(&str, Cut); 21] = [
             ("racks", |s| {
                 s.racks.pop();
             }),
@@ -1959,11 +1983,27 @@ mod tests {
             ("rack epochs", |s| {
                 rack1(s).epochs.pop();
             }),
+            // The rack's Normal floor, one epoch behind its strategy loop.
+            ("rack Normal floor", |s| {
+                let rack = s.racks[1].as_mut().expect("rack 1 is live");
+                rack.baseline
+                    .as_mut()
+                    .expect("a Hybrid rack has a floor")
+                    .next_epoch -= 1;
+            }),
+            ("rack Normal floor", |s| {
+                s.racks[1].as_mut().expect("rack 1 is live").baseline = None;
+            }),
         ];
         for (name, cut) in cuts {
             let mut snap = good.clone();
             cut(&mut snap);
-            assert!(snap.validate().is_err(), "truncated {name} validated");
+            let err = snap
+                .validate()
+                .expect_err(&format!("truncated {name} validated"));
+            if name == "rack Normal floor" {
+                assert!(err.contains("Normal floor"), "{err}");
+            }
             let json = snap.to_json().unwrap();
             assert!(
                 SiteSnapshot::from_json(&json).is_err(),

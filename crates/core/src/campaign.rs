@@ -11,7 +11,8 @@
 
 use crate::checkpoint::{EngineSnapshot, SnapshotScope};
 use crate::engine::{
-    run_two_phase, BurstOutcome, EngineConfig, EngineError, MeasurementMode, RunWindow, SnapshotOut,
+    run_experiment, BurstOutcome, EngineConfig, EngineError, MeasurementMode, RunWindow,
+    SnapshotOut,
 };
 use crate::fleet::EngineScratch;
 use gs_cluster::{ServerSetting, NUM_FREQ_LEVELS};
@@ -77,7 +78,7 @@ impl CampaignConfig {
     }
 }
 
-/// Run a campaign: the configured strategy plus a Normal baseline over
+/// Run a campaign: the configured strategy plus a Normal floor over
 /// identical load and weather. Panics on an invalid configuration; see
 /// [`try_run_campaign`] for the reporting variant.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
@@ -92,14 +93,13 @@ pub fn try_run_campaign(cfg: &CampaignConfig) -> Result<CampaignOutcome, EngineE
 }
 
 /// As [`try_run_campaign`], reusing a caller-provided scratch arena
-/// across the strategy and baseline windows (sweep workers thread one
-/// arena through every task).
+/// (sweep workers thread one arena through every task).
 pub(crate) fn try_run_campaign_in(
     cfg: &CampaignConfig,
     scratch: &mut EngineScratch,
 ) -> Result<CampaignOutcome, EngineError> {
     cfg.validate()?;
-    run_phases(cfg, None, None, scratch)
+    run(cfg, None, None, scratch)
 }
 
 /// The campaign's deterministic load and sky, rebuilt from its seed — the
@@ -122,34 +122,35 @@ fn campaign_window(cfg: &CampaignConfig) -> RunWindow {
     }
 }
 
-/// The campaign's strategy run and its Normal baseline over one window,
+/// The campaign's strategy run beside its Normal floor over one window,
 /// fresh or resumed from `resume`, snapshotting through `out`.
-fn run_phases(
+fn run(
     cfg: &CampaignConfig,
     resume: Option<EngineSnapshot>,
     out: Option<&mut SnapshotOut<'_>>,
     scratch: &mut EngineScratch,
 ) -> Result<CampaignOutcome, EngineError> {
     let window = campaign_window(cfg);
-    let (main, normal) = run_two_phase(&cfg.engine, &window, true, resume, out, scratch)?;
-    let normal = normal.expect("a campaign always runs its baseline");
-    Ok(assemble_outcome(cfg, main.outcome, &normal))
+    let (main, _, floor) = run_experiment(&cfg.engine, &window, resume, out, scratch)?.finish();
+    Ok(assemble_outcome(cfg, main, floor))
 }
 
-/// Derive the campaign-level metrics from the finished strategy and
-/// Normal-baseline runs. The baseline's auditor findings fold into the
-/// strategy outcome — a physics violation in either run taints the result.
+/// Derive the campaign-level metrics from the finished strategy run and
+/// its Normal floor. A Normal campaign is its own floor: a second Normal
+/// run of the same days would be the identical run. The floor's auditor
+/// findings fold into the strategy outcome — a physics violation in
+/// either run taints the result.
 fn assemble_outcome(
     cfg: &CampaignConfig,
     mut run: BurstOutcome,
-    normal: &BurstOutcome,
+    floor: Option<BurstOutcome>,
 ) -> CampaignOutcome {
-    run.audit_violations.extend(
-        normal
-            .audit_violations
-            .iter()
-            .map(|v| format!("baseline: {v}")),
-    );
+    let (normal_rps, normal_violations) = match floor {
+        Some(f) => (f.mean_goodput_rps, f.audit_violations),
+        None => (run.mean_goodput_rps, run.audit_violations.clone()),
+    };
+    run.audit_violations
+        .extend(normal_violations.iter().map(|v| format!("baseline: {v}")));
     let epoch_hours = cfg.engine.epoch.as_hours_f64();
     let sprint_server_hours: f64 = run
         .epochs
@@ -162,8 +163,8 @@ fn assemble_outcome(
         .filter(|e| e.sprinting_servers > 0)
         .count() as f64
         * epoch_hours;
-    let goodput_vs_normal = if normal.mean_goodput_rps > 0.0 {
-        run.mean_goodput_rps / normal.mean_goodput_rps
+    let goodput_vs_normal = if normal_rps > 0.0 {
+        run.mean_goodput_rps / normal_rps
     } else {
         1.0
     };
@@ -183,10 +184,10 @@ fn campaign_fingerprint(cfg: &CampaignConfig) -> String {
     crate::checkpoint::config_fingerprint(&json)
 }
 
-/// As [`try_run_campaign`], emitting a resumable [`EngineSnapshot`] at
-/// every `every_epochs`-th epoch boundary (0 = never) of both the
-/// strategy and the Normal-baseline run. Requires analytic measurement
-/// (snapshots serialize the full controller state; DES state cannot).
+/// As [`try_run_campaign`], emitting a resumable [`EngineSnapshot`] of the
+/// strategy run and its Normal floor at every `every_epochs`-th epoch
+/// boundary (0 = never). Requires analytic measurement (snapshots
+/// serialize the full controller state; DES state cannot).
 pub fn try_run_campaign_with_snapshots(
     cfg: &CampaignConfig,
     every_epochs: u64,
@@ -230,13 +231,12 @@ fn resume_or_run(
         scope: SnapshotScope::Campaign(cfg.clone()),
         sink,
     };
-    run_phases(cfg, resume, Some(&mut out), &mut EngineScratch::new())
+    run(cfg, resume, Some(&mut out), &mut EngineScratch::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::RunPhase;
     use crate::config::GreenConfig;
     use crate::pmk::Strategy;
 
@@ -337,21 +337,13 @@ mod tests {
         let direct =
             try_run_campaign_with_snapshots(&cfg, 500, &mut |s| snaps.push(s.clone())).unwrap();
         assert_eq!(serde_json::to_string(&direct).unwrap(), want);
-        assert!(snaps.iter().any(|s| s.phase == RunPhase::Strategy));
-        assert!(snaps.iter().any(|s| s.phase == RunPhase::Baseline));
+        // 1,440 one-minute epochs: boundaries 500 and 1000, each holding
+        // the strategy run and its floor.
+        assert_eq!(snaps.len(), 2);
+        assert!(snaps.iter().all(|s| s.state.baseline.is_some()));
 
-        // Resume once from each phase, through the on-disk JSON form.
-        let picks = [
-            snaps
-                .iter()
-                .find(|s| s.phase == RunPhase::Strategy)
-                .unwrap(),
-            snaps
-                .iter()
-                .rfind(|s| s.phase == RunPhase::Baseline)
-                .unwrap(),
-        ];
-        for snap in picks {
+        // Resume from each, through the on-disk JSON form.
+        for snap in &snaps {
             let snap = EngineSnapshot::from_json(&snap.to_json()).unwrap();
             match crate::engine::resume_snapshot(snap, 0, &mut |_| {}).unwrap() {
                 crate::engine::ResumedRun::Campaign(out) => {

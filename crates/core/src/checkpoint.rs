@@ -12,25 +12,28 @@
 //!   reload tolerates exactly that: an unparseable *final* line is treated
 //!   as a truncated tail and dropped; garbage anywhere earlier is
 //!   corruption and a hard error.
-//! * **Snapshot** — the full serializable controller state of a running
-//!   engine window ([`LoopState`]: Monitor history, predictor EWMAs,
-//!   Q-table, battery state, fault cursor, RNG stream position, meters),
-//!   wrapped with enough context ([`EngineSnapshot`]) to resume the run
-//!   and finish with output byte-identical to the uninterrupted run. The
-//!   Q-table is stored as a [`QDelta`] from the table the run started
-//!   from, which resume rebuilds from the embedded configuration.
+//! * **Snapshot** — the full serializable state of a running experiment
+//!   ([`ExperimentState`]: the strategy run's [`LoopState`] — predictor
+//!   EWMAs, Q-table, battery state, fault cursor, RNG stream position,
+//!   meters, and the per-epoch history where a reader needs it — plus its
+//!   Normal floor's), wrapped with enough context ([`EngineSnapshot`]) to
+//!   resume the run and finish with output byte-identical to the
+//!   uninterrupted run. The Q-table is stored as a [`QDelta`] from the
+//!   table the run started from, which resume rebuilds from the embedded
+//!   configuration.
 //!
 //! Multi-rack runs (`datacenter`, `serve`) checkpoint one level up: a
 //! [`crate::broker::SiteSnapshot`] holds the broker's state plus one
-//! [`LoopState`] per rack, under its own schema tag, [`SITE_SCHEMA`].
+//! [`ExperimentState`] per rack, under its own schema tag, [`SITE_SCHEMA`].
 //!
-//! Snapshots embed a [`fingerprint`] of the crate version, a schema tag,
-//! and the originating configuration; resume refuses a snapshot whose
-//! fingerprint no longer matches, instead of silently continuing a run
-//! whose physics changed underneath it.
+//! Snapshots carry a schema tag and embed a [`fingerprint`] of the crate
+//! version, the schema and the originating configuration; resume refuses
+//! a snapshot of another schema or whose fingerprint no longer matches,
+//! instead of silently continuing a run whose physics changed underneath
+//! it.
 
 use crate::campaign::CampaignConfig;
-use crate::engine::{BurstOutcome, EngineConfig, EpochRecord};
+use crate::engine::{EngineConfig, EpochRecord};
 use crate::monitor::Monitor;
 use crate::pmk::ActuationWatchdog;
 use crate::predictor::{ClearSkyIndexedPredictor, Predictor};
@@ -46,17 +49,20 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
-/// Bump when the serialized shape of [`LoopState`] / [`JournalHeader`]
-/// changes incompatibly; old checkpoints then fail the fingerprint check
-/// instead of deserializing into nonsense. (`gs-ckpt-1` stored the full
-/// Q-table; `gs-ckpt-2` stores a [`QDelta`].)
-pub const CHECKPOINT_SCHEMA: &str = "gs-ckpt-2";
+/// Bump when the serialized shape of [`EngineSnapshot`] / [`LoopState`] /
+/// [`JournalHeader`] changes incompatibly; old checkpoints then fail the
+/// schema or fingerprint check instead of deserializing into nonsense.
+/// (`gs-ckpt-1` stored the full Q-table; `gs-ckpt-2` stored a [`QDelta`]
+/// and one run per snapshot, tagged with its phase; `gs-ckpt-3` stores
+/// both runs of the experiment and tags the snapshot itself.)
+pub const CHECKPOINT_SCHEMA: &str = "gs-ckpt-3";
 
 /// As [`CHECKPOINT_SCHEMA`], for site snapshots
-/// ([`crate::broker::SiteSnapshot`]: broker state + per-rack loop states,
-/// written by both `datacenter` and `serve`) — bumped when
-/// [`crate::broker::SiteState`] or [`LoopState`] changes incompatibly.
-pub const SITE_SCHEMA: &str = "gs-site-2";
+/// ([`crate::broker::SiteSnapshot`]: broker state + per-rack experiment
+/// states, written by both `datacenter` and `serve`) — bumped when
+/// [`crate::broker::SiteState`] or [`ExperimentState`] changes
+/// incompatibly.
+pub const SITE_SCHEMA: &str = "gs-site-3";
 
 /// FNV-1a over the given parts, rendered as a compact hex tag.
 pub fn fingerprint(parts: &[&str]) -> String {
@@ -170,10 +176,15 @@ pub struct LoopState {
     pub watchdog_clamped_epochs: usize,
     /// Energy meters.
     pub meter: PowerMeter,
-    /// Monitor observation streams.
+    /// Monitor observation streams (empty for a run that keeps no
+    /// history).
     pub monitor: Monitor,
-    /// Per-epoch records so far.
+    /// Per-epoch records so far (empty for a run that keeps no history).
     pub epochs: Vec<EpochRecord>,
+    /// Renewable energy produced so far (Wh): the physical supply times
+    /// the epoch length, summed epoch by epoch from `-0.0`, as a sum over
+    /// the epoch records would.
+    pub re_produced_wh: f64,
     /// Goodput accumulator.
     pub goodput_sum: f64,
     /// Offered-load accumulator.
@@ -208,26 +219,15 @@ pub struct LoopState {
     pub fleet_events: Vec<String>,
 }
 
-/// Which of the two runs inside an experiment the snapshot was taken in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RunPhase {
-    /// The strategy-under-test run.
-    Strategy,
-    /// The Normal-baseline run (the strategy run already finished).
-    Baseline,
-}
-
-/// The finished strategy run, carried inside baseline-phase snapshots so
-/// resume can still assemble the final normalized outcome.
+/// The state of one experiment at an epoch boundary: the strategy run
+/// and, for any strategy but Normal, the Normal floor it is judged
+/// against, both about to run the same epoch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MainCarry {
-    /// The strategy run's raw outcome (not yet normalized to Normal).
-    pub outcome: BurstOutcome,
-    /// The strategy run's Monitor streams (bursts carry them; campaigns
-    /// drop them).
-    pub monitor: Option<Monitor>,
-    /// The strategy run's exported policy, if any.
-    pub policy: Option<String>,
+pub struct ExperimentState {
+    /// The strategy-under-test run.
+    pub main: LoopState,
+    /// The Normal floor (`None` for a Normal strategy, which is its own).
+    pub baseline: Option<LoopState>,
 }
 
 /// What kind of experiment the snapshot belongs to, with its full
@@ -243,18 +243,36 @@ pub enum SnapshotScope {
 /// A resumable mid-run checkpoint of a burst or campaign experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineSnapshot {
+    /// Always [`CHECKPOINT_SCHEMA`].
+    pub schema: String,
     /// [`config_fingerprint`] of the embedded configuration at capture
     /// time; resume recomputes and compares.
     pub fingerprint: String,
     /// The experiment this snapshot belongs to.
     pub scope: SnapshotScope,
-    /// Which run inside the experiment was in flight.
-    pub phase: RunPhase,
-    /// The finished strategy run, when `phase` is [`RunPhase::Baseline`].
-    pub main_carry: Option<MainCarry>,
-    /// The captured loop state.
-    pub state: LoopState,
+    /// Both runs of the experiment at the captured boundary.
+    pub state: ExperimentState,
 }
+
+/// Why a file does not load as an [`EngineSnapshot`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The file is not an engine snapshot at all.
+    Foreign(String),
+    /// The file is an engine snapshot this build refuses: another schema,
+    /// or a field that fails its check.
+    Refused(String),
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::Foreign(m) | SnapshotError::Refused(m) => f.write_str(m),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 impl EngineSnapshot {
     /// Serialize to JSON.
@@ -262,9 +280,35 @@ impl EngineSnapshot {
         serde_json::to_string(self).expect("snapshot serializes")
     }
 
-    /// Parse a snapshot from JSON.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+    /// Parse a snapshot, checking its schema tag first. A file is an
+    /// engine snapshot when it carries a `gs-ckpt-*` schema tag, or has
+    /// the untagged shape of an older one (`scope` and `state`); any
+    /// other file is [`SnapshotError::Foreign`].
+    pub fn from_json(json: &str) -> Result<Self, SnapshotError> {
+        let value: serde_json::Value =
+            serde_json::from_str(json).map_err(|e| SnapshotError::Foreign(e.to_string()))?;
+        let refused = match value.get("schema").and_then(|s| s.as_str()) {
+            Some(CHECKPOINT_SCHEMA) => None,
+            Some(schema) if schema.starts_with("gs-ckpt-") => Some(format!(
+                "snapshot schema {schema:?} is not {CHECKPOINT_SCHEMA:?}; this build cannot \
+                 resume it"
+            )),
+            None if value.get("scope").is_some() && value.get("state").is_some() => Some(format!(
+                "snapshot has no schema tag: it was written in \"gs-ckpt-2\" or earlier, and \
+                 this build resumes only {CHECKPOINT_SCHEMA:?}"
+            )),
+            _ => {
+                return Err(SnapshotError::Foreign(format!(
+                    "no {CHECKPOINT_SCHEMA:?} schema tag"
+                )))
+            }
+        };
+        if let Some(m) = refused {
+            return Err(SnapshotError::Refused(m));
+        }
+        serde_json::from_value(value).map_err(|e| {
+            SnapshotError::Refused(format!("malformed {CHECKPOINT_SCHEMA:?} snapshot: {e}"))
+        })
     }
 
     /// The fingerprint the embedded configuration produces *now* — equal

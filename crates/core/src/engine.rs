@@ -14,10 +14,12 @@
 //! (no-sprint) run of the same burst.
 
 use crate::audit::{EpochFlows, InvariantAuditor};
-use crate::checkpoint::{EngineSnapshot, LoopState, MainCarry, RunPhase, SnapshotScope};
+use crate::checkpoint::{
+    EngineSnapshot, ExperimentState, LoopState, SnapshotScope, CHECKPOINT_SCHEMA,
+};
 use crate::config::{AvailabilityLevel, GreenConfig};
 use crate::faults::{ActiveFaults, FaultPlan};
-use crate::fleet::{AdmittedPerf, AnalyticCache, EngineScratch, FleetState, ServerPerf};
+use crate::fleet::{AdmittedPerf, AnalyticCache, EngineScratch, ServerPerf};
 use crate::guardrail::{
     ladder_for, EpochSignals, GuardrailAction, GuardrailConfig, GuardrailState, QuarantineRecord,
 };
@@ -450,8 +452,8 @@ impl Engine {
         &self.cfg
     }
 
-    /// Run the experiment: the strategy run plus a Normal-baseline run of
-    /// the same burst, returning the normalized outcome.
+    /// Run the experiment: the strategy run plus, stepped beside it, a
+    /// Normal floor of the same burst, returning the normalized outcome.
     pub fn run(self) -> BurstOutcome {
         self.run_with_monitor().0
     }
@@ -461,13 +463,13 @@ impl Engine {
     /// resetting the arena, so the outcome is byte-identical to
     /// [`Engine::run`] whatever the arena previously ran.
     pub fn run_with_scratch(self, scratch: &mut EngineScratch) -> BurstOutcome {
-        self.run_full_in(scratch).0
+        self.run_in(scratch, false).0
     }
 
     /// As [`Engine::run`], also returning the Monitor streams of the
     /// strategy run (paper Fig. 5).
     pub fn run_with_monitor(self) -> (BurstOutcome, Monitor) {
-        let (outcome, monitor, _) = self.run_full();
+        let (outcome, monitor, _) = self.run_in(&mut EngineScratch::new(), false);
         (outcome, monitor)
     }
 
@@ -476,18 +478,23 @@ impl Engine {
     /// from it — the paper's "we also continue to update the values in
     /// the lookup table" carried across sprints.
     pub fn run_full(self) -> (BurstOutcome, Monitor, Option<String>) {
-        let mut scratch = EngineScratch::new();
-        self.run_full_in(&mut scratch)
+        self.run_in(&mut EngineScratch::new(), true)
     }
 
-    fn run_full_in(self, scratch: &mut EngineScratch) -> (BurstOutcome, Monitor, Option<String>) {
-        run_burst(&self.cfg, None, None, scratch).expect("a fresh burst resumes no snapshot")
+    /// The fresh burst, exporting the learner's policy only when asked.
+    fn run_in(
+        self,
+        scratch: &mut EngineScratch,
+        export_policy: bool,
+    ) -> (BurstOutcome, Monitor, Option<String>) {
+        run_burst(&self.cfg, None, None, scratch, export_policy)
+            .expect("a fresh burst resumes no snapshot")
     }
 
     /// As [`Engine::run_full`], emitting a resumable [`EngineSnapshot`]
-    /// at every `every_epochs`-th epoch boundary (0 = never) of both the
-    /// strategy run and the Normal-baseline run. A run killed between two
-    /// snapshots can be continued from the last one with
+    /// of the strategy run and its Normal floor at every
+    /// `every_epochs`-th epoch boundary (0 = never). A run killed between
+    /// two snapshots can be continued from the last one with
     /// [`resume_snapshot`] and finishes with a byte-identical outcome.
     ///
     /// Snapshots capture the full controller state, which the DES
@@ -507,7 +514,13 @@ impl Engine {
             scope: SnapshotScope::Burst(self.cfg.clone()),
             sink,
         };
-        run_burst(&self.cfg, None, Some(&mut out), &mut EngineScratch::new())
+        run_burst(
+            &self.cfg,
+            None,
+            Some(&mut out),
+            &mut EngineScratch::new(),
+            true,
+        )
     }
 }
 
@@ -521,8 +534,8 @@ pub(crate) fn judge(
     let normal_mean = match baseline {
         None => outcome.mean_goodput_rps,
         Some(b) => {
-            // The baseline run audits too; its violations are just as much
-            // a physics regression as the strategy run's.
+            // The floor audits too; its violations are just as much a
+            // physics regression as the strategy run's.
             outcome
                 .audit_violations
                 .extend(b.audit_violations.iter().map(|v| format!("baseline: {v}")));
@@ -538,7 +551,7 @@ pub(crate) fn judge(
     // Graceful-degradation floor: even under faults, the sprint must
     // not end up below a Normal run of the same burst. The tolerance
     // absorbs analytic blend rounding (and, for DES, the different rng
-    // streams the strategy and baseline runs consume).
+    // streams the strategy run and its floor consume).
     let floor_tolerance = match cfg.measurement {
         MeasurementMode::Analytic => 0.99,
         MeasurementMode::Des => 0.95,
@@ -548,21 +561,21 @@ pub(crate) fn judge(
 }
 
 /// One burst experiment, fresh or resumed from `resume`: the strategy
-/// run, its Normal baseline (a Normal strategy is its own), and the
-/// judgment.
+/// run stepped beside its Normal floor, then the judgment. Returns the
+/// judged outcome, the strategy run's Monitor streams and, when
+/// `export_policy`, the learner's policy after the last epoch.
 fn run_burst(
     cfg: &EngineConfig,
     resume: Option<EngineSnapshot>,
     out: Option<&mut SnapshotOut<'_>>,
     scratch: &mut EngineScratch,
+    export_policy: bool,
 ) -> Result<(BurstOutcome, Monitor, Option<String>), EngineError> {
     let window = RunWindow::burst(cfg);
-    let baseline = cfg.strategy != Strategy::Normal;
-    let (main, baseline) = run_two_phase(cfg, &window, baseline, resume, out, scratch)?;
-    let monitor = main
-        .monitor
-        .expect("a burst's strategy run carries its monitor");
-    Ok((judge(cfg, main.outcome, baseline), monitor, main.policy))
+    let ex = run_experiment(cfg, &window, resume, out, scratch)?;
+    let policy = if export_policy { ex.policy() } else { None };
+    let (main, monitor, floor) = ex.finish();
+    Ok((judge(cfg, main, floor), monitor, policy))
 }
 
 /// The checkpoint fingerprint of a burst configuration.
@@ -584,7 +597,7 @@ pub enum ResumedRun {
         outcome: BurstOutcome,
         /// The strategy run's Monitor streams.
         monitor: Monitor,
-        /// The strategy run's exported policy, if any.
+        /// The learner's policy after the last epoch, if any.
         policy: Option<String>,
     },
     /// A resumed multi-day campaign.
@@ -630,23 +643,19 @@ fn resume_burst(
     if cfg.measurement != MeasurementMode::Analytic {
         return Err(EngineError::SnapshotRequiresAnalytic);
     }
-    if snap
-        .main_carry
-        .as_ref()
-        .is_some_and(|c| c.monitor.is_none())
-    {
-        return Err(EngineError::SnapshotMismatch(
-            "burst snapshot is missing the strategy run's monitor".to_string(),
-        ));
-    }
     let mut out = SnapshotOut {
         every: every_epochs,
         fingerprint: snap.fingerprint.clone(),
         scope: SnapshotScope::Burst(cfg.clone()),
         sink,
     };
-    let (outcome, monitor, policy) =
-        run_burst(&cfg, Some(snap), Some(&mut out), &mut EngineScratch::new())?;
+    let (outcome, monitor, policy) = run_burst(
+        &cfg,
+        Some(snap),
+        Some(&mut out),
+        &mut EngineScratch::new(),
+        true,
+    )?;
     Ok(ResumedRun::Burst {
         outcome,
         monitor,
@@ -654,7 +663,7 @@ fn resume_burst(
     })
 }
 
-/// Where a two-phase run's snapshots go: the cadence, the stamp every
+/// Where an experiment's snapshots go: the cadence, the stamp every
 /// snapshot carries, and the sink.
 pub(crate) struct SnapshotOut<'s> {
     /// Snapshot at every `every`-th epoch boundary (0 = never).
@@ -668,105 +677,49 @@ pub(crate) struct SnapshotOut<'s> {
 }
 
 impl SnapshotOut<'_> {
-    /// The finished strategy run as baseline-phase snapshots carry it:
-    /// whole for a burst, the outcome alone for a campaign.
-    fn carry_of(&self, main: &MainCarry) -> MainCarry {
-        match self.scope {
-            SnapshotScope::Burst(_) => main.clone(),
-            SnapshotScope::Campaign(_) => MainCarry {
-                outcome: main.outcome.clone(),
-                monitor: None,
-                policy: None,
-            },
-        }
-    }
-
-    fn emit(&mut self, phase: RunPhase, main_carry: Option<&MainCarry>, state: LoopState) {
+    fn emit(&mut self, state: ExperimentState) {
         (self.sink)(&EngineSnapshot {
+            schema: CHECKPOINT_SCHEMA.to_string(),
             fingerprint: self.fingerprint.clone(),
             scope: self.scope.clone(),
-            phase,
-            main_carry: main_carry.cloned(),
             state,
         });
     }
 }
 
-/// The two-phase experiment driver bursts and campaigns share: the
-/// configured strategy over `window`, then, when `baseline`, a Normal run
-/// of the same window. A `resume` snapshot picks the run up in whichever
-/// phase it was taken; `out` receives a snapshot at every cadence boundary
-/// of both phases. Returns the finished strategy run and the baseline.
-pub(crate) fn run_two_phase(
-    cfg: &EngineConfig,
-    window: &RunWindow,
-    baseline: bool,
+/// The experiment driver bursts and campaigns share: the configured
+/// strategy over `window` beside its Normal floor, fresh or picked up
+/// from `resume`, to the end of the window with no-op directives. `out`
+/// receives a snapshot at every cadence boundary after the one the run
+/// started from. Returns the experiment after its last epoch.
+pub(crate) fn run_experiment<'a>(
+    cfg: &'a EngineConfig,
+    window: &'a RunWindow,
     resume: Option<EngineSnapshot>,
     mut out: Option<&mut SnapshotOut<'_>>,
-    scratch: &mut EngineScratch,
-) -> Result<(MainCarry, Option<BurstOutcome>), EngineError> {
-    let (main, baseline_state) = match resume {
-        Some(snap) if snap.phase == RunPhase::Baseline => {
-            let main = snap.main_carry.ok_or_else(|| {
-                EngineError::SnapshotMismatch(
-                    "baseline-phase snapshot is missing the finished strategy run".to_string(),
-                )
-            })?;
-            (main, Some(snap.state))
-        }
-        resume => {
-            let mut lp = EpochLoop::new(cfg, cfg.strategy, window, scratch);
-            if let Some(snap) = resume {
-                lp = lp
-                    .resume(snap.state)
-                    .map_err(EngineError::SnapshotMismatch)?;
-            }
-            let (outcome, monitor, policy) =
-                drive(lp, RunPhase::Strategy, None, out.as_deref_mut());
-            let main = MainCarry {
-                outcome,
-                monitor: Some(monitor),
-                policy,
-            };
-            (main, None)
-        }
-    };
-    let baseline = if baseline {
-        let carry = out.as_ref().map(|o| o.carry_of(&main));
-        let mut lp = EpochLoop::new(cfg, Strategy::Normal, window, scratch);
-        if let Some(state) = baseline_state {
-            lp = lp.resume(state).map_err(EngineError::SnapshotMismatch)?;
-        }
-        Some(drive(lp, RunPhase::Baseline, carry.as_ref(), out).0)
-    } else {
-        None
-    };
-    Ok((main, baseline))
-}
-
-/// Step `lp` to the end of its window with no-op directives, handing `out`
-/// a snapshot at every cadence boundary after the one it started from.
-fn drive(
-    mut lp: EpochLoop<'_>,
-    phase: RunPhase,
-    carry: Option<&MainCarry>,
-    mut out: Option<&mut SnapshotOut<'_>>,
-) -> (BurstOutcome, Monitor, Option<String>) {
-    let start = lp.next_epoch();
+    scratch: &'a mut EngineScratch,
+) -> Result<Experiment<'a>, EngineError> {
+    let mut ex = Experiment::new(cfg, window, true, scratch);
+    if let Some(snap) = resume {
+        ex = ex
+            .resume(snap.state)
+            .map_err(EngineError::SnapshotMismatch)?;
+    }
+    let start = ex.next_epoch();
     let dir = TickDirective::default();
-    while !lp.done() {
+    while !ex.done() {
         // Capture at the epoch boundary: nothing of epoch k has happened
         // yet, so a resume from this state replays epoch k first. The
         // resume boundary itself is not re-captured (`k > start`).
-        let k = lp.next_epoch();
+        let k = ex.next_epoch();
         if let Some(out) = out.as_deref_mut() {
             if out.every > 0 && k > start && k.is_multiple_of(out.every) {
-                out.emit(phase, carry, lp.snapshot());
+                out.emit(ex.snapshot());
             }
         }
-        lp.step(&dir);
+        ex.step(&dir);
     }
-    lp.finish()
+    Ok(ex)
 }
 
 /// A simulation window: when it runs, which sky it sees, and the offered
@@ -843,13 +796,15 @@ fn pmk_for(cfg: &EngineConfig, strategy: Strategy, profiles: &ProfileTable) -> P
 /// matches the fault plan, the learner and the guardrail are present
 /// exactly when the run carries them (a pending learner update inside
 /// the table, the guardrail on the strategy's ladder), and the records
-/// and counters agree with the epoch it resumes at. A state that passes
+/// (one per executed epoch when the run keeps `history`, else none) and
+/// counters agree with the epoch it resumes at. A state that passes
 /// cannot index out of bounds in [`EpochLoop::step`].
 pub(crate) fn check_state(
     st: &LoopState,
     cfg: &EngineConfig,
     strategy: Strategy,
     n_epochs: u64,
+    history: bool,
 ) -> Result<(), String> {
     let n = cfg.green.green_servers;
     let thermals = if cfg.thermal == ThermalModel::Disabled {
@@ -914,9 +869,11 @@ pub(crate) fn check_state(
             ))
         }
     }
-    if st.epochs.len() as u64 != st.next_epoch || st.next_epoch > n_epochs {
+    let records = if history { st.next_epoch } else { 0 };
+    if st.epochs.len() as u64 != records || st.next_epoch > n_epochs {
         return Err(format!(
-            "loop state holds {} epoch records but resumes at epoch {} of {n_epochs}",
+            "loop state holds {} epoch records where {records} are kept, resuming at epoch {} \
+             of {n_epochs}",
             st.epochs.len(),
             st.next_epoch
         ));
@@ -930,6 +887,147 @@ pub(crate) fn check_state(
     Ok(())
 }
 
+/// Check that `st` is the state of an experiment of `cfg` over an
+/// `n_epochs`-epoch window: the strategy run passes [`check_state`]
+/// (keeping history when `history`), and the Normal floor is present
+/// exactly for a strategy other than Normal, passes [`check_state`] as a
+/// history-free Normal run, and is about to run the same epoch.
+pub(crate) fn check_experiment(
+    st: &ExperimentState,
+    cfg: &EngineConfig,
+    n_epochs: u64,
+    history: bool,
+) -> Result<(), String> {
+    check_state(&st.main, cfg, cfg.strategy, n_epochs, history)?;
+    let floored = cfg.strategy != Strategy::Normal;
+    match &st.baseline {
+        Some(b) if floored => {
+            check_state(b, cfg, Strategy::Normal, n_epochs, false)
+                .map_err(|e| format!("Normal floor {e}"))?;
+            if b.next_epoch != st.main.next_epoch {
+                return Err(format!(
+                    "Normal floor resumes at epoch {} but the strategy run at epoch {}",
+                    b.next_epoch, st.main.next_epoch
+                ));
+            }
+            Ok(())
+        }
+        None if !floored => Ok(()),
+        b => Err(format!(
+            "experiment state's Normal floor is {} for a {} run",
+            if b.is_some() { "unexpected" } else { "missing" },
+            cfg.strategy
+        )),
+    }
+}
+
+/// One experiment: the strategy run and, for any strategy but Normal, the
+/// Normal floor it is judged against, stepped in lockstep from one
+/// directive per epoch. The floor gets the directive without its
+/// demotion: no ladder supervises Normal.
+///
+/// Both loops borrow the one scratch arena in turn. Its analytic cache is
+/// pure in `(setting, admitted rate)`, so the floor hits the strategy
+/// run's solves and a hit returns the bits a solve would; nothing else in
+/// it outlives the step that wrote it. Each loop keeps its own rng
+/// (`seed ^ strategy_salt`) and DES simulators, so interleaving the two
+/// moves no bit of either.
+pub(crate) struct Experiment<'a> {
+    main: EpochLoop<'a>,
+    floor: Option<EpochLoop<'a>>,
+    scratch: &'a mut EngineScratch,
+}
+
+impl<'a> Experiment<'a> {
+    /// A fresh experiment of `cfg` over `window`, beginning by resetting
+    /// `scratch`. The strategy run keeps its per-epoch history (epoch
+    /// records and Monitor streams) when `history`; the floor's outcome is
+    /// read only for its mean goodput and audit, so it never keeps one.
+    pub(crate) fn new(
+        cfg: &'a EngineConfig,
+        window: &'a RunWindow,
+        history: bool,
+        scratch: &'a mut EngineScratch,
+    ) -> Self {
+        // Analytic measurements are pure in (app, setting, rps) on the
+        // application's cached table, so runs of the same application may
+        // share the scratch's cache.
+        scratch.begin_run(cfg.green.green_servers, Some(cfg.app));
+        Experiment {
+            main: EpochLoop::new(cfg, cfg.strategy, window, history),
+            floor: (cfg.strategy != Strategy::Normal)
+                .then(|| EpochLoop::new(cfg, Strategy::Normal, window, false)),
+            scratch,
+        }
+    }
+
+    /// Continue this fresh experiment from a snapshot's state instead: the
+    /// inverse of [`Experiment::snapshot`]. Refuses a state that does not
+    /// fit the experiment ([`check_experiment`]).
+    pub(crate) fn resume(mut self, state: ExperimentState) -> Result<Self, String> {
+        let main = &self.main;
+        check_experiment(&state, main.cfg, main.n_epochs, main.history)?;
+        self.main.install(state.main);
+        if let (Some(floor), Some(b)) = (self.floor.as_mut(), state.baseline) {
+            floor.install(b);
+        }
+        Ok(self)
+    }
+
+    /// The index of the next epoch [`Experiment::step`] runs.
+    pub(crate) fn next_epoch(&self) -> u64 {
+        self.main.st.next_epoch
+    }
+
+    /// Whether every epoch of the window has run.
+    pub(crate) fn done(&self) -> bool {
+        self.main.st.next_epoch >= self.main.n_epochs
+    }
+
+    /// The per-server settings the strategy run's last epoch applied.
+    pub(crate) fn settings(&self) -> &[ServerSetting] {
+        &self.main.st.prev_settings
+    }
+
+    /// Both loops' state at this epoch boundary.
+    pub(crate) fn snapshot(&self) -> ExperimentState {
+        ExperimentState {
+            main: self.main.snapshot(),
+            baseline: self.floor.as_ref().map(EpochLoop::snapshot),
+        }
+    }
+
+    /// Run the next epoch of both loops under `dir` and return the
+    /// strategy run's record.
+    pub(crate) fn step(&mut self, dir: &TickDirective) -> EpochRecord {
+        let rec = self.main.step(dir, self.scratch);
+        if let Some(floor) = self.floor.as_mut() {
+            let floor_dir = TickDirective {
+                supply_w: dir.supply_w,
+                telemetry_stale: dir.telemetry_stale,
+                demote: None,
+                load_factor: dir.load_factor,
+            };
+            floor.step(&floor_dir, self.scratch);
+        }
+        rec
+    }
+
+    /// The strategy run's learned policy as it stands (JSON), for a
+    /// caller that exports it after the last epoch.
+    pub(crate) fn policy(&self) -> Option<String> {
+        self.main.pmk.learner().map(QLearner::to_json)
+    }
+
+    /// End both runs: the strategy run's raw outcome (not yet judged) and
+    /// Monitor streams, and the floor's outcome (`None` for a Normal
+    /// strategy, which is its own).
+    pub(crate) fn finish(self) -> (BurstOutcome, Monitor, Option<BurstOutcome>) {
+        let (main, monitor) = self.main.finish();
+        (main, monitor, self.floor.map(|f| f.finish().0))
+    }
+}
+
 /// The scheduling-epoch loop of one run, advanced one epoch per
 /// [`EpochLoop::step`]: Monitor, Predictor, PSS and PMK, then measure,
 /// settle and observe (paper Fig. 3).
@@ -939,7 +1037,7 @@ pub(crate) fn check_state(
 /// learner's delta from the table it started from, and
 /// [`EpochLoop::resume`] installs one. Everything else here is fixed for
 /// the run, is rebuilt from the state (the controllers), or is scratch the
-/// next epoch overwrites.
+/// next epoch overwrites; the scratch arena is lent to each step.
 pub(crate) struct EpochLoop<'a> {
     cfg: &'a EngineConfig,
     strategy: Strategy,
@@ -952,6 +1050,9 @@ pub(crate) struct EpochLoop<'a> {
     n: usize,
     /// Epochs in the window.
     n_epochs: u64,
+    /// Whether the run keeps its per-epoch history: the epoch records
+    /// and the Monitor streams. Its outcome's scalars do not read them.
+    history: bool,
     /// The auditor's breaker cap: every server at Normal mode full-tilt
     /// plus every charger at its C-rate limit — fades only ever lower the
     /// real draw below the cap computed from the fresh specs.
@@ -985,9 +1086,6 @@ pub(crate) struct EpochLoop<'a> {
     /// Per-server request-level simulators; empty under analytic
     /// measurement, which is the only mode that snapshots.
     sims: Vec<ServerSim>,
-    /// The run's borrowed scratch arena, split into its two parts.
-    fleet: &'a mut FleetState,
-    analytic_cache: &'a mut AnalyticCache,
     st: LoopState,
 }
 
@@ -1039,21 +1137,17 @@ struct Epoch {
 
 impl<'a> EpochLoop<'a> {
     /// A fresh run of `strategy` over `window`, measured against the
-    /// application's process-wide profile table. The run begins by
-    /// resetting `scratch`.
+    /// application's process-wide profile table, keeping its per-epoch
+    /// history when `history`.
     pub(crate) fn new(
         cfg: &'a EngineConfig,
         strategy: Strategy,
         window: &'a RunWindow,
-        scratch: &'a mut EngineScratch,
+        history: bool,
     ) -> Self {
         let profiles = ProfileTable::cached(cfg.app);
         let app = cfg.app.profile();
         let n = cfg.green.green_servers;
-        // Analytic measurements are pure in (app, setting, rps) on the
-        // application's cached table, so runs of the same application may
-        // share the scratch's cache.
-        scratch.begin_run(n, Some(cfg.app));
         let mut rng = SimRng::seed_from_u64(cfg.seed ^ strategy_salt(strategy));
         // Forking the per-server DES streams is part of the pinned master rng
         // sequence whether or not the run is analytic; only DES mode pays to
@@ -1086,7 +1180,7 @@ impl<'a> EpochLoop<'a> {
                 });
         // Policy guardrail: shadow-score a certified fallback each epoch and
         // demote down the failover ladder when the active policy misbehaves.
-        // Normal has no ladder, so the baseline run is never supervised.
+        // Normal has no ladder, so the floor is never supervised.
         let guardrail = if cfg.guardrail.enabled {
             GuardrailState::new(strategy)
         } else {
@@ -1141,7 +1235,9 @@ impl<'a> EpochLoop<'a> {
             monitor: Monitor::new(),
             // Pre-sized (capacity only — none of it is serialized) so the
             // loop never reallocates it; the monitor likewise below.
-            epochs: Vec::with_capacity(n_epochs as usize),
+            epochs: Vec::with_capacity(if history { n_epochs as usize } else { 0 }),
+            // `-0.0`, the start value of a float `Sum`.
+            re_produced_wh: -0.0,
             goodput_sum: 0.0,
             offered_sum: 0.0,
             re_sum_w: 0.0,
@@ -1161,12 +1257,9 @@ impl<'a> EpochLoop<'a> {
             min_live_servers: n,
             fleet_events: Vec::new(),
         };
-        st.monitor.reserve_epochs(n, n_epochs as usize);
-        let EngineScratch {
-            fleet,
-            analytic_cache,
-            ..
-        } = scratch;
+        if history {
+            st.monitor.reserve_epochs(n, n_epochs as usize);
+        }
         EpochLoop {
             cfg,
             strategy,
@@ -1177,6 +1270,7 @@ impl<'a> EpochLoop<'a> {
             pv,
             n,
             n_epochs,
+            history,
             grid_cap_w,
             reads_latency,
             q_base,
@@ -1185,17 +1279,14 @@ impl<'a> EpochLoop<'a> {
             fallback_pmk: None,
             table_known_clean: false,
             sims,
-            fleet,
-            analytic_cache,
             st,
         }
     }
 
     /// Continue this fresh loop from a snapshot's state instead: the
-    /// inverse of [`EpochLoop::snapshot`]. Refuses a state that does not
-    /// fit the run ([`check_state`]).
-    pub(crate) fn resume(mut self, mut state: LoopState) -> Result<Self, String> {
-        check_state(&state, self.cfg, self.strategy, self.n_epochs)?;
+    /// inverse of [`EpochLoop::snapshot`]. The caller has checked that the
+    /// state fits the run ([`check_state`]).
+    fn install(&mut self, mut state: LoopState) {
         // The learner still holds `q_base`, the delta's base.
         if let (Some(delta), Some(l)) = (state.learner.take(), self.pmk.learner_mut()) {
             l.apply_delta(&delta);
@@ -1205,31 +1296,17 @@ impl<'a> EpochLoop<'a> {
             .as_ref()
             .filter(|g| g.level > 0)
             .map(|g| pmk_for(self.cfg, g.active_strategy(), self.profiles));
-        let left = (self.n_epochs - state.next_epoch) as usize;
-        state.epochs.reserve(left);
-        state.monitor.reserve_epochs(self.n, left);
+        if self.history {
+            let left = (self.n_epochs - state.next_epoch) as usize;
+            state.epochs.reserve(left);
+            state.monitor.reserve_epochs(self.n, left);
+        }
         self.st = state;
-        Ok(self)
-    }
-
-    /// The index of the next epoch [`EpochLoop::step`] runs.
-    pub(crate) fn next_epoch(&self) -> u64 {
-        self.st.next_epoch
-    }
-
-    /// Whether every epoch of the window has run.
-    pub(crate) fn done(&self) -> bool {
-        self.st.next_epoch >= self.n_epochs
-    }
-
-    /// The per-server settings the last epoch applied.
-    pub(crate) fn settings(&self) -> &[ServerSetting] {
-        &self.st.prev_settings
     }
 
     /// The loop's state at this epoch boundary: resuming from it replays
     /// the next epoch first and finishes byte-identically.
-    pub(crate) fn snapshot(&self) -> LoopState {
+    fn snapshot(&self) -> LoopState {
         let mut state = self.st.clone();
         state.learner = self
             .pmk
@@ -1239,27 +1316,28 @@ impl<'a> EpochLoop<'a> {
         state
     }
 
-    /// Run the next epoch under `dir` and return its record.
-    pub(crate) fn step(&mut self, dir: &TickDirective) -> EpochRecord {
+    /// Run the next epoch under `dir`, on the lent scratch arena `sc`, and
+    /// return its record.
+    fn step(&mut self, dir: &TickDirective, sc: &mut EngineScratch) -> EpochRecord {
         let k = self.st.next_epoch;
         debug_assert!(k < self.n_epochs, "stepped past the window");
         let t = self.window.start + SimDuration::from_micros(self.cfg.epoch.as_micros() * k);
         if let Some(reason) = &dir.demote {
             self.forced_demotion(k, reason);
         }
-        let mut e = self.faults_and_health(k, t, dir);
+        let mut e = self.faults_and_health(k, t, dir, sc);
         self.sense_and_predict(&mut e, dir);
-        self.battery_budgets(&e);
-        let case = self.decide(&mut e);
-        self.actuate(&e);
-        self.measure(&mut e);
-        self.settle(&mut e);
-        self.grid_recharge(&mut e);
-        self.audit(&e);
-        self.thermal(&e);
-        self.observe(&mut e);
-        self.learn_and_guard(&e);
-        self.record(&e, case)
+        self.battery_budgets(&e, sc);
+        let case = self.decide(&mut e, sc);
+        self.actuate(&e, sc);
+        self.measure(&mut e, sc);
+        self.settle(&mut e, sc);
+        self.grid_recharge(&mut e, sc);
+        self.audit(&e, sc);
+        self.thermal(&e, sc);
+        self.observe(&mut e, sc);
+        self.learn_and_guard(&e, sc);
+        self.record(&e, case, sc)
     }
 
     /// A driver-forced demotion (serve's `--overrun degrade`), applied
@@ -1283,11 +1361,17 @@ impl<'a> EpochLoop<'a> {
     /// Faults and fleet health: which injected faults are in force, what
     /// the bus physically delivers, and which servers are up and carry
     /// load.
-    fn faults_and_health(&mut self, k: u64, t: SimTime, dir: &TickDirective) -> Epoch {
+    fn faults_and_health(
+        &mut self,
+        k: u64,
+        t: SimTime,
+        dir: &TickDirective,
+        sc: &mut EngineScratch,
+    ) -> Epoch {
         let cfg = self.cfg;
         let n = self.n;
         let st = &mut self.st;
-        let fleet = &mut self.fleet;
+        let fleet = &mut sc.fleet;
         let end = self.window.start + self.window.duration;
         let remaining = (end - t).min(SimDuration::from_mins(60));
         let faults = cfg
@@ -1433,7 +1517,7 @@ impl<'a> EpochLoop<'a> {
         // the nominal stream, so routing-free runs stay byte-identical).
         let route_factor = dir.load_factor.map(|f| f.max(0.0));
         e.offered = (self.window.offered_rps)(e.t) * route_factor.unwrap_or(1.0);
-        if let Some(f) = route_factor {
+        if let Some(f) = route_factor.filter(|_| self.history) {
             st.monitor.record_route(e.t, f);
         }
 
@@ -1469,10 +1553,10 @@ impl<'a> EpochLoop<'a> {
 
     /// Battery budgets: what each pack can sustain for this epoch, over
     /// the planning horizon, and over the rest of the window.
-    fn battery_budgets(&mut self, e: &Epoch) {
+    fn battery_budgets(&mut self, e: &Epoch, sc: &mut EngineScratch) {
         let cfg = self.cfg;
         let batteries = &self.st.batteries;
-        let fleet = &mut self.fleet;
+        let fleet = &mut sc.fleet;
         let horizon = e.remaining.min(cfg.planning_horizon).max(cfg.epoch);
         for (slot, b) in fleet.instant_w.iter_mut().zip(batteries) {
             *slot = b.as_ref().map_or(0.0, |b| {
@@ -1517,7 +1601,7 @@ impl<'a> EpochLoop<'a> {
     ///
     /// Greedy is uniform by definition ("simply activate all cores") and
     /// always splits the supply evenly. Returns the epoch's supply case.
-    fn decide(&mut self, e: &mut Epoch) -> SupplyCase {
+    fn decide(&mut self, e: &mut Epoch, sc: &mut EngineScratch) -> SupplyCase {
         let n = self.n;
         // A demoted ladder level plans as the strategy actually steering.
         let guard = self.st.guardrail.as_ref();
@@ -1541,7 +1625,7 @@ impl<'a> EpochLoop<'a> {
         // nor owe battery coverage. `plan_n == n` on a healthy fleet, so
         // the arithmetic (and its float bits) is unchanged there.
         let deficit_share = (full_sprint_w - re_mean_w / e.plan_n as f64).max(0.0);
-        let fleet = &self.fleet;
+        let fleet = &sc.fleet;
         let uniform_sustainable = deficit_share <= 1e-9
             || (0..n).all(|i| !fleet.live[i] || fleet.sustained_remaining_w[i] >= deficit_share);
         e.waterfall = planning && !uniform_sustainable;
@@ -1550,9 +1634,9 @@ impl<'a> EpochLoop<'a> {
         // planning-horizon sustainable power.
         e.use_instant = planning && uniform_sustainable;
 
-        self.fleet.begin_epoch();
+        sc.fleet.begin_epoch();
         let re_pred_w = e.re_pred_w;
-        self.plan_settings(e, re_pred_w);
+        self.plan_settings(e, re_pred_w, sc);
 
         // Rack-level PSS check against the *observed* renewable supply
         // (identical to the physical supply while telemetry is clean; the
@@ -1576,14 +1660,14 @@ impl<'a> EpochLoop<'a> {
                 })
             })
             .sum();
-        let mut plan = self.pss_plan(e, batt_accept);
+        let mut plan = self.pss_plan(e, batt_accept, sc);
         if plan.unmet_w > 1.0 {
             let re_believed_w = e.re_believed_w;
-            self.plan_settings(e, re_believed_w);
-            plan = self.pss_plan(e, batt_accept);
+            self.plan_settings(e, re_believed_w, sc);
+            plan = self.pss_plan(e, batt_accept, sc);
             if plan.unmet_w > 1.0 {
                 // Genuine power emergency: finish sprinting (paper §III-B).
-                for s in &mut self.fleet.settings {
+                for s in &mut sc.fleet.settings {
                     *s = ServerSetting::normal();
                 }
             }
@@ -1593,10 +1677,10 @@ impl<'a> EpochLoop<'a> {
 
     /// The steering controller's setting for every live server, planned
     /// against `re_plan_w` of renewable supply.
-    fn plan_settings(&mut self, e: &mut Epoch, re_plan_w: f64) {
+    fn plan_settings(&mut self, e: &mut Epoch, re_plan_w: f64, sc: &mut EngineScratch) {
         let profiles = self.profiles;
         let pmk = self.fallback_pmk.as_mut().unwrap_or(&mut self.pmk);
-        let fleet = &mut self.fleet;
+        let fleet = &mut sc.fleet;
         let st = &mut self.st;
         // Learner-free strategies decide as a pure function of (renewable
         // share, battery budgets, hysteresis incumbent) — everything else
@@ -1665,8 +1749,8 @@ impl<'a> EpochLoop<'a> {
     }
 
     /// The PSS plan for the sprinting servers' planned demand.
-    fn pss_plan(&self, e: &Epoch, batt_accept: f64) -> SupplyPlan {
-        let fleet = &self.fleet;
+    fn pss_plan(&self, e: &Epoch, batt_accept: f64, sc: &EngineScratch) -> SupplyPlan {
+        let fleet = &sc.fleet;
         let sprinting = || (0..self.n).filter(|&i| fleet.settings[i].is_sprinting());
         let demand: f64 = sprinting()
             .map(|i| {
@@ -1685,9 +1769,9 @@ impl<'a> EpochLoop<'a> {
     /// failure caps how many cores can come up (deactivation always works
     /// and Normal's cores are already active, so the effective cap never
     /// drops below Normal). A server at its junction limit cannot sprint.
-    fn actuate(&mut self, e: &Epoch) {
+    fn actuate(&mut self, e: &Epoch, sc: &mut EngineScratch) {
         let st = &mut self.st;
-        let fleet = &mut self.fleet;
+        let fleet = &mut sc.fleet;
         for i in 0..self.n {
             fleet.commanded[i] = if st.watchdog.is_clamped(i) {
                 ServerSetting::normal()
@@ -1738,7 +1822,7 @@ impl<'a> EpochLoop<'a> {
     /// servers (a shrunken fleet serves the same rack-level demand); the
     /// `live_count == n` guard keeps the healthy-fleet arithmetic
     /// bit-identical to the pre-fleet code path.
-    fn measure(&mut self, e: &mut Epoch) {
+    fn measure(&mut self, e: &mut Epoch, sc: &mut EngineScratch) {
         let cfg = self.cfg;
         let n = self.n;
         e.served_rps = if e.live_count == n || e.live_count == 0 {
@@ -1746,7 +1830,7 @@ impl<'a> EpochLoop<'a> {
         } else {
             e.offered * n as f64 / e.live_count as f64
         };
-        let (fleet, analytic_cache) = (&mut *self.fleet, &mut *self.analytic_cache);
+        let (fleet, analytic_cache) = (&mut sc.fleet, &mut sc.analytic_cache);
         // SoA walk over several parallel arrays; the index form is the
         // clearest way to touch them all in lockstep.
         #[allow(clippy::needless_range_loop)]
@@ -1812,12 +1896,12 @@ impl<'a> EpochLoop<'a> {
     /// Settle the actual energy flows: renewable and battery into the
     /// sprinting servers, the grid into the rest, and surplus renewable
     /// into the batteries or curtailment.
-    fn settle(&mut self, e: &mut Epoch) {
+    fn settle(&mut self, e: &mut Epoch, sc: &mut EngineScratch) {
         let cfg = self.cfg;
         let n = self.n;
         let epoch_hours = cfg.epoch.as_hours_f64();
         let st = &mut self.st;
-        let (fleet, analytic_cache) = (&mut *self.fleet, &mut *self.analytic_cache);
+        let (fleet, analytic_cache) = (&mut sc.fleet, &mut sc.analytic_cache);
         fleet.sprinting.clear();
         for i in 0..n {
             if fleet.settings[i].is_sprinting() {
@@ -1944,11 +2028,11 @@ impl<'a> EpochLoop<'a> {
     /// pending. Recharging *during* a burst would amortize grid energy
     /// into the sprint, exactly the budget overdraw the green bus exists
     /// to avoid.
-    fn grid_recharge(&mut self, e: &mut Epoch) {
+    fn grid_recharge(&mut self, e: &mut Epoch, sc: &EngineScratch) {
         let cfg = self.cfg;
         let epoch_hours = cfg.epoch.as_hours_f64();
         let st = &mut self.st;
-        let fleet = &self.fleet;
+        let fleet = &sc.fleet;
         let burst_pending = e.offered > self.profiles.get(ServerSetting::normal()).slo_capacity;
         for i in 0..self.n {
             let Some(b) = st.batteries[i].as_mut() else {
@@ -1975,7 +2059,7 @@ impl<'a> EpochLoop<'a> {
     }
 
     /// Audit the epoch's settled books before anything else runs.
-    fn audit(&mut self, e: &Epoch) {
+    fn audit(&mut self, e: &Epoch, sc: &mut EngineScratch) {
         if !self.cfg.audit {
             return;
         }
@@ -1983,7 +2067,7 @@ impl<'a> EpochLoop<'a> {
         let n = self.n;
         let epoch_hours = cfg.epoch.as_hours_f64();
         let st = &mut self.st;
-        let (fleet, analytic_cache) = (&mut *self.fleet, &mut *self.analytic_cache);
+        let (fleet, analytic_cache) = (&mut sc.fleet, &mut sc.analytic_cache);
         let grid_now = st.meter.energy_wh(Source::Grid);
         let curtailed_now = st.meter.curtailed_wh();
         fleet.socs.clear();
@@ -2066,10 +2150,10 @@ impl<'a> EpochLoop<'a> {
     /// that crosses the junction limit mid-epoch throttles to Normal for
     /// the remainder (hardware DVFS reacts in milliseconds) and the
     /// epoch's performance is blended accordingly.
-    fn thermal(&mut self, e: &Epoch) {
+    fn thermal(&mut self, e: &Epoch, sc: &mut EngineScratch) {
         let epoch = self.cfg.epoch;
         let st = &mut self.st;
-        let (fleet, analytic_cache) = (&mut *self.fleet, &mut *self.analytic_cache);
+        let (fleet, analytic_cache) = (&mut sc.fleet, &mut sc.analytic_cache);
         let mut any_thermal_throttle = false;
         for (i, pkg) in st.thermals.iter_mut().enumerate() {
             if !fleet.settings[i].is_sprinting() {
@@ -2115,27 +2199,30 @@ impl<'a> EpochLoop<'a> {
     /// last-good values during dropout, biased readings under meter faults
     /// — with quality flags saying which readings to trust. The
     /// EpochRecord keeps the physical values for energy audits.
-    fn observe(&mut self, e: &mut Epoch) {
+    fn observe(&mut self, e: &mut Epoch, sc: &EngineScratch) {
         let st = &mut self.st;
-        let fleet = &self.fleet;
+        let fleet = &sc.fleet;
         e.goodput = fleet.perfs.iter().map(|p| p.goodput_rps).sum();
         e.soc = mean_soc(&st.batteries);
-        let soc_reported = (e.soc * e.faults.soc_report_factor).min(1.0);
-        st.monitor.record_q(
-            e.t,
-            Observation {
-                re_supply_w: e.obs_w.unwrap_or(0.0),
-                demand_w: fleet.actual_power.iter().sum(),
-                battery_w: e.battery_w,
-                battery_soc: soc_reported,
-                goodput_rps: e.goodput,
-                offered_rps: e.offered,
-            },
-            ObservationQuality {
-                re_fresh: e.obs_w.is_some(),
-                soc_trusted: e.faults.soc_report_factor == 1.0,
-            },
-        );
+        if self.history {
+            let soc_reported = (e.soc * e.faults.soc_report_factor).min(1.0);
+            st.monitor.record_q(
+                e.t,
+                Observation {
+                    re_supply_w: e.obs_w.unwrap_or(0.0),
+                    demand_w: fleet.actual_power.iter().sum(),
+                    battery_w: e.battery_w,
+                    battery_soc: soc_reported,
+                    goodput_rps: e.goodput,
+                    offered_rps: e.offered,
+                },
+                ObservationQuality {
+                    re_fresh: e.obs_w.is_some(),
+                    soc_trusted: e.faults.soc_report_factor == 1.0,
+                },
+            );
+            st.monitor.record_fleet(e.t, &fleet.up);
+        }
         // The EWMA holds its last-good state through dropouts: only
         // verified readings are fed.
         if let Some(w) = e.obs_w {
@@ -2146,15 +2233,13 @@ impl<'a> EpochLoop<'a> {
         // The telemetry delay line advances every epoch; a reading lost to
         // a dropout stays lost (a delayed read of nothing is nothing).
         st.last_raw_obs_w = e.fresh_obs_w;
-
-        st.monitor.record_fleet(e.t, &fleet.up);
     }
 
     /// The learner's Bellman update and the guardrail's verdict, both
     /// graded with Algorithm 1's reward on the representative server. With
     /// the whole fleet down there is nothing to score and no detector has
     /// signal.
-    fn learn_and_guard(&mut self, e: &Epoch) {
+    fn learn_and_guard(&mut self, e: &Epoch, sc: &mut EngineScratch) {
         let EpochLoop {
             cfg,
             strategy,
@@ -2162,25 +2247,24 @@ impl<'a> EpochLoop<'a> {
             app,
             power_model,
             n,
+            history,
             q_base,
             pmk,
             shadow_pmk,
             fallback_pmk,
             table_known_clean,
-            fleet,
-            analytic_cache,
             st,
             ..
         } = self;
-        let (cfg, profiles, strategy, n) = (*cfg, *profiles, *strategy, *n);
-        let (app, power_model, fleet): (&AppProfile, &PowerModel, &FleetState) =
-            (app, power_model, fleet);
+        let (cfg, profiles, strategy, n, history) = (*cfg, *profiles, *strategy, *n, *history);
+        let (app, power_model): (&AppProfile, &PowerModel) = (app, power_model);
+        let (fleet, analytic_cache) = (&sc.fleet, &mut sc.analytic_cache);
         let Some(r0) = e.rep else {
             // Whole fleet down: drop any pending Bellman update (there is
             // no epoch to grade it against) and keep the ladder stream
             // continuous for the Monitor.
             st.pending_q = None;
-            if let Some(g) = st.guardrail.as_ref() {
+            if let Some(g) = st.guardrail.as_ref().filter(|_| history) {
                 st.monitor.record_ladder(e.t, g.level);
             }
             return;
@@ -2271,7 +2355,9 @@ impl<'a> EpochLoop<'a> {
                 !*table_known_clean || st.pending_q.is_some_and(|(s, _)| !s.in_range())
             })
         };
-        st.monitor.record_ladder(e.t, e.steering_level);
+        if history {
+            st.monitor.record_ladder(e.t, e.steering_level);
+        }
         let signals = EpochSignals {
             epoch_index: e.k,
             active_reward: active_reward(),
@@ -2334,11 +2420,12 @@ impl<'a> EpochLoop<'a> {
     }
 
     /// Record the epoch: knob transitions, the hysteresis incumbents for
-    /// the next epoch, the accumulators, and the epoch's record.
-    fn record(&mut self, e: &Epoch, case: SupplyCase) -> EpochRecord {
+    /// the next epoch, the accumulators, and the epoch's record (kept
+    /// only by a run that keeps its history).
+    fn record(&mut self, e: &Epoch, case: SupplyCase, sc: &EngineScratch) -> EpochRecord {
         let n = self.n;
         let st = &mut self.st;
-        let fleet = &self.fleet;
+        let fleet = &sc.fleet;
         for i in 0..n {
             if fleet.settings[i] != st.prev_settings[i] {
                 st.setting_transitions += 1;
@@ -2347,6 +2434,7 @@ impl<'a> EpochLoop<'a> {
         st.prev_settings.copy_from_slice(&fleet.settings);
         st.goodput_sum += e.goodput / n as f64;
         st.offered_sum += e.offered;
+        st.re_produced_wh += e.re_actual_w * self.cfg.epoch.as_hours_f64();
         let rec = EpochRecord {
             t: e.t,
             setting: e
@@ -2365,18 +2453,17 @@ impl<'a> EpochLoop<'a> {
             ladder_level: e.steering_level as u8,
             live_servers: e.live_count as u8,
         };
-        st.epochs.push(rec);
+        if self.history {
+            st.epochs.push(rec);
+        }
         st.next_epoch += 1;
         rec
     }
 
     /// End the run: recharge the batteries from the grid (paper case 3:
     /// "we charge the battery with grid power in anticipation of future
-    /// sprints") and assemble the outcome, the Monitor streams and the
-    /// learner's exported policy.
-    pub(crate) fn finish(self) -> (BurstOutcome, Monitor, Option<String>) {
-        let epoch_hours = self.cfg.epoch.as_hours_f64();
-        let policy = self.pmk.learner().map(QLearner::to_json);
+    /// sprints") and assemble the outcome and the Monitor streams.
+    fn finish(self) -> (BurstOutcome, Monitor) {
         let st = self.st;
         let mut grid_recharge_wh = st.in_burst_grid_recharge_wh;
         for b in st.batteries.iter().flatten() {
@@ -2386,7 +2473,7 @@ impl<'a> EpochLoop<'a> {
         // Completed-epoch count, not the window's nominal count: identical
         // (`== n_epochs`) for every run that finishes the window, and the
         // honest divisor for a drain-stopped serve run.
-        let completed = st.epochs.len().max(1) as u64;
+        let completed = st.next_epoch.max(1);
         let mean_goodput = st.goodput_sum / completed as f64;
         let (failover_epochs, ladder_level, quarantined_tables, guardrail_events) =
             match st.guardrail {
@@ -2414,8 +2501,7 @@ impl<'a> EpochLoop<'a> {
                 let used = st.meter.energy_wh(Source::Renewable);
                 let avail = used + st.meter.curtailed_wh();
                 // Anything produced, not used and not curtailed went to charge.
-                let produced: f64 = st.epochs.iter().map(|e| e.re_supply_w * epoch_hours).sum();
-                (produced - avail).max(0.0)
+                (st.re_produced_wh - avail).max(0.0)
             },
             curtailed_wh: st.meter.curtailed_wh(),
             battery_used_wh: st.meter.energy_wh(Source::Battery),
@@ -2446,7 +2532,7 @@ impl<'a> EpochLoop<'a> {
             fleet_events: st.fleet_events,
             epochs: st.epochs,
         };
-        (outcome, st.monitor, policy)
+        (outcome, st.monitor)
     }
 }
 
@@ -2610,7 +2696,7 @@ fn mean_soc(batteries: &[Option<Battery>]) -> f64 {
         / count as f64
 }
 
-/// Decorrelate the strategy run from the Normal baseline while keeping
+/// Decorrelate the strategy run from its Normal floor while keeping
 /// both reproducible from the master seed.
 fn strategy_salt(s: Strategy) -> u64 {
     match s {
@@ -3262,12 +3348,13 @@ mod tests {
         assert_eq!(json(&out), json(&want_out), "snapshotting changed the run");
         assert_eq!(json(&mon), json(&want_mon));
         assert_eq!(pol, want_pol);
-        assert!(snaps.iter().any(|s| s.phase == RunPhase::Strategy));
-        assert!(snaps.iter().any(|s| s.phase == RunPhase::Baseline));
+        // One boundary (epoch 7) of a ten-epoch burst, holding both the
+        // strategy run and its Normal floor.
+        assert_eq!(snaps.len(), 1);
+        assert!(snaps[0].state.baseline.is_some());
 
-        // Resume from every captured snapshot — strategy-phase and
-        // baseline-phase alike — through a JSON round trip (the on-disk
-        // checkpoint): all must converge on the same bytes.
+        // Resume from every captured snapshot through a JSON round trip
+        // (the on-disk checkpoint): all must converge on the same bytes.
         for snap in snaps {
             let snap = EngineSnapshot::from_json(&snap.to_json()).unwrap();
             match resume_snapshot(snap, 0, &mut |_| {}).unwrap() {
@@ -3361,14 +3448,14 @@ mod tests {
         Engine::new(cfg)
             .run_full_with_snapshots(2, &mut |s| snaps.push(s.clone()))
             .unwrap();
-        let strategy = snaps
-            .iter()
-            .find(|s| s.phase == RunPhase::Strategy)
-            .unwrap();
-        let baseline = snaps
-            .iter()
-            .find(|s| s.phase == RunPhase::Baseline)
-            .unwrap();
+        let good = &snaps[0];
+        let refused = |snap: EngineSnapshot, what: &str| {
+            let snap = EngineSnapshot::from_json(&snap.to_json()).unwrap();
+            match resume_snapshot(snap, 0, &mut |_| {}) {
+                Err(EngineError::SnapshotMismatch(m)) => assert!(m.contains(what), "{m}"),
+                other => panic!("{what} resumed: {other:?}"),
+            }
+        };
         type Cut = fn(&mut LoopState);
         let cuts: [(&str, Cut); 17] = [
             ("prev_settings", |s| {
@@ -3418,32 +3505,43 @@ mod tests {
             }),
         ];
         for (name, cut) in cuts {
-            for snap in [strategy, baseline] {
-                if snap.phase == RunPhase::Baseline && matches!(name, "learner" | "guardrail") {
-                    continue;
-                }
-                let mut snap = snap.clone();
-                cut(&mut snap.state);
-                let snap = EngineSnapshot::from_json(&snap.to_json()).unwrap();
-                match resume_snapshot(snap, 0, &mut |_| {}) {
-                    Err(EngineError::SnapshotMismatch(m)) => assert!(m.contains(name), "{m}"),
-                    other => panic!("cut {name} resumed: {other:?}"),
-                }
+            let mut snap = good.clone();
+            cut(&mut snap.state.main);
+            refused(snap, name);
+            // The floor keeps no epoch records, and carries neither a
+            // learner nor a guardrail to cut.
+            if !matches!(name, "learner" | "guardrail" | "epoch records") {
+                let mut snap = good.clone();
+                cut(snap.state.baseline.as_mut().unwrap());
+                refused(snap, name);
             }
         }
-        // A Normal baseline carries neither a learner nor a guardrail.
-        let mut snap = baseline.clone();
-        snap.state.learner = strategy.state.learner.clone();
-        assert!(matches!(
-            resume_snapshot(snap, 0, &mut |_| {}),
-            Err(EngineError::SnapshotMismatch(m)) if m.contains("learner")
-        ));
-        let mut snap = baseline.clone();
-        snap.state.guardrail = strategy.state.guardrail.clone();
-        assert!(matches!(
-            resume_snapshot(snap, 0, &mut |_| {}),
-            Err(EngineError::SnapshotMismatch(m)) if m.contains("guardrail")
-        ));
+        // A Normal floor carries neither a learner nor a guardrail, and no
+        // epoch records.
+        let main = &good.state.main;
+        for (name, add) in [
+            ("learner", main.learner.is_some()),
+            ("guardrail", main.guardrail.is_some()),
+            ("epoch records", !main.epochs.is_empty()),
+        ] {
+            assert!(add, "the strategy run carries {name}");
+            let mut snap = good.clone();
+            let floor = snap.state.baseline.as_mut().unwrap();
+            match name {
+                "learner" => floor.learner = main.learner.clone(),
+                "guardrail" => floor.guardrail = main.guardrail.clone(),
+                _ => floor.epochs = main.epochs.clone(),
+            }
+            refused(snap, name);
+        }
+        // The floor runs the same epoch as the strategy run, and exists
+        // exactly when the strategy is not Normal.
+        let mut snap = good.clone();
+        snap.state.baseline.as_mut().unwrap().next_epoch -= 1;
+        refused(snap, "Normal floor");
+        let mut snap = good.clone();
+        snap.state.baseline = None;
+        refused(snap, "Normal floor");
     }
 
     // ---- fault injection ----
@@ -4138,10 +4236,7 @@ mod tests {
         Engine::new(cfg)
             .run_full_with_snapshots(2, &mut |s| snaps.push(s.clone()))
             .unwrap();
-        let poisoned = snaps
-            .iter()
-            .filter(|s| s.phase == RunPhase::Strategy && s.state.next_epoch > 1)
-            .count();
+        let poisoned = snaps.iter().filter(|s| s.state.main.next_epoch > 1).count();
         assert!(poisoned >= 4, "{poisoned} snapshots after the poison");
         for snap in snaps {
             let snap = EngineSnapshot::from_json(&snap.to_json()).expect("snapshot parses");

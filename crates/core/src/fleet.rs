@@ -11,10 +11,12 @@
 //!
 //! [`EngineScratch`] wraps the fleet arrays together with the
 //! analytic-measurement cache into the arena a caller can thread through
-//! many runs (the sweep worker pool keeps one per worker; campaigns and
-//! the datacenter broker reuse one across a rack's strategy and baseline
-//! passes). Every run begins with `EngineScratch::begin_run`, which
-//! resets the fleet arrays and memo tables. The analytic cache survives
+//! many runs (the sweep worker pool keeps one per worker, the datacenter
+//! broker one per rack worker). An experiment lends it to its strategy
+//! loop and its Normal floor in turn each epoch: nothing in it outlives
+//! the step that wrote it except the analytic cache, whose entries are
+//! pure. Every run begins with `EngineScratch::begin_run`, which resets
+//! the fleet arrays and memo tables. The analytic cache survives
 //! into the next run only when both runs measure the same application
 //! against its process-wide cached profile table: its entries are then
 //! the same pure function of `(setting, admitted rps)` in both runs, so
@@ -243,9 +245,9 @@ impl FleetState {
 
 /// Reusable allocation arena for engine runs.
 ///
-/// One run uses one scratch exclusively; reusing the same scratch across
-/// sequential runs (a sweep worker's tasks, a campaign's strategy and
-/// baseline passes, the `bench` trajectory reps) skips the per-run
+/// One experiment uses one scratch exclusively, lending it to its two
+/// loops in turn; reusing the same scratch across sequential runs (a
+/// sweep worker's tasks, the `bench` trajectory reps) skips the per-run
 /// allocation and cache warm-up without affecting a single output byte.
 /// Dropping it between runs is always safe — it carries no result state.
 #[derive(Debug, Default)]

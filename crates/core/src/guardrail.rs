@@ -19,7 +19,7 @@
 //!   physical state and its strategies are rng-free, so runs with the
 //!   guardrail enabled remain byte-identical at any `--jobs` and across
 //!   checkpoint/resume.
-//! * **Detectors** ([`Guardrail::observe`]) — deterministic, streak-based:
+//! * **Detectors** ([`GuardrailState::observe`]) — deterministic, streak-based:
 //!   SLO-violation streaks the shadow would have avoided, reward
 //!   regression against the shadow, SoC depletion beyond the planned
 //!   sustainable budget, and Q-table corruption (NaN/inf cells, value
@@ -237,99 +237,13 @@ pub struct GuardrailState {
     pub shadow_prev: ServerSetting,
 }
 
-/// The policy-health supervisor: detectors plus the failover ladder.
-#[derive(Debug, Clone)]
-pub struct Guardrail {
-    cfg: GuardrailConfig,
-    state: GuardrailState,
-}
-
-impl Guardrail {
-    /// A guardrail supervising `active`; `None` when there is no ladder
-    /// (the Normal baseline).
-    pub fn new(cfg: GuardrailConfig, active: Strategy) -> Option<Self> {
-        Some(Guardrail {
-            cfg,
-            state: GuardrailState::new(active)?,
-        })
-    }
-
-    /// Rebuild from a snapshot's persisted state.
-    pub fn restore(cfg: GuardrailConfig, state: GuardrailState) -> Self {
-        Guardrail { cfg, state }
-    }
-
-    /// The persisted state (for snapshots and outcome counters).
-    pub fn state(&self) -> &GuardrailState {
-        &self.state
-    }
-
-    /// The configuration this guardrail runs.
-    pub fn config(&self) -> &GuardrailConfig {
-        &self.cfg
-    }
-
-    /// Current ladder level (0 = the configured strategy).
-    pub fn level(&self) -> usize {
-        self.state.level
-    }
-
-    /// The strategy steering at the current level.
-    pub fn active_strategy(&self) -> Strategy {
-        self.state.active_strategy()
-    }
-
-    /// The full ladder.
-    pub fn ladder(&self) -> &[Strategy] {
-        &self.state.ladder
-    }
-
-    /// The shadow controller's hysteresis incumbent.
-    pub fn shadow_prev(&self) -> ServerSetting {
-        self.state.shadow_prev
-    }
-
-    /// Update the shadow controller's hysteresis incumbent.
-    pub fn set_shadow_prev(&mut self, s: ServerSetting) {
-        self.state.shadow_prev = s;
-    }
-
-    /// Record a quarantined table (the engine owns serialization and the
-    /// sidecar write; `detail` carries the file path or write error).
-    pub fn note_quarantine(&mut self, epoch: u64, checksum: &str, detail: &str) {
-        self.state.note_quarantine(epoch, checksum, detail);
-    }
-
-    /// Demote one rung down the ladder for an externally detected reason
-    /// — serve mode's tick-deadline overruns under `--overrun degrade`
-    /// use this, where the signal (wall-clock or a disturbance plan, not
-    /// epoch telemetry) never flows through [`Guardrail::observe`].
-    ///
-    /// Bookkeeping mirrors an observe-driven demotion exactly: the clean
-    /// streak and detector streaks reset, peak level is tracked, and an
-    /// event line is recorded. Returns `true` if a rung remained to
-    /// demote to; at the Normal floor it records nothing and holds.
-    pub fn force_demote(&mut self, epoch_index: u64, reason: &str) -> bool {
-        self.state.force_demote(epoch_index, reason)
-    }
-
-    /// Feed one epoch's signals through the detectors and the ladder.
-    ///
-    /// Detector streaks are NaN-safe: a NaN reward or discharge never
-    /// *clears* a streak by accident because every comparison is phrased
-    /// so NaN counts as misbehavior where it plausibly is one.
-    pub fn observe(&mut self, sig: &EpochSignals) -> GuardrailAction {
-        self.state.observe(&self.cfg, sig)
-    }
-}
-
 /// The ladder and detectors themselves, on the bare state. The engine's
 /// epoch loop keeps the state inside its `LoopState` and calls these with
-/// the run's configuration; [`Guardrail`] pairs the two.
+/// the run's configuration.
 impl GuardrailState {
     /// The state of a fresh guardrail supervising `active`; `None` when
-    /// there is no ladder (the Normal baseline).
-    pub(crate) fn new(active: Strategy) -> Option<Self> {
+    /// there is no ladder (the Normal floor).
+    pub fn new(active: Strategy) -> Option<Self> {
         Some(GuardrailState {
             ladder: ladder_for(active)?,
             level: 0,
@@ -345,8 +259,8 @@ impl GuardrailState {
         })
     }
 
-    /// As [`Guardrail::active_strategy`].
-    pub(crate) fn active_strategy(&self) -> Strategy {
+    /// The strategy steering at the current level.
+    pub fn active_strategy(&self) -> Strategy {
         self.ladder[self.level]
     }
 
@@ -362,16 +276,25 @@ impl GuardrailState {
             .unwrap_or(self.ladder.len() - 1)
     }
 
-    /// As [`Guardrail::note_quarantine`].
-    pub(crate) fn note_quarantine(&mut self, epoch: u64, checksum: &str, detail: &str) {
+    /// Record a quarantined table (the engine owns serialization and the
+    /// sidecar write; `detail` carries the file path or write error).
+    pub fn note_quarantine(&mut self, epoch: u64, checksum: &str, detail: &str) {
         self.quarantined_tables += 1;
         self.events.push(format!(
             "epoch {epoch}: quarantined q-table {checksum}{detail}"
         ));
     }
 
-    /// As [`Guardrail::force_demote`].
-    pub(crate) fn force_demote(&mut self, epoch_index: u64, reason: &str) -> bool {
+    /// Demote one rung down the ladder for an externally detected reason
+    /// — serve mode's tick-deadline overruns under `--overrun degrade`
+    /// use this, where the signal (wall-clock or a disturbance plan, not
+    /// epoch telemetry) never flows through [`GuardrailState::observe`].
+    ///
+    /// Bookkeeping mirrors an observe-driven demotion exactly: the clean
+    /// streak and detector streaks reset, peak level is tracked, and an
+    /// event line is recorded. Returns `true` if a rung remained to
+    /// demote to; at the Normal floor it records nothing and holds.
+    pub fn force_demote(&mut self, epoch_index: u64, reason: &str) -> bool {
         self.clean_streak = 0;
         if self.level + 1 < self.ladder.len() {
             self.level += 1;
@@ -389,8 +312,13 @@ impl GuardrailState {
         }
     }
 
-    /// As [`Guardrail::observe`], under `cfg`.
-    pub(crate) fn observe(&mut self, cfg: &GuardrailConfig, sig: &EpochSignals) -> GuardrailAction {
+    /// Feed one epoch's signals through the detectors and the ladder,
+    /// under `cfg`.
+    ///
+    /// Detector streaks are NaN-safe: a NaN reward or discharge never
+    /// *clears* a streak by accident because every comparison is phrased
+    /// so NaN counts as misbehavior where it plausibly is one.
+    pub fn observe(&mut self, cfg: &GuardrailConfig, sig: &EpochSignals) -> GuardrailAction {
         // While the fleet is degraded (live_fraction < 1), the shadow
         // comparison loses meaning in both directions — the active policy
         // and the shadow both serve redistributed load on fewer servers,
@@ -643,60 +571,66 @@ mod tests {
             assert_eq!(unique.len(), ladder.len());
         }
         assert!(ladder_for(Strategy::Normal).is_none());
-        assert!(Guardrail::new(cfg(), Strategy::Normal).is_none());
+        assert!(GuardrailState::new(Strategy::Normal).is_none());
     }
 
     #[test]
     fn corruption_demotes_immediately_without_a_streak() {
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
-        let action = g.observe(&EpochSignals {
-            table_corrupt: true,
-            ..quiet(0)
-        });
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
+        let action = g.observe(
+            &cfg(),
+            &EpochSignals {
+                table_corrupt: true,
+                ..quiet(0)
+            },
+        );
         assert!(
             matches!(action, GuardrailAction::Demote { ref reason } if reason.contains("corruption"))
         );
-        assert_eq!(g.level(), 1);
+        assert_eq!(g.level, 1);
         assert_eq!(g.active_strategy(), Strategy::Parallel);
-        assert_eq!(g.state().failover_epochs, 1);
-        assert_eq!(g.state().peak_level, 1);
+        assert_eq!(g.failover_epochs, 1);
+        assert_eq!(g.peak_level, 1);
     }
 
     #[test]
     fn slo_streak_needs_the_full_streak_and_a_compliant_shadow() {
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         let bad = EpochSignals {
             active_slo_ok: false,
             shadow_slo_ok: true,
             ..quiet(0)
         };
-        assert_eq!(g.observe(&bad), GuardrailAction::Hold);
-        assert_eq!(g.observe(&bad), GuardrailAction::Hold);
+        assert_eq!(g.observe(&cfg(), &bad), GuardrailAction::Hold);
+        assert_eq!(g.observe(&cfg(), &bad), GuardrailAction::Hold);
         // A clean epoch resets the streak (trigger hysteresis).
-        assert_eq!(g.observe(&quiet(2)), GuardrailAction::Hold);
-        assert_eq!(g.state().slo_streak, 0);
-        assert_eq!(g.observe(&bad), GuardrailAction::Hold);
-        assert_eq!(g.observe(&bad), GuardrailAction::Hold);
-        assert!(matches!(g.observe(&bad), GuardrailAction::Demote { .. }));
-        assert_eq!(g.level(), 1);
+        assert_eq!(g.observe(&cfg(), &quiet(2)), GuardrailAction::Hold);
+        assert_eq!(g.slo_streak, 0);
+        assert_eq!(g.observe(&cfg(), &bad), GuardrailAction::Hold);
+        assert_eq!(g.observe(&cfg(), &bad), GuardrailAction::Hold);
+        assert!(matches!(
+            g.observe(&cfg(), &bad),
+            GuardrailAction::Demote { .. }
+        ));
+        assert_eq!(g.level, 1);
 
         // When the shadow *also* violates, the streak never arms — the
         // fallback would do no better, so failover buys nothing.
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         let both_bad = EpochSignals {
             active_slo_ok: false,
             shadow_slo_ok: false,
             ..quiet(0)
         };
         for _ in 0..10 {
-            assert_eq!(g.observe(&both_bad), GuardrailAction::Hold);
+            assert_eq!(g.observe(&cfg(), &both_bad), GuardrailAction::Hold);
         }
-        assert_eq!(g.level(), 0);
+        assert_eq!(g.level, 0);
     }
 
     #[test]
     fn reward_regression_respects_the_margin_and_catches_nan() {
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         // Within the margin: not a regression.
         let close = EpochSignals {
             active_reward: 2.0,
@@ -704,58 +638,58 @@ mod tests {
             ..quiet(0)
         };
         for _ in 0..10 {
-            assert_eq!(g.observe(&close), GuardrailAction::Hold);
+            assert_eq!(g.observe(&cfg(), &close), GuardrailAction::Hold);
         }
-        assert_eq!(g.state().reward_streak, 0);
+        assert_eq!(g.reward_streak, 0);
         // Beyond the margin for the full streak: demote.
         let regressed = EpochSignals {
             active_reward: 0.0,
             shadow_reward: 2.5,
             ..quiet(0)
         };
-        assert_eq!(g.observe(&regressed), GuardrailAction::Hold);
-        assert_eq!(g.observe(&regressed), GuardrailAction::Hold);
+        assert_eq!(g.observe(&cfg(), &regressed), GuardrailAction::Hold);
+        assert_eq!(g.observe(&cfg(), &regressed), GuardrailAction::Hold);
         assert!(matches!(
-            g.observe(&regressed),
+            g.observe(&cfg(), &regressed),
             GuardrailAction::Demote { .. }
         ));
 
         // NaN active reward counts as regressed, not as a tie.
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         let nan = EpochSignals {
             active_reward: f64::NAN,
             ..quiet(0)
         };
-        g.observe(&nan);
-        assert_eq!(g.state().reward_streak, 1);
+        g.observe(&cfg(), &nan);
+        assert_eq!(g.reward_streak, 1);
     }
 
     #[test]
     fn soc_divergence_is_absolute_and_streaked() {
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         let draining = EpochSignals {
             battery_discharge_w: 400.0,
             planned_battery_w: 100.0,
             ..quiet(0)
         };
-        assert_eq!(g.observe(&draining), GuardrailAction::Hold);
-        assert_eq!(g.observe(&draining), GuardrailAction::Hold);
+        assert_eq!(g.observe(&cfg(), &draining), GuardrailAction::Hold);
+        assert_eq!(g.observe(&cfg(), &draining), GuardrailAction::Hold);
         assert!(matches!(
-            g.observe(&draining),
+            g.observe(&cfg(), &draining),
             GuardrailAction::Demote { .. }
         ));
         // Discharge within factor × plan (+1 W slack) never arms.
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         let fine = EpochSignals {
             battery_discharge_w: 149.0,
             planned_battery_w: 100.0,
             ..quiet(0)
         };
         for _ in 0..10 {
-            g.observe(&fine);
+            g.observe(&cfg(), &fine);
         }
-        assert_eq!(g.state().soc_streak, 0);
-        assert_eq!(g.level(), 0);
+        assert_eq!(g.soc_streak, 0);
+        assert_eq!(g.level, 0);
     }
 
     #[test]
@@ -763,7 +697,7 @@ mod tests {
         // Capacity-driven SLO misses while servers are down must not
         // quarantine a healthy policy: comparative detectors disarm and
         // their streaks freeze for as long as live_fraction < 1.
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         let capacity_miss = EpochSignals {
             active_slo_ok: false,
             shadow_slo_ok: true,
@@ -773,11 +707,11 @@ mod tests {
             ..quiet(0)
         };
         for _ in 0..10 {
-            assert_eq!(g.observe(&capacity_miss), GuardrailAction::Hold);
+            assert_eq!(g.observe(&cfg(), &capacity_miss), GuardrailAction::Hold);
         }
-        assert_eq!(g.level(), 0);
-        assert_eq!(g.state().slo_streak, 0);
-        assert_eq!(g.state().reward_streak, 0);
+        assert_eq!(g.level, 0);
+        assert_eq!(g.slo_streak, 0);
+        assert_eq!(g.reward_streak, 0);
 
         // Freeze, not reset: two bad full-fleet epochs, one degraded
         // epoch in between, then a third bad epoch completes the streak.
@@ -786,47 +720,56 @@ mod tests {
             shadow_slo_ok: true,
             ..quiet(1)
         };
-        g.observe(&bad);
-        g.observe(&bad);
-        assert_eq!(g.state().slo_streak, 2);
+        g.observe(&cfg(), &bad);
+        g.observe(&cfg(), &bad);
+        assert_eq!(g.slo_streak, 2);
         assert_eq!(
-            g.observe(&EpochSignals {
-                live_fraction: 0.5,
-                ..bad
-            }),
+            g.observe(
+                &cfg(),
+                &EpochSignals {
+                    live_fraction: 0.5,
+                    ..bad
+                }
+            ),
             GuardrailAction::Hold
         );
-        assert_eq!(g.state().slo_streak, 2, "degraded epoch froze the streak");
-        assert!(matches!(g.observe(&bad), GuardrailAction::Demote { .. }));
+        assert_eq!(g.slo_streak, 2, "degraded epoch froze the streak");
+        assert!(matches!(
+            g.observe(&cfg(), &bad),
+            GuardrailAction::Demote { .. }
+        ));
 
         // Absolute detectors keep their authority at any fleet size:
         // corruption demotes immediately...
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         assert!(matches!(
-            g.observe(&EpochSignals {
-                table_corrupt: true,
-                live_fraction: 0.5,
-                ..quiet(0)
-            }),
+            g.observe(
+                &cfg(),
+                &EpochSignals {
+                    table_corrupt: true,
+                    live_fraction: 0.5,
+                    ..quiet(0)
+                }
+            ),
             GuardrailAction::Demote { .. }
         ));
         // ...and SoC overdraw still streaks to a demotion.
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         let draining = EpochSignals {
             battery_discharge_w: 400.0,
             planned_battery_w: 100.0,
             live_fraction: 0.5,
             ..quiet(0)
         };
-        g.observe(&draining);
-        g.observe(&draining);
+        g.observe(&cfg(), &draining);
+        g.observe(&cfg(), &draining);
         assert!(matches!(
-            g.observe(&draining),
+            g.observe(&cfg(), &draining),
             GuardrailAction::Demote { .. }
         ));
 
         // A NaN live_fraction is treated as degraded, never as healthy.
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
         let nan_fleet = EpochSignals {
             active_slo_ok: false,
             shadow_slo_ok: true,
@@ -834,48 +777,57 @@ mod tests {
             ..quiet(0)
         };
         for _ in 0..10 {
-            assert_eq!(g.observe(&nan_fleet), GuardrailAction::Hold);
+            assert_eq!(g.observe(&cfg(), &nan_fleet), GuardrailAction::Hold);
         }
-        assert_eq!(g.level(), 0);
+        assert_eq!(g.level, 0);
     }
 
     #[test]
     fn probation_holds_but_does_not_reset_while_the_fleet_is_degraded() {
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
-        g.observe(&EpochSignals {
-            table_corrupt: true,
-            ..quiet(0)
-        });
-        assert_eq!(g.level(), 1);
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
+        g.observe(
+            &cfg(),
+            &EpochSignals {
+                table_corrupt: true,
+                ..quiet(0)
+            },
+        );
+        assert_eq!(g.level, 1);
         for k in 1..=4 {
-            assert_eq!(g.observe(&quiet(k)), GuardrailAction::Hold);
+            assert_eq!(g.observe(&cfg(), &quiet(k)), GuardrailAction::Hold);
         }
-        assert_eq!(g.state().clean_streak, 4);
+        assert_eq!(g.clean_streak, 4);
         // Degraded epochs neither advance nor reset the probation clock.
         for k in 5..=8 {
             assert_eq!(
-                g.observe(&EpochSignals {
-                    live_fraction: 0.7,
-                    ..quiet(k)
-                }),
+                g.observe(
+                    &cfg(),
+                    &EpochSignals {
+                        live_fraction: 0.7,
+                        ..quiet(k)
+                    }
+                ),
                 GuardrailAction::Hold
             );
         }
-        assert_eq!(g.state().clean_streak, 4, "probation held, not reset");
+        assert_eq!(g.clean_streak, 4, "probation held, not reset");
         // Full-fleet clean epochs finish the window and promote.
-        assert_eq!(g.observe(&quiet(9)), GuardrailAction::Hold);
-        assert_eq!(g.observe(&quiet(10)), GuardrailAction::Promote);
-        assert_eq!(g.level(), 0);
+        assert_eq!(g.observe(&cfg(), &quiet(9)), GuardrailAction::Hold);
+        assert_eq!(g.observe(&cfg(), &quiet(10)), GuardrailAction::Promote);
+        assert_eq!(g.level, 0);
     }
 
     #[test]
     fn comparative_detectors_disarm_at_and_below_the_fallback_level() {
         // Demote twice: Hybrid -> Parallel -> Pacing (the fallback).
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
-        g.observe(&EpochSignals {
-            table_corrupt: true,
-            ..quiet(0)
-        });
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
+        g.observe(
+            &cfg(),
+            &EpochSignals {
+                table_corrupt: true,
+                ..quiet(0)
+            },
+        );
         let regressed = EpochSignals {
             active_reward: -5.0,
             shadow_reward: 2.5,
@@ -884,117 +836,135 @@ mod tests {
             ..quiet(1)
         };
         for _ in 0..3 {
-            g.observe(&regressed);
+            g.observe(&cfg(), &regressed);
         }
-        assert_eq!(g.level(), 2, "comparative detectors still arm at level 1");
+        assert_eq!(g.level, 2, "comparative detectors still arm at level 1");
         assert_eq!(g.active_strategy(), Strategy::Pacing);
         // At the fallback level the same signals are ignored: the active
         // controller IS the shadow, so "the shadow would win" is vacuous
         // and probation must be able to complete.
         for k in 0..20 {
-            let a = g.observe(&EpochSignals {
-                epoch_index: 10 + k,
-                ..regressed
-            });
+            let a = g.observe(
+                &cfg(),
+                &EpochSignals {
+                    epoch_index: 10 + k,
+                    ..regressed
+                },
+            );
             if a == GuardrailAction::Promote {
                 break;
             }
         }
         assert!(
-            g.level() <= 1,
+            g.level <= 1,
             "probation completed despite shadow-vs-active noise"
         );
     }
 
     #[test]
     fn probation_requires_consecutive_clean_epochs_then_promotes_one_rung() {
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
-        g.observe(&EpochSignals {
-            table_corrupt: true,
-            ..quiet(0)
-        });
-        assert_eq!(g.level(), 1);
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
+        g.observe(
+            &cfg(),
+            &EpochSignals {
+                table_corrupt: true,
+                ..quiet(0)
+            },
+        );
+        assert_eq!(g.level, 1);
         // 5 clean epochs, then a dirty one: streak resets.
         for k in 1..=5 {
-            assert_eq!(g.observe(&quiet(k)), GuardrailAction::Hold);
+            assert_eq!(g.observe(&cfg(), &quiet(k)), GuardrailAction::Hold);
         }
-        assert_eq!(g.state().clean_streak, 5);
-        g.observe(&EpochSignals {
-            battery_discharge_w: 500.0,
-            planned_battery_w: 10.0,
-            ..quiet(6)
-        });
-        assert_eq!(g.state().clean_streak, 0, "dirty epoch resets probation");
-        assert_eq!(g.level(), 1, "one dirty epoch is not a new streak");
+        assert_eq!(g.clean_streak, 5);
+        g.observe(
+            &cfg(),
+            &EpochSignals {
+                battery_discharge_w: 500.0,
+                planned_battery_w: 10.0,
+                ..quiet(6)
+            },
+        );
+        assert_eq!(g.clean_streak, 0, "dirty epoch resets probation");
+        assert_eq!(g.level, 1, "one dirty epoch is not a new streak");
         // A full clean probation window promotes exactly one rung.
         for k in 7..=11 {
-            assert_eq!(g.observe(&quiet(k)), GuardrailAction::Hold);
+            assert_eq!(g.observe(&cfg(), &quiet(k)), GuardrailAction::Hold);
         }
-        assert_eq!(g.observe(&quiet(12)), GuardrailAction::Promote);
-        assert_eq!(g.level(), 0);
+        assert_eq!(g.observe(&cfg(), &quiet(12)), GuardrailAction::Promote);
+        assert_eq!(g.level, 0);
         assert_eq!(g.active_strategy(), Strategy::Hybrid);
         // Peak level and failover accounting survive the recovery.
-        assert_eq!(g.state().peak_level, 1);
-        assert!(g.state().failover_epochs >= 12);
+        assert_eq!(g.peak_level, 1);
+        assert!(g.failover_epochs >= 12);
         // Back at level 0, clean epochs do not "promote" further.
-        assert_eq!(g.observe(&quiet(13)), GuardrailAction::Hold);
-        assert_eq!(g.level(), 0);
+        assert_eq!(g.observe(&cfg(), &quiet(13)), GuardrailAction::Hold);
+        assert_eq!(g.level, 0);
     }
 
     #[test]
     fn the_normal_floor_absorbs_triggers_without_further_demotion() {
-        let mut g = Guardrail::new(cfg(), Strategy::Pacing).unwrap();
-        assert_eq!(g.ladder(), [Strategy::Pacing, Strategy::Normal]);
-        g.observe(&EpochSignals {
-            battery_discharge_w: 1e4,
-            planned_battery_w: 0.0,
-            ..quiet(0)
-        });
-        g.observe(&EpochSignals {
-            battery_discharge_w: 1e4,
-            planned_battery_w: 0.0,
-            ..quiet(1)
-        });
-        let a = g.observe(&EpochSignals {
-            battery_discharge_w: 1e4,
-            planned_battery_w: 0.0,
-            ..quiet(2)
-        });
+        let mut g = GuardrailState::new(Strategy::Pacing).unwrap();
+        assert_eq!(g.ladder, [Strategy::Pacing, Strategy::Normal]);
+        g.observe(
+            &cfg(),
+            &EpochSignals {
+                battery_discharge_w: 1e4,
+                planned_battery_w: 0.0,
+                ..quiet(0)
+            },
+        );
+        g.observe(
+            &cfg(),
+            &EpochSignals {
+                battery_discharge_w: 1e4,
+                planned_battery_w: 0.0,
+                ..quiet(1)
+            },
+        );
+        let a = g.observe(
+            &cfg(),
+            &EpochSignals {
+                battery_discharge_w: 1e4,
+                planned_battery_w: 0.0,
+                ..quiet(2)
+            },
+        );
         assert!(matches!(a, GuardrailAction::Demote { .. }));
         assert_eq!(g.active_strategy(), Strategy::Normal);
         // Keep signalling SoC divergence at the floor: Hold, not panic.
         for k in 3..10 {
-            let a = g.observe(&EpochSignals {
-                battery_discharge_w: 1e4,
-                planned_battery_w: 0.0,
-                ..quiet(k)
-            });
-            assert_eq!(a, GuardrailAction::Hold);
-            assert_eq!(
-                g.state().clean_streak,
-                0,
-                "dirty floor epochs are not probation"
+            let a = g.observe(
+                &cfg(),
+                &EpochSignals {
+                    battery_discharge_w: 1e4,
+                    planned_battery_w: 0.0,
+                    ..quiet(k)
+                },
             );
+            assert_eq!(a, GuardrailAction::Hold);
+            assert_eq!(g.clean_streak, 0, "dirty floor epochs are not probation");
         }
-        assert_eq!(g.level(), 1);
+        assert_eq!(g.level, 1);
     }
 
     #[test]
     fn state_roundtrips_through_snapshot_serialization() {
-        let mut g = Guardrail::new(cfg(), Strategy::Hybrid).unwrap();
-        g.observe(&EpochSignals {
-            table_corrupt: true,
-            ..quiet(0)
-        });
+        let mut g = GuardrailState::new(Strategy::Hybrid).unwrap();
+        g.observe(
+            &cfg(),
+            &EpochSignals {
+                table_corrupt: true,
+                ..quiet(0)
+            },
+        );
         g.note_quarantine(0, "abc123", " -> /tmp/q.json");
-        g.set_shadow_prev(ServerSetting::max_sprint());
-        g.observe(&quiet(1));
-        let json = serde_json::to_string(g.state()).unwrap();
+        g.shadow_prev = ServerSetting::max_sprint();
+        g.observe(&cfg(), &quiet(1));
+        let json = serde_json::to_string(&g).unwrap();
         let restored: GuardrailState = serde_json::from_str(&json).unwrap();
-        assert_eq!(*g.state(), restored);
-        let g2 = Guardrail::restore(cfg(), restored);
-        assert_eq!(g2.level(), g.level());
-        assert_eq!(g2.shadow_prev(), ServerSetting::max_sprint());
+        assert_eq!(g, restored);
+        assert_eq!(restored.shadow_prev, ServerSetting::max_sprint());
     }
 
     #[test]

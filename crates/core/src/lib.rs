@@ -73,8 +73,9 @@ pub use campaign::{
     CampaignOutcome,
 };
 pub use checkpoint::{
-    config_fingerprint, fingerprint, points_digest, EngineSnapshot, Journal, JournalError,
-    JournalHeader, LoadedJournal, LoopState, MainCarry, RunPhase, SnapshotScope, SITE_SCHEMA,
+    config_fingerprint, fingerprint, points_digest, EngineSnapshot, ExperimentState, Journal,
+    JournalError, JournalHeader, LoadedJournal, LoopState, SnapshotError, SnapshotScope,
+    CHECKPOINT_SCHEMA, SITE_SCHEMA,
 };
 pub use cluster_view::{run_cluster, ClusterOutcome, GridSprintPolicy};
 pub use config::{AvailabilityLevel, GreenConfig};
@@ -86,8 +87,7 @@ pub use engine::{
 pub use faults::{ActiveFaults, FaultEvent, FaultKind, FaultPlan};
 pub use fleet::EngineScratch;
 pub use guardrail::{
-    ladder_for, EpochSignals, Guardrail, GuardrailAction, GuardrailConfig, GuardrailState,
-    QuarantineRecord,
+    ladder_for, EpochSignals, GuardrailAction, GuardrailConfig, GuardrailState, QuarantineRecord,
 };
 pub use monitor::Monitor;
 pub use net::{
@@ -121,7 +121,7 @@ pub mod prelude {
     pub use crate::campaign::{run_campaign, try_run_campaign, CampaignConfig, CampaignOutcome};
     pub use crate::checkpoint::{
         config_fingerprint, EngineSnapshot, Journal, JournalError, JournalHeader, LoadedJournal,
-        SITE_SCHEMA,
+        SnapshotError, CHECKPOINT_SCHEMA, SITE_SCHEMA,
     };
     pub use crate::config::{AvailabilityLevel, GreenConfig};
     pub use crate::datacenter::{run_datacenter, DatacenterConfig, DatacenterOutcome, RackSpec};
@@ -130,7 +130,7 @@ pub mod prelude {
         BurstOutcome, Engine, EngineConfig, EngineError, MeasurementMode, ThermalModel,
     };
     pub use crate::faults::{ActiveFaults, FaultEvent, FaultKind, FaultPlan};
-    pub use crate::guardrail::{Guardrail, GuardrailConfig, GuardrailState, QuarantineRecord};
+    pub use crate::guardrail::{GuardrailConfig, GuardrailState, QuarantineRecord};
     pub use crate::net::{
         admin_request, run_fault_plan, subscribe_collect, NetAddrs, NetConfig, NetFaultPlan,
         NetPlane, NetSummary, RackStat,

@@ -206,9 +206,9 @@ pub struct ServeOptions {
     /// Metrics buffer capacity in lines (drop-oldest beyond it).
     pub metrics_buffer: usize,
     /// Snapshot every N epochs (0 = only the drain snapshot). Per-rack
-    /// [`LoopState`](crate::checkpoint::LoopState) captures and
-    /// whole-daemon snapshots share this cadence so every checkpoint is
-    /// mutually consistent.
+    /// [`ExperimentState`](crate::checkpoint::ExperimentState) captures
+    /// and whole-daemon snapshots share this cadence so every checkpoint
+    /// is mutually consistent.
     pub snapshot_every: u64,
     /// Bounded retries per actuation failure.
     pub control_retries: u32,
@@ -241,9 +241,10 @@ impl Default for ServeOptions {
     }
 }
 
-/// Serve's own mutable state alongside the engine's
-/// [`LoopState`](crate::checkpoint::LoopState) — snapshotted with it so
-/// counters and the feed cursor survive a crash.
+/// Serve's own mutable state alongside the racks'
+/// [`ExperimentState`](crate::checkpoint::ExperimentState)s —
+/// snapshotted with them so counters and the feed cursor survive a
+/// crash.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 #[serde(default)]
 pub struct ServeSideState {
@@ -998,6 +999,12 @@ fn prepare_metrics_for_resume(path: &Path) -> Result<Option<u64>, ServeError> {
 // ---------------------------------------------------------------------------
 
 impl SiteHooks for ServeDriver {
+    /// The durable metrics stream holds the per-epoch history, and the
+    /// summary reads only each rack's scalars.
+    fn keeps_history(&self) -> bool {
+        false
+    }
+
     fn restart_budget(&self) -> Option<u32> {
         Some(self.opts.rack_restarts)
     }
@@ -1369,7 +1376,7 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         side,
     };
     // Every rack computes at once: the gate bounds nothing below the
-    // rack count, and the floor replays run in parallel too.
+    // rack count.
     let run = run_site(
         &site,
         n_racks,
@@ -1606,7 +1613,14 @@ mod tests {
         assert_eq!(snap.schema, SITE_SCHEMA);
         assert_eq!(snap.site.next_epoch, 1);
         assert_eq!(snap.racks.len(), 1);
-        assert_eq!(snap.racks[0].as_ref().expect("rack 0 state").next_epoch, 1);
+        assert_eq!(
+            snap.racks[0]
+                .as_ref()
+                .expect("rack 0 state")
+                .main
+                .next_epoch,
+            1
+        );
 
         // Every retired schema is rejected like any other.
         for schema in [
@@ -1632,15 +1646,24 @@ mod tests {
         ));
 
         // A datacenter snapshot of the same site is not a serve snapshot.
-        let mut batch = snap;
-        batch.options = None;
-        batch.serve = None;
-        let batch_json = batch.to_json().unwrap();
+        let mut batch = None;
+        crate::broker::run_datacenter_with_snapshots(&snap.cfg, 1, 1, &mut |s| {
+            batch.get_or_insert_with(|| s.clone());
+        })
+        .expect("the served site runs as a datacenter");
+        let batch_json = batch.expect("a boundary snapshot").to_json().unwrap();
         assert!(ServeSnapshot::from_json(&batch_json).is_ok());
         assert!(matches!(
             resume_error(&dir, &batch_json),
             ServeError::Snapshot(m) if m.contains("datacenter")
         ));
+        // Nor is a serve snapshot stripped of its daemon state: a
+        // datacenter's racks keep the history serve's do not.
+        let mut stripped = snap;
+        stripped.options = None;
+        stripped.serve = None;
+        assert!(ServeSnapshot::from_json(&stripped.to_json().unwrap())
+            .is_err_and(|m| m.contains("epoch records")));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1650,9 +1673,9 @@ mod tests {
         let good = ServeSnapshot::from_json(&drained_snapshot(&dir, 2, 3)).unwrap();
         type Cut = fn(&mut ServeSnapshot);
         fn rack1(s: &mut ServeSnapshot) -> &mut crate::checkpoint::LoopState {
-            s.racks[1].as_mut().expect("rack 1 is live")
+            &mut s.racks[1].as_mut().expect("rack 1 is live").main
         }
-        let cuts: [(&str, Cut); 17] = [
+        let cuts: [(&str, Cut); 18] = [
             ("racks", |s| {
                 s.racks.pop();
             }),
@@ -1705,15 +1728,27 @@ mod tests {
             ("rack fade_done", |s| {
                 rack1(s).fade_done.push(false);
             }),
+            // The rack's Normal floor, one epoch behind its strategy loop.
+            ("rack Normal floor", |s| {
+                let rack = s.racks[1].as_mut().expect("rack 1 is live");
+                rack.baseline
+                    .as_mut()
+                    .expect("a Hybrid rack has a floor")
+                    .next_epoch -= 1;
+            }),
         ];
         for (name, cut) in cuts {
             let mut snap = good.clone();
             cut(&mut snap);
             let json = snap.to_json().unwrap();
-            assert!(
-                matches!(resume_error(&dir, &json), ServeError::Snapshot(_)),
-                "truncated {name} resumed"
-            );
+            match resume_error(&dir, &json) {
+                ServeError::Snapshot(m) => {
+                    if name == "rack Normal floor" {
+                        assert!(m.contains("Normal floor"), "{m}");
+                    }
+                }
+                other => panic!("truncated {name} resumed: {other:?}"),
+            }
         }
         // A Q-table delta naming a cell past the table.
         let tampered =

@@ -969,15 +969,16 @@ fn resume_journal(
 fn resume_engine_snapshot(path: &str, flags: &HashMap<String, String>) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| usage(&format!("cannot read checkpoint {path}: {e}")));
-    let snap = EngineSnapshot::from_json(&text).unwrap_or_else(|e| {
-        usage(&format!(
+    let snap = EngineSnapshot::from_json(&text).unwrap_or_else(|e| match e {
+        SnapshotError::Foreign(e) => usage(&format!(
             "{path} is neither a sweep journal nor an engine snapshot: {e}"
-        ))
+        )),
+        SnapshotError::Refused(e) => usage(&format!("cannot resume engine snapshot {path}: {e}")),
     });
     let every = snapshot_every(flags);
     eprintln!(
         "resume: {path} — continuing at epoch {}",
-        snap.state.next_epoch
+        snap.state.main.next_epoch
     );
     match resume_snapshot(snap, every, &mut |s| write_snapshot(path, s)) {
         Ok(ResumedRun::Burst {

@@ -57,7 +57,7 @@ pub mod prelude {
     };
     pub use greensprint::checkpoint::{
         config_fingerprint, points_digest, EngineSnapshot, Journal, JournalError, JournalHeader,
-        LoadedJournal, SITE_SCHEMA,
+        LoadedJournal, SnapshotError, CHECKPOINT_SCHEMA, SITE_SCHEMA,
     };
     pub use greensprint::config::{AvailabilityLevel, GreenConfig};
     pub use greensprint::datacenter::{
@@ -69,9 +69,7 @@ pub mod prelude {
         REJOIN_EPOCHS,
     };
     pub use greensprint::faults::{ActiveFaults, FaultEvent, FaultKind, FaultPlan, FleetMix};
-    pub use greensprint::guardrail::{
-        Guardrail, GuardrailConfig, GuardrailState, QuarantineRecord,
-    };
+    pub use greensprint::guardrail::{GuardrailConfig, GuardrailState, QuarantineRecord};
     pub use greensprint::net::{
         admin_request, run_fault_plan, subscribe_collect, NetAddrs, NetConfig, NetFaultOp,
         NetFaultPlan, NetHarnessReport, NetPlane, NetSummary, RackStat,

@@ -1,6 +1,6 @@
 //! Smoke tests for the operator CLI (the `greensprint` binary).
 
-use greensprint_repro::prelude::{EngineSnapshot, SITE_SCHEMA};
+use greensprint_repro::prelude::{EngineSnapshot, CHECKPOINT_SCHEMA, SITE_SCHEMA};
 use std::process::Command;
 
 fn run(args: &[&str]) -> (String, String, bool) {
@@ -63,7 +63,7 @@ fn resume_refuses_a_cut_engine_snapshot_without_panicking() {
     ]);
     assert!(ok, "{stderr}");
     let mut snap = EngineSnapshot::from_json(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
-    snap.state.prev_settings.pop();
+    snap.state.main.prev_settings.pop();
     std::fs::write(&ckpt, snap.to_json()).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
         .args(["resume", path])
@@ -92,18 +92,50 @@ fn resume_refuses_an_out_of_range_setting_without_panicking() {
         "100",
     ]);
     assert!(ok, "{stderr}");
-    let mut snap = EngineSnapshot::from_json(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
-    snap.state.prev_settings[0].cores = 200;
-    std::fs::write(&ckpt, snap.to_json()).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
-        .args(["resume", path])
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let refuse = |contents: &str| {
+        std::fs::write(&ckpt, contents).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+            .args(["resume", path])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(
+            stderr.contains(&format!("cannot resume engine snapshot {path}")),
+            "a refused snapshot is named as one: {stderr}"
+        );
+        assert!(!stderr.contains("neither"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "a refused snapshot printed a result");
+        stderr
+    };
+
+    let mut snap = EngineSnapshot::from_json(&text).unwrap();
+    snap.state.main.prev_settings[0].cores = 200;
+    let stderr = refuse(&snap.to_json());
     assert!(stderr.contains("core count 200 out of range"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(out.stdout.is_empty(), "a refused snapshot printed a result");
+
+    // The previous schema's shape: no schema tag, one run's state, and
+    // the phase that run was in.
+    let value: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let field = |key: &str| value.get(key).cloned().expect("snapshot field");
+    let old = serde_json::Value::Object(vec![
+        ("fingerprint".to_string(), field("fingerprint")),
+        ("scope".to_string(), field("scope")),
+        (
+            "phase".to_string(),
+            serde_json::Value::String("Strategy".to_string()),
+        ),
+        ("main_carry".to_string(), serde_json::Value::Null),
+        (
+            "state".to_string(),
+            field("state").get("main").cloned().expect("strategy run"),
+        ),
+    ]);
+    let stderr = refuse(&serde_json::to_string(&old).unwrap());
+    assert!(stderr.contains("gs-ckpt-2"), "{stderr}");
+    assert!(stderr.contains(CHECKPOINT_SCHEMA), "{stderr}");
     let _ = std::fs::remove_file(&ckpt);
 }
 
@@ -288,29 +320,48 @@ fn malformed_warm_policy_is_a_usage_error_not_a_panic() {
 
 #[test]
 fn chaos_emits_json_lines_and_holds_the_floor() {
-    let (stdout, stderr, ok) = run(&[
-        "chaos",
-        "--minutes",
-        "5",
-        "--analytic",
-        "--runs",
-        "3",
+    // A seeded telemetry/supply/actuation plan, then a seeded fleet plan
+    // (crashes, flaps, stragglers) whose servers must go down somewhere.
+    let seeded: &[&str] = &["--minutes", "5", "--runs", "3", "--fault-seed", "42"];
+    let fleet: &[&str] = &[
+        "--fleet",
         "--fault-seed",
-        "42",
-        "--jobs",
+        "1042",
+        "--crashes",
         "2",
-    ]);
-    assert!(ok, "{stderr}");
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 3, "{stdout}");
-    for line in &lines {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains("\"label\":\"chaos/"), "{line}");
-        assert!(line.contains("fault_epochs"), "{line}");
-        assert!(line.contains("\"floor_held\":true"), "{line}");
-        assert!(line.contains("\"grid_overload_wh\":0.0"), "{line}");
+        "--flaps",
+        "1",
+        "--stragglers",
+        "1",
+        "--minutes",
+        "8",
+        "--runs",
+        "4",
+    ];
+    for (flags, runs) in [(seeded, 3), (fleet, 4)] {
+        let mut args = vec!["chaos", "--analytic", "--jobs", "2"];
+        args.extend_from_slice(flags);
+        let (stdout, stderr, ok) = run(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), runs, "{stdout}");
+        for line in &lines {
+            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+            assert!(line.contains("\"label\":\"chaos/"), "{line}");
+            assert!(line.contains("fault_epochs"), "{line}");
+            assert!(line.contains("\"floor_held\":true"), "{line}");
+            assert!(line.contains("\"grid_overload_wh\":0.0"), "{line}");
+        }
+        assert!(stderr.contains("all held the Normal floor"), "{stderr}");
+        if flags == fleet {
+            let lost_a_server = lines.iter().any(|l| {
+                l.split("\"dead_server_epochs\":")
+                    .nth(1)
+                    .is_some_and(|t| t.starts_with(|c: char| c.is_ascii_digit() && c != '0'))
+            });
+            assert!(lost_a_server, "no fleet run ever lost a server: {stdout}");
+        }
     }
-    assert!(stderr.contains("all held the Normal floor"), "{stderr}");
 }
 
 #[test]

@@ -480,11 +480,11 @@ fn golden_des_sweep_is_byte_identical_at_any_jobs() {
 
 #[test]
 fn golden_outcomes_survive_snapshot_resume() {
-    // Every family at every seed: snapshot at every epoch boundary of both
-    // phases, resume from each captured state, and require the resumed
-    // outcome to hit the same golden bytes as the uninterrupted run. The
-    // guarded family's snapshots include mid-demotion and mid-quarantine
-    // states.
+    // Every family at every seed: snapshot at every epoch boundary (each
+    // snapshot holds the strategy run and its Normal floor), resume from
+    // each captured state, and require the resumed outcome to hit the
+    // same golden bytes as the uninterrupted run. The guarded family's
+    // snapshots include mid-demotion and mid-quarantine states.
     for family in FAMILIES {
         for seed in SEEDS {
             let cfg = family_cfg(family, seed);
@@ -504,10 +504,15 @@ fn golden_outcomes_survive_snapshot_resume() {
                     "{family}/{seed}: snapshotting run diverged from golden bytes"
                 );
             }
-            // Nine boundaries in each phase of a ten-epoch burst.
-            assert_eq!(snaps.len(), 18, "{family}/{seed}: snapshot count");
+            // Nine boundaries of a ten-epoch burst.
+            assert_eq!(snaps.len(), 9, "{family}/{seed}: snapshot count");
             for snap in snaps {
-                let (phase, epoch) = (snap.phase, snap.state.next_epoch);
+                let epoch = snap.state.main.next_epoch;
+                assert_eq!(
+                    snap.state.baseline.as_ref().map(|b| b.next_epoch),
+                    Some(epoch),
+                    "{family}/{seed}: epoch {epoch} snapshot lacks its Normal floor"
+                );
                 // Through a JSON round trip, as an on-disk checkpoint resumes.
                 let snap =
                     EngineSnapshot::from_json(&snap.to_json()).expect("snapshot parses back");
@@ -516,7 +521,7 @@ fn golden_outcomes_survive_snapshot_resume() {
                         let resumed = serde_json::to_string(&outcome).expect("outcome serializes");
                         assert_eq!(
                             golden, resumed,
-                            "{family}/{seed}: resume from {phase:?} epoch {epoch} broke byte-identity"
+                            "{family}/{seed}: resume from epoch {epoch} broke byte-identity"
                         );
                     }
                     other => panic!("expected burst resume, got {other:?}"),
