@@ -54,15 +54,16 @@ use std::path::{Path, PathBuf};
 /// schema or fingerprint check instead of deserializing into nonsense.
 /// (`gs-ckpt-1` stored the full Q-table; `gs-ckpt-2` stored a [`QDelta`]
 /// and one run per snapshot, tagged with its phase; `gs-ckpt-3` stores
-/// both runs of the experiment and tags the snapshot itself.)
-pub const CHECKPOINT_SCHEMA: &str = "gs-ckpt-3";
+/// both runs of the experiment and tags the snapshot itself; `gs-ckpt-4`
+/// stores a Monitor only for a run that keeps history.)
+pub const CHECKPOINT_SCHEMA: &str = "gs-ckpt-4";
 
 /// As [`CHECKPOINT_SCHEMA`], for site snapshots
 /// ([`crate::broker::SiteSnapshot`]: broker state + per-rack experiment
 /// states, written by both `datacenter` and `serve`) — bumped when
 /// [`crate::broker::SiteState`] or [`ExperimentState`] changes
 /// incompatibly.
-pub const SITE_SCHEMA: &str = "gs-site-3";
+pub const SITE_SCHEMA: &str = "gs-site-4";
 
 /// FNV-1a over the given parts, rendered as a compact hex tag.
 pub fn fingerprint(parts: &[&str]) -> String {
@@ -176,9 +177,9 @@ pub struct LoopState {
     pub watchdog_clamped_epochs: usize,
     /// Energy meters.
     pub meter: PowerMeter,
-    /// Monitor observation streams (empty for a run that keeps no
-    /// history).
-    pub monitor: Monitor,
+    /// Monitor observation streams, present exactly when the run keeps
+    /// its per-epoch history.
+    pub monitor: Option<Monitor>,
     /// Per-epoch records so far (empty for a run that keeps no history).
     pub epochs: Vec<EpochRecord>,
     /// Renewable energy produced so far (Wh): the physical supply times

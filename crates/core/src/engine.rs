@@ -689,15 +689,16 @@ impl SnapshotOut<'_> {
 
 /// The experiment driver bursts and campaigns share: the configured
 /// strategy over `window` beside its Normal floor, fresh or picked up
-/// from `resume`, to the end of the window with no-op directives. `out`
-/// receives a snapshot at every cadence boundary after the one the run
-/// started from. Returns the experiment after its last epoch.
+/// from `resume`, to the end of the window with no-op directives, each
+/// step on `scratch`. `out` receives a snapshot at every cadence boundary
+/// after the one the run started from. Returns the experiment after its
+/// last epoch.
 pub(crate) fn run_experiment<'a>(
     cfg: &'a EngineConfig,
     window: &'a RunWindow,
     resume: Option<EngineSnapshot>,
     mut out: Option<&mut SnapshotOut<'_>>,
-    scratch: &'a mut EngineScratch,
+    scratch: &mut EngineScratch,
 ) -> Result<Experiment<'a>, EngineError> {
     let mut ex = Experiment::new(cfg, window, true, scratch);
     if let Some(snap) = resume {
@@ -717,7 +718,7 @@ pub(crate) fn run_experiment<'a>(
                 out.emit(ex.snapshot());
             }
         }
-        ex.step(&dir);
+        ex.step(&dir, scratch);
     }
     Ok(ex)
 }
@@ -726,8 +727,9 @@ pub(crate) fn run_experiment<'a>(
 /// load at every instant. Single bursts and long campaigns share the same
 /// epoch loop through this.
 pub(crate) struct RunWindow {
-    /// Offered per-server load (req/s) at a given time.
-    pub offered_rps: Box<dyn Fn(SimTime) -> f64>,
+    /// Offered per-server load (req/s) at a given time. Shared, like the
+    /// rest of the window, by every thread that steps a rack of a site.
+    pub offered_rps: Box<dyn Fn(SimTime) -> f64 + Send + Sync>,
     /// Normalized irradiance trace.
     pub trace: SolarTrace,
     /// Window start.
@@ -795,10 +797,11 @@ fn pmk_for(cfg: &EngineConfig, strategy: Strategy, profiles: &ProfileTable) -> P
 /// the thermal packages match the thermal model, the fault cursor
 /// matches the fault plan, the learner and the guardrail are present
 /// exactly when the run carries them (a pending learner update inside
-/// the table, the guardrail on the strategy's ladder), and the records
-/// (one per executed epoch when the run keeps `history`, else none) and
-/// counters agree with the epoch it resumes at. A state that passes
-/// cannot index out of bounds in [`EpochLoop::step`].
+/// the table, the guardrail on the strategy's ladder), the Monitor is
+/// present exactly when the run keeps `history`, and the records (one
+/// per executed epoch when it does, else none) and counters agree with
+/// the epoch it resumes at. A state that passes cannot index out of
+/// bounds in [`EpochLoop::step`].
 pub(crate) fn check_state(
     st: &LoopState,
     cfg: &EngineConfig,
@@ -878,6 +881,13 @@ pub(crate) fn check_state(
             st.next_epoch
         ));
     }
+    if st.monitor.is_some() != history {
+        return Err(format!(
+            "loop state monitor is {} for a run that keeps {} history",
+            presence(history),
+            if history { "its" } else { "no" }
+        ));
+    }
     if st.min_live_servers > n {
         return Err(format!(
             "loop state saw {} live servers on a {n}-server rack",
@@ -926,28 +936,30 @@ pub(crate) fn check_experiment(
 /// directive per epoch. The floor gets the directive without its
 /// demotion: no ladder supervises Normal.
 ///
-/// Both loops borrow the one scratch arena in turn. Its analytic cache is
-/// pure in `(setting, admitted rate)`, so the floor hits the strategy
-/// run's solves and a hit returns the bits a solve would; nothing else in
-/// it outlives the step that wrote it. Each loop keeps its own rng
-/// (`seed ^ strategy_salt`) and DES simulators, so interleaving the two
-/// moves no bit of either.
+/// Each step lends both loops, in turn, the scratch arena the experiment
+/// was created on. Its analytic cache is pure in `(setting, admitted
+/// rate)`, so the floor hits the strategy run's solves and a hit returns
+/// the bits a solve would; nothing else in it outlives the step that
+/// wrote it. Each loop keeps its own rng (`seed ^ strategy_salt`) and DES
+/// simulators, so interleaving the two moves no bit of either. The
+/// experiment holds no borrow of the arena, so a driver can own it as a
+/// value beside its arena (a site's rack).
 pub(crate) struct Experiment<'a> {
     main: EpochLoop<'a>,
     floor: Option<EpochLoop<'a>>,
-    scratch: &'a mut EngineScratch,
 }
 
 impl<'a> Experiment<'a> {
     /// A fresh experiment of `cfg` over `window`, beginning by resetting
-    /// `scratch`. The strategy run keeps its per-epoch history (epoch
-    /// records and Monitor streams) when `history`; the floor's outcome is
-    /// read only for its mean goodput and audit, so it never keeps one.
+    /// `scratch`, the arena every [`Experiment::step`] is then lent. The
+    /// strategy run keeps its per-epoch history (epoch records and
+    /// Monitor streams) when `history`; the floor's outcome is read only
+    /// for its mean goodput and audit, so it never keeps one.
     pub(crate) fn new(
         cfg: &'a EngineConfig,
         window: &'a RunWindow,
         history: bool,
-        scratch: &'a mut EngineScratch,
+        scratch: &mut EngineScratch,
     ) -> Self {
         // Analytic measurements are pure in (app, setting, rps) on the
         // application's cached table, so runs of the same application may
@@ -957,7 +969,6 @@ impl<'a> Experiment<'a> {
             main: EpochLoop::new(cfg, cfg.strategy, window, history),
             floor: (cfg.strategy != Strategy::Normal)
                 .then(|| EpochLoop::new(cfg, Strategy::Normal, window, false)),
-            scratch,
         }
     }
 
@@ -997,10 +1008,10 @@ impl<'a> Experiment<'a> {
         }
     }
 
-    /// Run the next epoch of both loops under `dir` and return the
-    /// strategy run's record.
-    pub(crate) fn step(&mut self, dir: &TickDirective) -> EpochRecord {
-        let rec = self.main.step(dir, self.scratch);
+    /// Run the next epoch of both loops under `dir`, on the arena the
+    /// experiment was created on, and return the strategy run's record.
+    pub(crate) fn step(&mut self, dir: &TickDirective, scratch: &mut EngineScratch) -> EpochRecord {
+        let rec = self.main.step(dir, scratch);
         if let Some(floor) = self.floor.as_mut() {
             let floor_dir = TickDirective {
                 supply_w: dir.supply_w,
@@ -1008,7 +1019,7 @@ impl<'a> Experiment<'a> {
                 demote: None,
                 load_factor: dir.load_factor,
             };
-            floor.step(&floor_dir, self.scratch);
+            floor.step(&floor_dir, scratch);
         }
         rec
     }
@@ -1232,7 +1243,7 @@ impl<'a> EpochLoop<'a> {
             safe_mode_epochs: 0,
             watchdog_clamped_epochs: 0,
             meter: PowerMeter::new(),
-            monitor: Monitor::new(),
+            monitor: history.then(Monitor::new),
             // Pre-sized (capacity only — none of it is serialized) so the
             // loop never reallocates it; the monitor likewise below.
             epochs: Vec::with_capacity(if history { n_epochs as usize } else { 0 }),
@@ -1257,8 +1268,8 @@ impl<'a> EpochLoop<'a> {
             min_live_servers: n,
             fleet_events: Vec::new(),
         };
-        if history {
-            st.monitor.reserve_epochs(n, n_epochs as usize);
+        if let Some(monitor) = st.monitor.as_mut() {
+            monitor.reserve_epochs(n, n_epochs as usize);
         }
         EpochLoop {
             cfg,
@@ -1296,10 +1307,10 @@ impl<'a> EpochLoop<'a> {
             .as_ref()
             .filter(|g| g.level > 0)
             .map(|g| pmk_for(self.cfg, g.active_strategy(), self.profiles));
-        if self.history {
+        if let Some(monitor) = state.monitor.as_mut() {
             let left = (self.n_epochs - state.next_epoch) as usize;
             state.epochs.reserve(left);
-            state.monitor.reserve_epochs(self.n, left);
+            monitor.reserve_epochs(self.n, left);
         }
         self.st = state;
     }
@@ -1517,8 +1528,8 @@ impl<'a> EpochLoop<'a> {
         // the nominal stream, so routing-free runs stay byte-identical).
         let route_factor = dir.load_factor.map(|f| f.max(0.0));
         e.offered = (self.window.offered_rps)(e.t) * route_factor.unwrap_or(1.0);
-        if let Some(f) = route_factor.filter(|_| self.history) {
-            st.monitor.record_route(e.t, f);
+        if let (Some(f), Some(monitor)) = (route_factor, st.monitor.as_mut()) {
+            monitor.record_route(e.t, f);
         }
 
         // Predictions (fall back to the live observation on the first
@@ -2162,15 +2173,7 @@ impl<'a> EpochLoop<'a> {
                 continue;
             }
             let total_s = epoch.as_secs().max(1);
-            let mut crossed_at: Option<u64> = None;
-            for s in 0..total_s {
-                if pkg.is_throttling() {
-                    crossed_at = Some(s);
-                    break;
-                }
-                pkg.advance(fleet.actual_power[i], SimDuration::from_secs(1));
-            }
-            if let Some(s) = crossed_at {
+            if let Some(s) = pkg.advance_until_limit(fleet.actual_power[i], total_s) {
                 any_thermal_throttle = true;
                 let w = s as f64 / total_s as f64;
                 let normal_perf = cached_analytic(
@@ -2204,9 +2207,9 @@ impl<'a> EpochLoop<'a> {
         let fleet = &sc.fleet;
         e.goodput = fleet.perfs.iter().map(|p| p.goodput_rps).sum();
         e.soc = mean_soc(&st.batteries);
-        if self.history {
+        if let Some(monitor) = st.monitor.as_mut() {
             let soc_reported = (e.soc * e.faults.soc_report_factor).min(1.0);
-            st.monitor.record_q(
+            monitor.record_q(
                 e.t,
                 Observation {
                     re_supply_w: e.obs_w.unwrap_or(0.0),
@@ -2221,7 +2224,7 @@ impl<'a> EpochLoop<'a> {
                     soc_trusted: e.faults.soc_report_factor == 1.0,
                 },
             );
-            st.monitor.record_fleet(e.t, &fleet.up);
+            monitor.record_fleet(e.t, &fleet.up);
         }
         // The EWMA holds its last-good state through dropouts: only
         // verified readings are fed.
@@ -2247,7 +2250,6 @@ impl<'a> EpochLoop<'a> {
             app,
             power_model,
             n,
-            history,
             q_base,
             pmk,
             shadow_pmk,
@@ -2256,7 +2258,7 @@ impl<'a> EpochLoop<'a> {
             st,
             ..
         } = self;
-        let (cfg, profiles, strategy, n, history) = (*cfg, *profiles, *strategy, *n, *history);
+        let (cfg, profiles, strategy, n) = (*cfg, *profiles, *strategy, *n);
         let (app, power_model): (&AppProfile, &PowerModel) = (app, power_model);
         let (fleet, analytic_cache) = (&sc.fleet, &mut sc.analytic_cache);
         let Some(r0) = e.rep else {
@@ -2264,8 +2266,8 @@ impl<'a> EpochLoop<'a> {
             // no epoch to grade it against) and keep the ladder stream
             // continuous for the Monitor.
             st.pending_q = None;
-            if let Some(g) = st.guardrail.as_ref().filter(|_| history) {
-                st.monitor.record_ladder(e.t, g.level);
+            if let (Some(g), Some(monitor)) = (st.guardrail.as_ref(), st.monitor.as_mut()) {
+                monitor.record_ladder(e.t, g.level);
             }
             return;
         };
@@ -2355,8 +2357,8 @@ impl<'a> EpochLoop<'a> {
                 !*table_known_clean || st.pending_q.is_some_and(|(s, _)| !s.in_range())
             })
         };
-        if history {
-            st.monitor.record_ladder(e.t, e.steering_level);
+        if let Some(monitor) = st.monitor.as_mut() {
+            monitor.record_ladder(e.t, e.steering_level);
         }
         let signals = EpochSignals {
             epoch_index: e.k,
@@ -2532,7 +2534,7 @@ impl<'a> EpochLoop<'a> {
             fleet_events: st.fleet_events,
             epochs: st.epochs,
         };
-        (outcome, st.monitor)
+        (outcome, st.monitor.unwrap_or_default())
     }
 }
 

@@ -1375,11 +1375,12 @@ pub fn serve(mut args: ServeArgs) -> Result<ServeSummary, ServeError> {
         opts: args.options.clone(),
         side,
     };
-    // Every rack computes at once: the gate bounds nothing below the
-    // rack count.
+    // One pool participant per core, at most one per rack: a helper
+    // beyond the cores only waits for a core of its own.
+    let jobs = std::thread::available_parallelism().map_or(1, usize::from);
     let run = run_site(
         &site,
-        n_racks,
+        jobs.min(n_racks),
         args.options.snapshot_every,
         resume,
         &mut driver,
@@ -1629,6 +1630,8 @@ mod tests {
             "gs-serve-2",
             "gs-dc-ckpt-1",
             "gs-site-1",
+            "gs-site-2",
+            "gs-site-3",
         ] {
             let bad_schema = json.replacen(SITE_SCHEMA, schema, 1);
             assert!(
@@ -1675,7 +1678,7 @@ mod tests {
         fn rack1(s: &mut ServeSnapshot) -> &mut crate::checkpoint::LoopState {
             &mut s.racks[1].as_mut().expect("rack 1 is live").main
         }
-        let cuts: [(&str, Cut); 18] = [
+        let cuts: [(&str, Cut); 20] = [
             ("racks", |s| {
                 s.racks.pop();
             }),
@@ -1728,6 +1731,17 @@ mod tests {
             ("rack fade_done", |s| {
                 rack1(s).fade_done.push(false);
             }),
+            // A serve rack keeps no history, so neither loop has a Monitor.
+            ("rack monitor", |s| {
+                rack1(s).monitor = Some(crate::monitor::Monitor::new());
+            }),
+            ("rack monitor", |s| {
+                let rack = s.racks[1].as_mut().expect("rack 1 is live");
+                rack.baseline
+                    .as_mut()
+                    .expect("a Hybrid rack has a floor")
+                    .monitor = Some(crate::monitor::Monitor::new());
+            }),
             // The rack's Normal floor, one epoch behind its strategy loop.
             ("rack Normal floor", |s| {
                 let rack = s.racks[1].as_mut().expect("rack 1 is live");
@@ -1745,6 +1759,9 @@ mod tests {
                 ServeError::Snapshot(m) => {
                     if name == "rack Normal floor" {
                         assert!(m.contains("Normal floor"), "{m}");
+                    }
+                    if name == "rack monitor" {
+                        assert!(m.contains("monitor is unexpected"), "{m}");
                     }
                 }
                 other => panic!("truncated {name} resumed: {other:?}"),

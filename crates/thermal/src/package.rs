@@ -118,35 +118,58 @@ impl ThermalPackage {
         while remaining > 0.0 {
             let step = remaining.min(1.0);
             remaining -= step;
-            let melt = self.pcm.melt_temp_c;
-            let at_melt_band = self.node.temp_c() >= melt;
-            if at_melt_band && !self.pcm.is_spent() {
-                // Clamp at the melt point; excess heat melts wax.
-                let dissipation = (melt - self.spec.ambient_c) / self.spec.resistance_k_per_w;
-                let excess_w = power_w - dissipation;
-                if excess_w > 0.0 {
-                    let absorbed = self.pcm.absorb(excess_w * step);
-                    let leftover_j = excess_w * step - absorbed;
-                    self.node
-                        .set_temp_c(melt + leftover_j / self.spec.capacitance_j_per_k);
-                } else {
-                    // Power dropped below the melt-point dissipation:
-                    // refreeze with the spare capacity, temperature holds.
-                    self.pcm.release(-excess_w * step);
-                    self.node.set_temp_c(melt);
-                }
+            self.sub_step(power_w, step, decay_1s);
+        }
+    }
+
+    /// Advance up to `secs` whole seconds under constant chip `power_w`,
+    /// stopping at the first second that starts at the junction limit.
+    /// Returns that second (`None` if the limit never held). The state is
+    /// bit-for-bit what one [`ThermalPackage::advance`] of one second per
+    /// elapsed second leaves, checking [`ThermalPackage::is_throttling`]
+    /// before each, but the decay factor is computed once.
+    pub fn advance_until_limit(&mut self, power_w: f64, secs: u64) -> Option<u64> {
+        let decay_1s = self.node.decay(1.0);
+        for s in 0..secs {
+            if self.is_throttling() {
+                return Some(s);
+            }
+            self.sub_step(power_w, 1.0, decay_1s);
+        }
+        None
+    }
+
+    /// One sub-step of `step` seconds (at most 1); `decay_1s` is the RC
+    /// node's decay over one second.
+    fn sub_step(&mut self, power_w: f64, step: f64, decay_1s: f64) {
+        let melt = self.pcm.melt_temp_c;
+        let at_melt_band = self.node.temp_c() >= melt;
+        if at_melt_band && !self.pcm.is_spent() {
+            // Clamp at the melt point; excess heat melts wax.
+            let dissipation = (melt - self.spec.ambient_c) / self.spec.resistance_k_per_w;
+            let excess_w = power_w - dissipation;
+            if excess_w > 0.0 {
+                let absorbed = self.pcm.absorb(excess_w * step);
+                let leftover_j = excess_w * step - absorbed;
+                self.node
+                    .set_temp_c(melt + leftover_j / self.spec.capacitance_j_per_k);
             } else {
-                if step == 1.0 {
-                    self.node.advance_decayed(power_w, decay_1s);
-                } else {
-                    self.node.advance(power_w, step);
-                }
-                // Refreeze opportunistically when below the melt point.
-                if self.node.temp_c() < melt {
-                    let spare_w = self.node.dissipation_w() - power_w;
-                    if spare_w > 0.0 {
-                        self.pcm.release(spare_w * step);
-                    }
+                // Power dropped below the melt-point dissipation:
+                // refreeze with the spare capacity, temperature holds.
+                self.pcm.release(-excess_w * step);
+                self.node.set_temp_c(melt);
+            }
+        } else {
+            if step == 1.0 {
+                self.node.advance_decayed(power_w, decay_1s);
+            } else {
+                self.node.advance(power_w, step);
+            }
+            // Refreeze opportunistically when below the melt point.
+            if self.node.temp_c() < melt {
+                let spare_w = self.node.dissipation_w() - power_w;
+                if spare_w > 0.0 {
+                    self.pcm.release(spare_w * step);
                 }
             }
         }
@@ -236,6 +259,37 @@ mod tests {
         assert!(pkg.sprint_headroom(110.0).is_none());
         pkg.advance(110.0, SimDuration::from_hours(4));
         assert!(!pkg.is_throttling());
+    }
+
+    #[test]
+    fn advance_until_limit_matches_one_second_advances() {
+        for (mut pkg, power) in [
+            (ThermalPackage::without_pcm(), 155.0),
+            (ThermalPackage::paper_spec(), 155.0),
+            (ThermalPackage::paper_spec(), 60.0),
+        ] {
+            pkg.advance(100.0, SimDuration::from_mins(30));
+            for _ in 0..40 {
+                let mut want = pkg.clone();
+                let mut crossed = None;
+                for s in 0..60 {
+                    if want.is_throttling() {
+                        crossed = Some(s);
+                        break;
+                    }
+                    want.advance(power, SimDuration::from_secs(1));
+                }
+                assert_eq!(pkg.advance_until_limit(power, 60), crossed);
+                assert_eq!(pkg.temp_c().to_bits(), want.temp_c().to_bits());
+                assert_eq!(
+                    pkg.pcm_melted_fraction().to_bits(),
+                    want.pcm_melted_fraction().to_bits()
+                );
+                if crossed.is_some() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

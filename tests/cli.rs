@@ -62,17 +62,35 @@ fn resume_refuses_a_cut_engine_snapshot_without_panicking() {
         "2",
     ]);
     assert!(ok, "{stderr}");
-    let mut snap = EngineSnapshot::from_json(&std::fs::read_to_string(&ckpt).unwrap()).unwrap();
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    let refuse = |snap: EngineSnapshot, what: &str| {
+        std::fs::write(&ckpt, snap.to_json()).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+            .args(["resume", path])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(what), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    };
+    let mut snap = EngineSnapshot::from_json(&text).unwrap();
     snap.state.main.prev_settings.pop();
-    std::fs::write(&ckpt, snap.to_json()).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
-        .args(["resume", path])
-        .output()
-        .expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("prev_settings"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    refuse(snap, "prev_settings");
+    // The Normal floor keeps no history, so it carries no Monitor; the
+    // strategy run keeps its own.
+    let mut snap = EngineSnapshot::from_json(&text).unwrap();
+    let monitor = snap.state.main.monitor.clone();
+    assert!(monitor.is_some(), "the burst keeps its history");
+    snap.state
+        .baseline
+        .as_mut()
+        .expect("a Hybrid floor")
+        .monitor = monitor;
+    refuse(snap, "Normal floor loop state monitor is unexpected");
+    let mut snap = EngineSnapshot::from_json(&text).unwrap();
+    snap.state.main.monitor = None;
+    refuse(snap, "monitor is missing");
     let _ = std::fs::remove_file(&ckpt);
 }
 
@@ -115,6 +133,11 @@ fn resume_refuses_an_out_of_range_setting_without_panicking() {
     snap.state.main.prev_settings[0].cores = 200;
     let stderr = refuse(&snap.to_json());
     assert!(stderr.contains("core count 200 out of range"), "{stderr}");
+
+    // The previous tagged schema, which stored a Monitor on every loop.
+    let stderr = refuse(&text.replacen(CHECKPOINT_SCHEMA, "gs-ckpt-3", 1));
+    assert!(stderr.contains("gs-ckpt-3"), "{stderr}");
+    assert!(stderr.contains(CHECKPOINT_SCHEMA), "{stderr}");
 
     // The previous schema's shape: no schema tag, one run's state, and
     // the phase that run was in.

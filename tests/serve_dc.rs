@@ -6,8 +6,10 @@
 //! mid-rack-outage), the tick watchdog, and a golden multi-rack stream.
 
 use greensprint_repro::prelude::*;
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -260,6 +262,13 @@ fn a_drained_guarded_hybrid_fleet_snapshot_stays_small() {
             })),
             "every rack carries its learner and its Normal floor"
         );
+        // Neither loop keeps history, so neither carries a Monitor.
+        assert!(
+            snap.racks.iter().flatten().all(|s| {
+                s.main.monitor.is_none() && s.baseline.as_ref().is_some_and(|b| b.monitor.is_none())
+            }),
+            "a serve rack or its floor carries a Monitor"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -405,6 +414,118 @@ fn multi_rack_sigkilled_then_resumed_stream_is_byte_identical() {
     assert_eq!(
         want_bytes, got_bytes,
         "SIGKILL + resume changed the multi-rack stream bytes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The admin plane's `KILL-RACK` through a supervised restart, a SIGKILL
+/// and a `--resume`: a throttled 4-rack daemon on an ephemeral port has
+/// rack 2 killed over TCP, `STATUS` reports the restart, the daemon is
+/// SIGKILLed once a snapshot holds it, and the resumed stream is
+/// byte-identical to an uninterrupted, unkilled run's.
+#[test]
+fn admin_kill_rack_restart_then_sigkill_resume_is_byte_identical() {
+    let dir = tmp_dir("admin-kill");
+    let golden = dir.join("golden.jsonl");
+    let part = dir.join("part.jsonl");
+    let snap = dir.join("snap.json");
+    let base = [
+        "serve",
+        "--sim-time",
+        "--analytic",
+        "--minutes",
+        "40",
+        "--seed",
+        "11",
+        "--disturb-seed",
+        "3",
+        "--control",
+        "sim",
+        "--snapshot-every",
+        "5",
+        "--racks",
+        "4",
+    ];
+    let status = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(base)
+        .args(["--metrics", golden.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .status()
+        .expect("uninterrupted run");
+    assert!(status.success());
+
+    // Throttled pacing keeps the run alive for the admin client and the
+    // kill; it never enters the metrics bytes.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(base)
+        .args(["--metrics", part.to_str().unwrap()])
+        .args(["--snapshot", snap.to_str().unwrap()])
+        .args(["--listen", "127.0.0.1:0", "--admin-token", "kill-secret"])
+        .args(["--throttle-ms", "60"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("throttled daemon");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let addr: SocketAddr = loop {
+        let mut line = String::new();
+        let read = stderr.read_line(&mut line).expect("daemon stderr");
+        assert!(read > 0, "the daemon exited before it listened");
+        if let Some(a) = line.trim().strip_prefix("serve: listening on ") {
+            break a.parse().expect("a socket address");
+        }
+    };
+    // Keep draining stderr (the kill's panic report lands there).
+    std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+
+    let t = Duration::from_secs(5);
+    assert_eq!(
+        admin_request(addr, "KILL-RACK 2 kill-secret", t).expect("admin kill"),
+        "ok kill-rack 2"
+    );
+    // The supervised restart shows in STATUS, then in a snapshot.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let status = admin_request(addr, "STATUS kill-secret", t).expect("admin status");
+        if status.contains("\"restarts\":1") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "rack never restarted: {status}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    while !std::fs::read_to_string(&snap).is_ok_and(|s| s.contains("\"rack_restarts\":1")) {
+        assert!(
+            Instant::now() < deadline,
+            "no snapshot recorded the restart"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    let text = std::fs::read_to_string(&snap).expect("the snapshot survives a SIGKILL");
+    assert!(text.contains(&format!("\"schema\":\"{SITE_SCHEMA}\"")));
+    assert!(text.contains("\"rack_restarts\":1"), "{text}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(["serve", "--sim-time", "--control", "sim"])
+        .args(["--resume", snap.to_str().unwrap()])
+        .args(["--metrics", part.to_str().unwrap()])
+        .output()
+        .expect("resumed run");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let summary = String::from_utf8_lossy(&out.stdout);
+    assert!(summary.contains("\"racks\": 4"), "{summary}");
+    assert!(summary.contains("\"rack_restarts\": 1"), "{summary}");
+    assert!(summary.contains("\"racks_quarantined\": 0"), "{summary}");
+    assert!(summary.contains("\"audit_violations\": 0"), "{summary}");
+    assert_eq!(
+        std::fs::read(&golden).unwrap(),
+        std::fs::read(&part).unwrap(),
+        "admin kill + SIGKILL + resume changed the stream bytes"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
