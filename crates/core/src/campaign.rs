@@ -11,11 +11,11 @@
 
 use crate::checkpoint::{EngineSnapshot, SnapshotScope};
 use crate::engine::{
-    run_experiment, BurstOutcome, EngineConfig, EngineError, MeasurementMode, RunWindow,
-    SnapshotOut,
+    check_intensity, run_experiment, BurstOutcome, EngineConfig, EngineError, MeasurementMode,
+    RunWindow, SnapshotOut,
 };
 use crate::fleet::EngineScratch;
-use gs_cluster::{ServerSetting, NUM_FREQ_LEVELS};
+use crate::profiler::ProfileTable;
 use gs_power::solar::{SolarTrace, WeatherModel};
 use gs_sim::{SimDuration, SimRng, SimTime};
 use gs_workload::arrivals::DiurnalTrace;
@@ -74,6 +74,7 @@ impl CampaignConfig {
         if self.days < 1 {
             return Err(EngineError::ZeroDays);
         }
+        check_intensity("peak_intensity_cores", self.peak_intensity_cores)?;
         self.engine.validate_base()
     }
 }
@@ -106,14 +107,10 @@ pub(crate) fn try_run_campaign_in(
 /// one place both fresh runs and snapshot resumes derive the environment,
 /// so they cannot diverge.
 fn campaign_window(cfg: &CampaignConfig) -> RunWindow {
-    let app = cfg.engine.app.profile();
     let mut rng = SimRng::seed_from_u64(cfg.engine.seed ^ 0xCA3A_16E5);
     let load = DiurnalTrace::generate(cfg.days, cfg.spikes_per_day, &mut rng);
     let sky = SolarTrace::generate(cfg.days, &WeatherModel::default(), &mut rng);
-    let peak_rps = app.slo_capacity(ServerSetting::new(
-        cfg.peak_intensity_cores,
-        (NUM_FREQ_LEVELS - 1) as u8,
-    ));
+    let peak_rps = ProfileTable::cached(cfg.engine.app).intensity_rps(cfg.peak_intensity_cores);
     RunWindow {
         offered_rps: Box::new(move |t: SimTime| load.offered_rps(t, peak_rps)),
         trace: sky,
@@ -368,6 +365,50 @@ mod tests {
             try_run_campaign(&cfg).unwrap_err(),
             EngineError::InvalidWarmPolicy(_)
         ));
+    }
+
+    #[test]
+    fn out_of_range_peak_intensity_is_refused_naming_the_value() {
+        for bad in [4, 5, 13, 20] {
+            let cfg = CampaignConfig {
+                peak_intensity_cores: bad,
+                ..CampaignConfig::default()
+            };
+            assert_eq!(
+                try_run_campaign(&cfg).unwrap_err(),
+                EngineError::InvalidIntensity("peak_intensity_cores", bad)
+            );
+        }
+        // A campaign ignores the engine's burst fields, its intensity too.
+        let mut cfg = CampaignConfig::default();
+        cfg.engine.burst_intensity_cores = 4;
+        assert!(cfg.validate().is_ok());
+    }
+
+    /// The campaign's offered load is its diurnal curve scaled by the
+    /// `Int=k` rate, which carries the bits of a fresh SLO-capacity solve.
+    #[test]
+    fn campaign_peak_is_the_k_core_slo_capacity() {
+        let cfg = CampaignConfig {
+            days: 1,
+            peak_intensity_cores: 9,
+            ..CampaignConfig::default()
+        };
+        let window = campaign_window(&cfg);
+        let mut rng = SimRng::seed_from_u64(cfg.engine.seed ^ 0xCA3A_16E5);
+        let load = DiurnalTrace::generate(cfg.days, cfg.spikes_per_day, &mut rng);
+        let peak = cfg
+            .engine
+            .app
+            .profile()
+            .slo_capacity(gs_cluster::ServerSetting::new(9, 8));
+        for mins in [0, 300, 720, 1_000, 1_439] {
+            let t = SimTime::from_mins(mins);
+            assert_eq!(
+                (window.offered_rps)(t).to_bits(),
+                load.offered_rps(t, peak).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::profiler::ProfileTable;
 use gs_cluster::cluster::PAPER_CLUSTER_SIZE;
 use gs_cluster::ServerSetting;
 use gs_power::pdu::CircuitBreaker;
-use gs_workload::arrivals::BurstPattern;
 use serde::{Deserialize, Serialize};
 
 /// How the utility-dependent servers behave during the burst.
@@ -65,13 +64,7 @@ pub fn run_cluster(cfg: &EngineConfig, policy: GridSprintPolicy) -> ClusterOutco
     let green = Engine::new(cfg.clone()).run();
 
     let n_grid = PAPER_CLUSTER_SIZE - cfg.green.green_servers;
-    let burst = BurstPattern::intensity(
-        &app,
-        cfg.burst_intensity_cores,
-        gs_sim::SimTime::ZERO,
-        gs_sim::SimTime::ZERO + cfg.burst_duration,
-    );
-    let offered = burst.burst_rps;
+    let offered = profiles.intensity_rps(cfg.burst_intensity_cores);
     let budget_per_server = PAPER_GRID_BUDGET_W / n_grid.max(1) as f64;
 
     let grid_setting = match policy {

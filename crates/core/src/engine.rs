@@ -28,14 +28,13 @@ use crate::pmk::{ActuationWatchdog, Pmk, PmkContext, Strategy};
 use crate::predictor::Predictor;
 use crate::profiler::ProfileTable;
 use crate::qlearning::{corrupt_value, reward, QLearner, QState, RewardInputs};
-use gs_cluster::{PowerModel, ServerSetting};
+use gs_cluster::{PowerModel, ServerSetting, MAX_CORES, NORMAL_CORES};
 use gs_power::battery::Battery;
 use gs_power::meter::{PowerMeter, Source};
 use gs_power::pss::{PowerSourceSelector, SupplyCase, SupplyPlan};
 use gs_power::solar::{PvArray, SolarTrace};
 use gs_sim::{SimDuration, SimRng, SimTime};
 use gs_workload::apps::{AppProfile, Application};
-use gs_workload::arrivals::BurstPattern;
 use gs_workload::des::ServerSim;
 use gs_workload::metrics::EpochPerf;
 use serde::{Deserialize, Serialize};
@@ -73,6 +72,9 @@ pub enum EngineError {
     /// A snapshot cannot resume here: its fingerprint (code + config) no
     /// longer matches, or its shape is inconsistent.
     SnapshotMismatch(String),
+    /// An `Int=k` intensity (the config field, then `k`) is not a core
+    /// count of the setting space, so no profile entry holds its rate.
+    InvalidIntensity(&'static str, u8),
 }
 
 impl std::fmt::Display for EngineError {
@@ -91,6 +93,11 @@ impl std::fmt::Display for EngineError {
                 "snapshots require analytic measurement (DES state is not serializable)",
             ),
             EngineError::SnapshotMismatch(e) => write!(f, "snapshot mismatch: {e}"),
+            EngineError::InvalidIntensity(field, k) => write!(
+                f,
+                "invalid intensity: {field} must be a core count in \
+                 {NORMAL_CORES}..={MAX_CORES}, got {k}"
+            ),
         }
     }
 }
@@ -269,6 +276,7 @@ impl EngineConfig {
     /// Validate this configuration for a single-burst run.
     pub fn validate(&self) -> Result<(), EngineError> {
         self.validate_base()?;
+        check_intensity("burst_intensity_cores", self.burst_intensity_cores)?;
         if self.burst_duration.div_duration(self.epoch).unwrap_or(0) < 1 {
             return Err(EngineError::SubEpochBurst);
         }
@@ -280,6 +288,17 @@ impl EngineConfig {
             )));
         }
         Ok(())
+    }
+}
+
+/// Check an `Int=k` intensity read from config `field`: the run reads its
+/// rate from profile entry `(k, 2.0 GHz)`, so `k` must be a core count of
+/// the setting space.
+pub(crate) fn check_intensity(field: &'static str, k_cores: u8) -> Result<(), EngineError> {
+    if (NORMAL_CORES..=MAX_CORES).contains(&k_cores) {
+        Ok(())
+    } else {
+        Err(EngineError::InvalidIntensity(field, k_cores))
     }
 }
 
@@ -748,7 +767,7 @@ impl RunWindow {
         let start = SimTime::from_secs_f64(cfg.burst_start_hour * 3_600.0);
         let end = start + cfg.burst_duration;
         let burst =
-            BurstPattern::intensity(&cfg.app.profile(), cfg.burst_intensity_cores, start, end);
+            ProfileTable::cached(cfg.app).burst_pattern(cfg.burst_intensity_cores, start, end);
         RunWindow {
             offered_rps: Box::new(move |t| burst.offered_rps(t)),
             trace,
@@ -3017,6 +3036,35 @@ mod tests {
                 ),
                 "hysteresis {bad} slipped through"
             );
+        }
+    }
+
+    #[test]
+    fn out_of_range_intensity_is_refused_naming_the_value() {
+        for bad in [0, 4, 5, 13, 20, u8::MAX] {
+            let cfg = EngineConfig {
+                burst_intensity_cores: bad,
+                ..quick_cfg()
+            };
+            let err = Engine::try_new(cfg).unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::InvalidIntensity("burst_intensity_cores", bad)
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "invalid intensity: burst_intensity_cores must be a core count in 6..=12, \
+                     got {bad}"
+                )
+            );
+        }
+        for good in NORMAL_CORES..=MAX_CORES {
+            let cfg = EngineConfig {
+                burst_intensity_cores: good,
+                ..quick_cfg()
+            };
+            assert!(cfg.validate().is_ok(), "Int={good} refused");
         }
     }
 

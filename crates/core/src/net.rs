@@ -279,9 +279,14 @@ pub struct RackStat {
     pub factor: f64,
 }
 
-/// One subscriber's bounded drop-oldest queue.
+/// One subscriber's bounded drop-oldest queue. It holds only its own
+/// topic's lines, so its cap counts that topic's epochs however many
+/// racks publish beside it.
 struct SubQueue {
     cap: usize,
+    /// `SUB ?rack=R`'s line prefix, `{"rack":R,`; `None` for the default
+    /// (aggregate) stream.
+    rack_prefix: Option<String>,
     state: Mutex<SubState>,
     cv: Condvar,
 }
@@ -293,11 +298,22 @@ struct SubState {
 }
 
 impl SubQueue {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, rack: Option<u32>) -> Self {
         SubQueue {
             cap: cap.max(1),
+            rack_prefix: rack.map(|r| format!("{{\"rack\":{r},")),
             state: Mutex::new(SubState::default()),
             cv: Condvar::new(),
+        }
+    }
+
+    /// Topic selection: `?rack=R` keeps only that rack's lines; the
+    /// default stream keeps only non-rack (aggregate) lines, so adding
+    /// `--racks N` never changes what existing subscribers receive.
+    fn keeps(&self, line: &str) -> bool {
+        match &self.rack_prefix {
+            Some(p) => line.starts_with(p.as_str()),
+            None => !line.starts_with("{\"rack\":"),
         }
     }
 }
@@ -342,8 +358,9 @@ pub(crate) struct NetShared {
 }
 
 impl NetShared {
-    /// Publish one metrics line to the ring and every live subscriber.
-    /// Never blocks: a full subscriber queue drops its oldest line.
+    /// Publish one metrics line to the ring and every live subscriber of
+    /// its topic. Never blocks: a full subscriber queue drops its oldest
+    /// line.
     pub(crate) fn publish(&self, epoch: u64, line: String) {
         self.last_epoch.store(epoch, Ordering::SeqCst);
         let line = Arc::new(line);
@@ -354,7 +371,7 @@ impl NetShared {
         hub.recent.push_back((epoch, line.clone()));
         hub.next_epoch = epoch + 1;
         hub.subs.retain(|s| !lock(&s.state).closed);
-        for sub in &hub.subs {
+        for sub in hub.subs.iter().filter(|s| s.keeps(&line)) {
             let mut st = lock(&sub.state);
             while st.lines.len() >= sub.cap {
                 st.lines.pop_front();
@@ -779,19 +796,13 @@ fn subscriber_main(shared: &Arc<NetShared>, stream: TcpStream, id: u64, arg: Opt
         return;
     };
     let from_epoch = opts.from_epoch;
-    // Topic selection: `?rack=R` keeps only that rack's lines; the
-    // default stream keeps only non-rack (aggregate) lines, so adding
-    // `--racks N` never changes what existing subscribers receive.
-    let rack_prefix = opts.rack.map(|r| format!("{{\"rack\":{r},"));
-    let keep = |line: &str| match &rack_prefix {
-        Some(p) => line.starts_with(p.as_str()),
-        None => !line.starts_with("{\"rack\":"),
-    };
     bump(&c.subscribers);
     // This socket now belongs to the graceful-flush path; the
     // force-shutdown registry must not slam it mid-replay.
     lock(&shared.conns).remove(&id);
-    let sub = Arc::new(SubQueue::new(shared.sub_queue_cap));
+    // `publish` fills the queue with its topic's lines only; the replay
+    // below applies the same predicate to the file and the ring.
+    let sub = Arc::new(SubQueue::new(shared.sub_queue_cap, opts.rack));
     // Register under the hub lock and snapshot the ring at the same
     // instant: the queue then holds exactly the epochs >= `live_from`,
     // the ring exactly a suffix of those below it — no overlap, no gap.
@@ -814,7 +825,7 @@ fn subscriber_main(shared: &Arc<NetShared>, stream: TcpStream, id: u64, arg: Opt
                         let Some(e) = line_epoch(line) else { continue };
                         if e >= from
                             && e < ring_first
-                            && keep(line)
+                            && sub.keeps(line)
                             && writeln!(out, "{line}").is_err()
                         {
                             write_failed = true;
@@ -826,7 +837,7 @@ fn subscriber_main(shared: &Arc<NetShared>, stream: TcpStream, id: u64, arg: Opt
         }
         if !write_failed {
             for (e, l) in &ring {
-                if *e >= from && keep(l) && writeln!(out, "{l}").is_err() {
+                if *e >= from && sub.keeps(l) && writeln!(out, "{l}").is_err() {
                     write_failed = true;
                     break;
                 }
@@ -854,7 +865,7 @@ fn subscriber_main(shared: &Arc<NetShared>, stream: TcpStream, id: u64, arg: Opt
         };
         match next {
             Some(l) => {
-                if keep(&l) && (writeln!(out, "{l}").is_err() || out.flush().is_err()) {
+                if writeln!(out, "{l}").is_err() || out.flush().is_err() {
                     write_failed = true;
                 }
             }
@@ -1495,7 +1506,7 @@ mod tests {
     fn publish_drops_oldest_on_a_full_subscriber_queue() {
         let (plane, _rx) = start_plane(test_cfg());
         // Register a queue with no draining thread behind it.
-        let sub = Arc::new(SubQueue::new(2));
+        let sub = Arc::new(SubQueue::new(2, None));
         lock(&plane.shared.hub).subs.push(sub.clone());
         for k in 0..5u64 {
             plane.publish(k, format!("{{\"epoch\":{k}}}"));
@@ -1506,6 +1517,38 @@ mod tests {
             assert_eq!(got, vec!["{\"epoch\":3}", "{\"epoch\":4}"]);
         }
         assert_eq!(plane.counters().subscriber_drops, 3);
+        plane.stop();
+    }
+
+    #[test]
+    fn a_subscriber_queue_holds_only_its_own_topic() {
+        const K: u64 = 6;
+        let (plane, _rx) = start_plane(test_cfg());
+        // A default queue and a `?rack=1` queue, no draining thread behind
+        // either, each with room for one line per epoch.
+        let agg = Arc::new(SubQueue::new(K as usize, None));
+        let rack1 = Arc::new(SubQueue::new(K as usize, Some(1)));
+        lock(&plane.shared.hub)
+            .subs
+            .extend([agg.clone(), rack1.clone()]);
+        // Each epoch of a 4-rack site: the aggregate line, then one line
+        // per rack.
+        for k in 0..K {
+            plane.publish(k, format!("{{\"epoch\":{k}}}"));
+            for rack in 0..4 {
+                plane.publish(k, format!("{{\"rack\":{rack},\"epoch\":{k}}}"));
+            }
+        }
+        let held = |q: &SubQueue| -> Vec<String> {
+            lock(&q.state).lines.iter().map(|l| l.to_string()).collect()
+        };
+        let want: Vec<String> = (0..K).map(|k| format!("{{\"epoch\":{k}}}")).collect();
+        assert_eq!(held(&agg), want);
+        let want: Vec<String> = (0..K)
+            .map(|k| format!("{{\"rack\":1,\"epoch\":{k}}}"))
+            .collect();
+        assert_eq!(held(&rack1), want);
+        assert_eq!(plane.counters().subscriber_drops, 0);
         plane.stop();
     }
 
@@ -1709,11 +1752,11 @@ mod tests {
 
     #[test]
     fn rack_topic_lines_are_filtered_by_subscription() {
-        // Topic filtering happens at write time, so every published line
-        // transits each subscriber queue: the cap must cover the whole
-        // burst or drop-oldest races the writer threads.
+        // Each queue holds only its own topic, so a cap of one line per
+        // epoch covers the burst even if no writer thread drains a line
+        // before the last publish: a drop here would lose a line.
         let (plane, _rx) = start_plane(NetConfig {
-            sub_queue_cap: 64,
+            sub_queue_cap: 3,
             ..test_cfg()
         });
         let addr = plane.addrs.listen.unwrap();

@@ -8,10 +8,15 @@
 //!
 //! Our "real servers" are the calibrated models of `gs-cluster` +
 //! `gs-workload`; the exhaustive sweep enumerates all 63 sprint settings
-//! once and caches SLO capacity, raw capacity, and full-load power.
+//! once and caches SLO capacity, raw capacity, and full-load power. The
+//! table is also the one owner of every load rate the paper derives from
+//! a setting's capacity: the `Int=k` burst, its background and a
+//! campaign's peak are reads of its entries, never fresh solves.
 
 use gs_cluster::{ServerSetting, MAX_CORES, NORMAL_CORES, NUM_FREQ_LEVELS};
+use gs_sim::SimTime;
 use gs_workload::apps::{AppProfile, Application};
+use gs_workload::arrivals::BurstPattern;
 use gs_workload::queueing::Station;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -185,6 +190,31 @@ impl ProfileTable {
         &self.entries
     }
 
+    /// The paper's `Int=k` offered rate (req/s per server): "the maximal
+    /// processing capability of running workloads on *k* cores at
+    /// 2.0 GHz" (§IV-D), the SLO capacity of entry `(k_cores, 2.0 GHz)`.
+    /// Panics if `k_cores` is not a core count of the setting space;
+    /// `EngineConfig::validate` and `CampaignConfig::validate` refuse
+    /// such a configuration first.
+    pub fn intensity_rps(&self, k_cores: u8) -> f64 {
+        self.get(ServerSetting::new(k_cores, (NUM_FREQ_LEVELS - 1) as u8))
+            .slo_capacity
+    }
+
+    /// The paper's `Int=k` burst from `start` to `end`: [`Self::intensity_rps`]
+    /// inside the window and a light background outside it.
+    pub fn burst_pattern(&self, k_cores: u8, start: SimTime, end: SimTime) -> BurstPattern {
+        assert!(end > start, "burst must have positive duration");
+        BurstPattern {
+            burst_rps: self.intensity_rps(k_cores),
+            // Outside bursts interactive services idle at a small fraction
+            // of Normal capacity.
+            background_rps: 0.2 * self.get(ServerSetting::normal()).slo_capacity,
+            start,
+            end,
+        }
+    }
+
     /// Expected goodput (req/s) at a setting under offered load `rps`:
     /// `min(load, SLO capacity)` — the per-epoch term of the paper's
     /// objective (Eq. 3).
@@ -314,6 +344,61 @@ mod tests {
         assert!(t.planned_power_w(s, 1e9) < t.get(ServerSetting::max_sprint()).full_load_power_w);
         // An impossible target yields None.
         assert_eq!(t.cheapest_reaching(&all, 1e9, 1e12), None);
+    }
+
+    #[test]
+    fn intensity_burst_rate_matches_k_core_capacity() {
+        let app = Application::SpecJbb.profile();
+        let t = ProfileTable::build(&app);
+        let b = t.burst_pattern(9, SimTime::from_mins(5), SimTime::from_mins(15));
+        let expect = app.slo_capacity(ServerSetting::new(9, 8));
+        assert!((b.burst_rps - expect).abs() < 1e-9);
+        // Int=12 is the full sprint capacity; Int=7 lower.
+        let b12 = t.burst_pattern(12, SimTime::ZERO, SimTime::from_mins(1));
+        let b7 = t.burst_pattern(7, SimTime::ZERO, SimTime::from_mins(1));
+        assert!(b12.burst_rps > b.burst_rps && b.burst_rps > b7.burst_rps);
+    }
+
+    #[test]
+    fn burst_window_semantics() {
+        let t = ProfileTable::build(&Application::Memcached.profile());
+        let b = t.burst_pattern(12, SimTime::from_mins(10), SimTime::from_mins(20));
+        assert!(!b.in_burst(SimTime::from_mins(9)));
+        assert!(b.in_burst(SimTime::from_mins(10)));
+        assert!(!b.in_burst(SimTime::from_mins(20)));
+        assert_eq!(b.offered_rps(SimTime::from_mins(15)), b.burst_rps);
+        assert_eq!(b.offered_rps(SimTime::from_mins(25)), b.background_rps);
+        assert!(b.background_rps < b.burst_rps);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive duration")]
+    fn rejects_empty_burst() {
+        let _ = table().burst_pattern(12, SimTime::from_mins(5), SimTime::from_mins(5));
+    }
+
+    /// Every rate a run reads from the cached table carries the bits a
+    /// fresh `AppProfile::slo_capacity` solve gives, for every paper
+    /// application and every `Int=k` the configs accept.
+    #[test]
+    fn table_rates_are_the_slo_capacity_solves_bit_for_bit() {
+        for app in Application::ALL {
+            let profile = app.profile();
+            let t = ProfileTable::cached(app);
+            let background = 0.2 * profile.slo_capacity(ServerSetting::normal());
+            for k in NORMAL_CORES..=MAX_CORES {
+                let want = profile.slo_capacity(ServerSetting::new(k, 8));
+                let b = t.burst_pattern(k, SimTime::ZERO, SimTime::from_mins(10));
+                assert_eq!(b.burst_rps.to_bits(), want.to_bits(), "{app} Int={k}");
+                assert_eq!(b.background_rps.to_bits(), background.to_bits(), "{app}");
+                // A campaign's peak rate.
+                assert_eq!(
+                    t.intensity_rps(k).to_bits(),
+                    want.to_bits(),
+                    "{app} Int={k}"
+                );
+            }
+        }
     }
 
     #[test]

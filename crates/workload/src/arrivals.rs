@@ -10,13 +10,14 @@
 //!   (paper Fig. 1) with a configurable number of load spikes, used by the
 //!   motivation figure and the long-horizon examples.
 
-use crate::apps::AppProfile;
-use gs_cluster::{ServerSetting, NUM_FREQ_LEVELS};
 use gs_sim::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// A square workload burst: `Int=k` intensity for a fixed duration, with
-/// a light background load outside the burst.
+/// a light background load outside the burst. The paper's `Int=k` rates
+/// are read from the offline profile table, which holds every setting's
+/// SLO capacity (`ProfileTable::burst_pattern` in the `greensprint`
+/// crate).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BurstPattern {
     /// Offered per-server rate during the burst (req/s).
@@ -30,22 +31,6 @@ pub struct BurstPattern {
 }
 
 impl BurstPattern {
-    /// Build the paper's `Int=k` burst for an application: the offered
-    /// rate equals the SLO capacity of `k` cores at 2.0 GHz.
-    pub fn intensity(app: &AppProfile, k_cores: u8, start: SimTime, end: SimTime) -> BurstPattern {
-        assert!(end > start, "burst must have positive duration");
-        let setting = ServerSetting::new(k_cores, (NUM_FREQ_LEVELS - 1) as u8);
-        let burst_rps = app.slo_capacity(setting);
-        BurstPattern {
-            burst_rps,
-            // Outside bursts interactive services idle at a small fraction
-            // of Normal capacity.
-            background_rps: 0.2 * app.slo_capacity(ServerSetting::normal()),
-            start,
-            end,
-        }
-    }
-
     /// Offered per-server rate at time `t`.
     pub fn offered_rps(&self, t: SimTime) -> f64 {
         if t >= self.start && t < self.end {
@@ -138,38 +123,6 @@ impl DiurnalTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::Application;
-
-    #[test]
-    fn intensity_burst_rate_matches_k_core_capacity() {
-        let app = Application::SpecJbb.profile();
-        let b = BurstPattern::intensity(&app, 9, SimTime::from_mins(5), SimTime::from_mins(15));
-        let expect = app.slo_capacity(ServerSetting::new(9, 8));
-        assert!((b.burst_rps - expect).abs() < 1e-9);
-        // Int=12 is the full sprint capacity; Int=7 lower.
-        let b12 = BurstPattern::intensity(&app, 12, SimTime::ZERO, SimTime::from_mins(1));
-        let b7 = BurstPattern::intensity(&app, 7, SimTime::ZERO, SimTime::from_mins(1));
-        assert!(b12.burst_rps > b.burst_rps && b.burst_rps > b7.burst_rps);
-    }
-
-    #[test]
-    fn burst_window_semantics() {
-        let app = Application::Memcached.profile();
-        let b = BurstPattern::intensity(&app, 12, SimTime::from_mins(10), SimTime::from_mins(20));
-        assert!(!b.in_burst(SimTime::from_mins(9)));
-        assert!(b.in_burst(SimTime::from_mins(10)));
-        assert!(!b.in_burst(SimTime::from_mins(20)));
-        assert_eq!(b.offered_rps(SimTime::from_mins(15)), b.burst_rps);
-        assert_eq!(b.offered_rps(SimTime::from_mins(25)), b.background_rps);
-        assert!(b.background_rps < b.burst_rps);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive duration")]
-    fn rejects_empty_burst() {
-        let app = Application::SpecJbb.profile();
-        let _ = BurstPattern::intensity(&app, 12, SimTime::from_mins(5), SimTime::from_mins(5));
-    }
 
     #[test]
     fn diurnal_trace_shape() {

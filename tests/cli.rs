@@ -701,6 +701,66 @@ fn bad_arguments_fail_cleanly() {
     assert!(stderr.contains("--out"), "{stderr}");
 }
 
+/// An `Int=k` outside 6..=12 names no profiled setting. Every command
+/// that takes `--intensity` refuses it with exit 2 and names the value;
+/// none panics, and `serve` no longer quarantines its only rack over it
+/// and exits 0.
+#[test]
+fn out_of_range_intensity_exits_2_naming_the_value() {
+    let burst = "burst_intensity_cores must be a core count in 6..=12, got";
+    let peak = "peak_intensity_cores must be a core count in 6..=12, got";
+    let cases: [(&[&str], &str, u8); 5] = [
+        (&["simulate", "--analytic", "--minutes", "5"], burst, 4),
+        (&["campaign", "--analytic", "--days", "1"], peak, 20),
+        (
+            &[
+                "sweep",
+                "--apps",
+                "jbb",
+                "--strategies",
+                "pacing",
+                "--availabilities",
+                "med",
+            ],
+            burst,
+            3,
+        ),
+        (
+            &["datacenter", "--racks", "2", "--minutes", "5", "--analytic"],
+            burst,
+            5,
+        ),
+        (
+            &[
+                "serve",
+                "--sim-time",
+                "--analytic",
+                "--control",
+                "sim",
+                "--minutes",
+                "5",
+            ],
+            burst,
+            4,
+        ),
+    ];
+    for (args, want, k) in cases {
+        let k = k.to_string();
+        let out = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+            .args(args)
+            .args(["--intensity", &k])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{want} {k}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 /// The seeded multi-rack recipe the datacenter CLI tests share.
 const DATACENTER: [&str; 8] = [
     "datacenter",

@@ -5,9 +5,9 @@
 //! snapshots (drain/SIGKILL + `--resume` byte-identity, including
 //! mid-rack-outage), the tick watchdog, and a golden multi-rack stream.
 
+mod common;
+
 use greensprint_repro::prelude::*;
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -456,27 +456,15 @@ fn admin_kill_rack_restart_then_sigkill_resume_is_byte_identical() {
 
     // Throttled pacing keeps the run alive for the admin client and the
     // kill; it never enters the metrics bytes.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_greensprint"))
-        .args(base)
-        .args(["--metrics", part.to_str().unwrap()])
-        .args(["--snapshot", snap.to_str().unwrap()])
-        .args(["--listen", "127.0.0.1:0", "--admin-token", "kill-secret"])
-        .args(["--throttle-ms", "60"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("throttled daemon");
-    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
-    let addr: SocketAddr = loop {
-        let mut line = String::new();
-        let read = stderr.read_line(&mut line).expect("daemon stderr");
-        assert!(read > 0, "the daemon exited before it listened");
-        if let Some(a) = line.trim().strip_prefix("serve: listening on ") {
-            break a.parse().expect("a socket address");
-        }
-    };
-    // Keep draining stderr (the kill's panic report lands there).
-    std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+    let (mut child, addr) = common::spawn_listening(
+        Command::new(env!("CARGO_BIN_EXE_greensprint"))
+            .args(base)
+            .args(["--metrics", part.to_str().unwrap()])
+            .args(["--snapshot", snap.to_str().unwrap()])
+            .args(["--listen", "127.0.0.1:0", "--admin-token", "kill-secret"])
+            .args(["--throttle-ms", "60"])
+            .stdout(Stdio::null()),
+    );
 
     let t = Duration::from_secs(5);
     assert_eq!(

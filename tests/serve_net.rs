@@ -3,13 +3,18 @@
 //! byte-identical to a networking-disabled run (determinism contract),
 //! a killed-and-reconnected subscriber must get a gap-free stream via
 //! `?from_epoch=`, admin `DRAIN` over TCP must ride the graceful-drain
-//! path, and real-time ingest frames must actually enter the supply
-//! path.
+//! path, real-time ingest frames must actually enter the supply path, and
+//! the CLI daemon under a live client must write the bytes of a run with
+//! no network.
+
+mod common;
 
 use greensprint_repro::core::net::line_epoch;
 use greensprint_repro::prelude::*;
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -293,5 +298,112 @@ fn real_time_net_frames_enter_the_supply_path() {
         text.contains("\"re_supply_w\":321.5"),
         "the live reading never reached the supply path:\n{text}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first counter `name` in a pretty-printed serve summary.
+fn summary_count(summary: &str, name: &str) -> u64 {
+    let tail = summary
+        .split(&format!("\"{name}\": "))
+        .nth(1)
+        .unwrap_or_else(|| panic!("summary has no {name}: {summary}"));
+    tail.chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap_or_else(|_| panic!("{name} is not a count: {summary}"))
+}
+
+/// The CLI daemon under a live client: a throttled `--sim-time` serve
+/// listening on an ephemeral port has a subscriber read three lines and
+/// vanish, takes 20 ingest frames (every 5th malformed) and answers
+/// `STATUS`; its metrics file is byte-identical to a run with no
+/// network, and its summary counts the drop, the frames and the junk.
+#[test]
+fn the_cli_daemon_under_a_live_client_writes_the_no_network_bytes() {
+    let dir = tmp_dir("cli-client");
+    let golden = dir.join("golden.jsonl");
+    let net = dir.join("net.jsonl");
+    let base = [
+        "serve",
+        "--sim-time",
+        "--analytic",
+        "--minutes",
+        "60",
+        "--seed",
+        "11",
+        "--disturb-seed",
+        "3",
+        "--control",
+        "sim",
+        "--snapshot-every",
+        "5",
+    ];
+    let status = Command::new(env!("CARGO_BIN_EXE_greensprint"))
+        .args(base)
+        .args(["--metrics", golden.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("no-network run");
+    assert!(status.success());
+
+    // Throttled pacing keeps the run alive for the client; the throttle
+    // never enters the metrics bytes.
+    let (child, addr) = common::spawn_listening(
+        Command::new(env!("CARGO_BIN_EXE_greensprint"))
+            .args(base)
+            .args(["--metrics", net.to_str().unwrap()])
+            .args(["--listen", "127.0.0.1:0", "--admin-token", "smoke-secret"])
+            .args(["--throttle-ms", "50"])
+            .stdout(Stdio::piped()),
+    );
+    let t = Duration::from_secs(5);
+
+    // Subscribe, read a few lines, then vanish mid-stream: the daemon
+    // must charge `subscriber_drops`, never stall or crash.
+    let mut sub = TcpStream::connect_timeout(&addr, t).expect("subscriber connects");
+    sub.set_read_timeout(Some(t)).unwrap();
+    sub.write_all(b"SUB\n").unwrap();
+    let mut lines = BufReader::new(sub);
+    for _ in 0..3 {
+        let mut line = String::new();
+        let read = lines.read_line(&mut line).expect("a metrics line");
+        assert!(read > 0, "the subscriber starved before it vanished");
+    }
+    drop(lines);
+
+    // Telemetry at the ingest role, valid frames interleaved with junk:
+    // counted by the plane, discarded by the sim-time serve loop, so the
+    // metrics bytes cannot move.
+    let mut ingest = TcpStream::connect_timeout(&addr, t).expect("ingest connects");
+    for k in 0..20 {
+        let frame = if k % 5 == 4 {
+            "garbage\n".to_string()
+        } else {
+            format!("{}.0\n", 200 + k)
+        };
+        ingest.write_all(frame.as_bytes()).unwrap();
+    }
+    drop(ingest);
+
+    let reply = admin_request(addr, "STATUS smoke-secret", t).expect("status reply");
+    assert!(reply.contains("greensprint-serve"), "{reply}");
+
+    let out = child.wait_with_output().expect("the daemon exits");
+    assert!(out.status.success(), "the daemon failed");
+    let summary = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        std::fs::read(&golden).unwrap(),
+        std::fs::read(&net).unwrap(),
+        "a live client changed the metrics bytes"
+    );
+    for counter in ["subscriber_drops", "frames_received", "malformed_frames"] {
+        assert!(
+            summary_count(&summary, counter) >= 1,
+            "{counter}: {summary}"
+        );
+    }
+    assert_eq!(summary_count(&summary, "audit_violations"), 0, "{summary}");
     let _ = std::fs::remove_dir_all(&dir);
 }
